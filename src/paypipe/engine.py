@@ -1,11 +1,18 @@
 """Deterministic transaction executor for payment pipelines.
 
 One external trigger (deposit, time advance, oracle instruction, claim) is
-one transaction: the engine snapshots ledger and node state, charges gas per
-primitive operation from a configurable cost table, and either commits or
-rolls back atomically. Intra-pipeline propagation is synchronous within the
-transaction; nodes that hold funds (timelock, threshold, oracle-directed,
-claimable endpoints) end the propagation, and the next trigger resumes it.
+one transaction: the engine charges gas per primitive operation from a
+configurable cost table, and either commits or rolls back atomically.
+Rollback costs what the transaction touched, not the size of the ledger or
+the graph: the ledger logs the first old value of each key a write changes,
+and a node's ``state`` is copied the first time the transaction touches the
+node (as the trigger's target or as a dispatch recipient). An exception that
+is not an engine error also undoes the transaction, records nothing and
+propagates.
+
+Intra-pipeline propagation is synchronous within the transaction; nodes that
+hold funds (timelock, threshold, oracle-directed, claimable endpoints) end
+the propagation, and the next trigger resumes it.
 
 Gas is an accounting metric only; no limit is enforced. Charge points:
 
@@ -19,12 +26,19 @@ Gas is an accounting metric only; no limit is enforced. Charge points:
 
 Two engines built from the same spec and fed the same triggers produce
 identical event logs and gas logs; the text exports below are byte-stable.
+
+Advancing the clock asks only the nodes that have a release due for their
+releases: a heap holds one ``(earliest pending due, node id)`` entry per node
+with a pending release. A node's schedule changes only inside a transaction
+that touched it, so the entries of the nodes a commit touched are recomputed
+before the next advance.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field as dc_field
+import heapq
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from typing import Callable, Optional
 
@@ -36,11 +50,6 @@ from .nodes import (
     PolicyAction,
     StreamError,
     StreamMessage,
-)
-
-EVENT_KINDS = (
-    "Transfer", "Approval", "Sent", "StreamError",
-    "Report", "Released", "Held", "Claimed",
 )
 
 # Setup-time events (minting, scenario approvals) live under this pseudo-id;
@@ -70,33 +79,22 @@ class CostTable:
             if value < 0:
                 raise ValueError(f"cost {name} must be non-negative")
 
-    def cost(self, kind: str) -> int:
-        return getattr(self, kind)
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "CostTable":
-        return cls(**mapping)
-
 
 class GasMeter:
-    """Accumulates gas within the current transaction; keeps a per-tx log."""
+    """Accumulates gas within the current transaction. ``charge`` is the
+    only place gas is added; per-transaction totals live in
+    ``Engine.transactions``."""
 
     def __init__(self, table: CostTable):
         self.table = table
+        self._costs = asdict(table)
         self.consumed = 0
-        self.per_tx_log: list[tuple[int, int]] = []
 
     def start(self):
         self.consumed = 0
 
     def charge(self, kind: str):
-        self.consumed += self.table.cost(kind)
-
-    def finish(self, tx_id: int):
-        self.per_tx_log.append((tx_id, self.consumed))
-
-    def total(self) -> int:
-        return sum(gas for _, gas in self.per_tx_log)
+        self.consumed += self._costs[kind]
 
 
 @dataclass(frozen=True)
@@ -139,6 +137,33 @@ def _esc(value) -> str:
     )
 
 
+# Values a copy of a node state may share with the original.
+_IMMUTABLE = (int, str, bool, type(None))
+
+
+def _copy_state(state: dict) -> dict:
+    """Deep copy of a node's state. States of immutable values and empty
+    containers, such as those of endpoints and most routers, are copied
+    without ``deepcopy``; there, two entries sharing one empty container get
+    one each."""
+    copied = {}
+    for key, value in state.items():
+        cls = value.__class__
+        if cls in _IMMUTABLE:
+            copied[key] = value
+        elif (cls is dict or cls is list) and not value:
+            copied[key] = cls()
+        else:
+            return copy.deepcopy(state)
+    return copied
+
+
+def _require_int(name: str, value) -> None:
+    """Reject a non-integer trigger argument before a transaction opens."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def format_event(ev: EventRecord) -> str:
     parts = [f"tx={ev.tx_id}", f"seq={ev.seq}", f"emitter={_esc(ev.emitter)}",
              f"kind={ev.kind}"]
@@ -164,6 +189,15 @@ class Engine:
         self._next_tx_id = 1
         self._setup_seq = 0
         self._tx: Optional[dict] = None  # {"id", "seq", "events"} while open
+        # node id -> its state before the open transaction first touched it
+        self._touched: dict[str, dict] = {}
+        # Due index: heap of (earliest pending due, node id); _due_at holds
+        # each indexed node's current key, so heap entries that disagree with
+        # it are stale and skipped. Nodes in _due_stale get their key
+        # recomputed before the next advance.
+        self._due_heap: list[tuple[int, str]] = []
+        self._due_at: dict[str, int] = {}
+        self._due_stale: set[str] = set()
 
     # -- assembly ------------------------------------------------------------
 
@@ -172,6 +206,7 @@ class Engine:
             raise ValueError(f"duplicate node id {node.id!r}")
         node.engine = self
         self.nodes[node.id] = node
+        self._due_stale.add(node.id)
         return node
 
     def add_edge(self, from_id: str, to_id: str) -> None:
@@ -185,9 +220,6 @@ class Engine:
             self.ledger.mint(account, amount)
 
     # -- gas and events --------------------------------------------------------
-
-    def in_transaction(self) -> bool:
-        return self._tx is not None
 
     def charge(self, kind: str) -> None:
         if self._tx is not None:
@@ -208,17 +240,19 @@ class Engine:
 
     # -- transaction machinery ---------------------------------------------
 
-    def _snapshot(self):
-        return (
-            self.ledger.snapshot(),
-            {nid: copy.deepcopy(node.state) for nid, node in self.nodes.items()},
-        )
+    def _touch(self, node: Node) -> Node:
+        """Copy ``node``'s state the first time the open transaction reaches
+        it, so a revert can put it back."""
+        if node.id not in self._touched:
+            self._touched[node.id] = _copy_state(node.state)
+        return node
 
-    def _restore(self, snap) -> None:
-        ledger_snap, node_states = snap
-        self.ledger.restore(ledger_snap)
-        for nid, state in node_states.items():
-            self.nodes[nid].state = state
+    def _undo(self) -> None:
+        """Put back every ledger key and node state the open transaction
+        changed."""
+        self.ledger.revert()
+        for node_id, state in self._touched.items():
+            self.nodes[node_id].state = state
 
     def _check_conservation(self) -> None:
         total = self.ledger.sum_of_balances()
@@ -230,20 +264,31 @@ class Engine:
     def _run_tx(self, trigger: str, info: dict, body: Callable[[], None]) -> TxResult:
         tx = Transaction(self._next_tx_id, trigger, info=dict(info))
         self._next_tx_id += 1
-        snap = self._snapshot()
-        self._tx = {"id": tx.id, "seq": 0, "events": []}
         self.meter.start()
         self.meter.charge("tx_base")
+        self._tx = {"id": tx.id, "seq": 0, "events": []}
+        self._touched = {}
+        self.ledger.begin()
         reason = None
         try:
             body()
         except EngineError as err:
-            self._restore(snap)
+            self._undo()
             tx.status = "Reverted"
             reason = f"{err.code}: {err.message}"
-        events = tuple(self._tx["events"])
-        self._tx = None
-        self.meter.finish(tx.id)
+        except BaseException:
+            # A fault, not a revert: undo the writes, record nothing and hand
+            # the id back to the next transaction, then let it propagate.
+            self._undo()
+            self._next_tx_id = tx.id
+            raise
+        else:
+            self.ledger.commit()
+            self._due_stale.update(self._touched)
+        finally:
+            events = tuple(self._tx["events"])
+            self._tx = None
+            self._touched = {}
         if tx.status == "Committed":
             self.events.extend(events)
             self._check_conservation()
@@ -260,10 +305,11 @@ class Engine:
         node = self.nodes.get(node_id)
         if node is None:
             raise UnknownNode(f"no node {node_id!r}")
-        return node
+        return self._touch(node)
 
     def submit_deposit(self, from_account: str, amount: int,
                        metadata: Optional[dict] = None) -> TxResult:
+        _require_int("amount", amount)
         info = {"from": from_account, "amount": amount}
         return self._run_tx(
             "Deposit", info,
@@ -273,6 +319,7 @@ class Engine:
 
     def submit_oracle_instruct(self, node_id: str, oracle: str, dest_tag: str,
                                amount: int) -> TxResult:
+        _require_int("amount", amount)
         info = {"node": node_id, "oracle": oracle, "dest": dest_tag,
                 "amount": amount}
         return self._run_tx(
@@ -306,23 +353,50 @@ class Engine:
     def advance_time(self, delta: int) -> list[TxResult]:
         """Move the clock, then crank every due release as its own transaction.
 
-        Releases are ordered by (due time, node id); a crank that reverts does
-        not stop later cranks.
+        Releases are ordered by (due time, node id) and fixed before the
+        first crank runs; a crank that reverts does not stop later cranks and
+        stays pending for the next advance. Only the nodes the due index
+        holds as due are asked for their releases.
         """
+        _require_int("delta", delta)
         if delta < 0:
             raise ValueError("time cannot move backwards")
         self.now += delta
+        now, heap, due_at = self.now, self._due_heap, self._due_at
+        self._reindex()
         entries = []
-        for node_id, node in self.nodes.items():
-            for due, k in node.due_releases(self.now):
+        while heap and heap[0][0] <= now:
+            due, node_id = heapq.heappop(heap)
+            if due_at.get(node_id) != due:
+                continue  # superseded by a later key
+            del due_at[node_id]
+            self._due_stale.add(node_id)
+            for due, k in self.nodes[node_id].due_releases(now):
                 entries.append((due, node_id, k))
         entries.sort()
         results = []
         for due, node_id, k in entries:
             info = {"node": node_id, "release": k, "at": due}
-            body = partial(self.nodes[node_id].crank, k, due)
+            body = partial(self._crank, node_id, k, due)
             results.append(self._run_tx("AdvanceTime", info, body))
         return results
+
+    def _crank(self, node_id: str, k: int, due: int) -> None:
+        self._node(node_id).crank(k, due)
+
+    def _reindex(self) -> None:
+        """Recompute the due-index key of every node marked stale."""
+        heap, due_at = self._due_heap, self._due_at
+        for node_id in self._due_stale:
+            due = self.nodes[node_id].next_due()
+            if due == due_at.get(node_id):
+                continue
+            if due is None:
+                del due_at[node_id]
+            else:
+                due_at[node_id] = due
+                heapq.heappush(heap, (due, node_id))
+        self._due_stale.clear()
 
     # -- stream dispatch -------------------------------------------------------
 
@@ -341,6 +415,7 @@ class Engine:
         if not via_error and (sender.id, to_id) not in self.edges:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
         self.charge("node_call")
+        self._touch(recipient)
         try:
             recipient.pre_accept(sender, msg)
         except RejectedStream as rej:

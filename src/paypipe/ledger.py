@@ -3,6 +3,12 @@
 Amounts are non-negative integers in the smallest denomination. The ledger
 enforces conservation (sum of balances equals total supply) and checks all
 preconditions before mutating, so a failed operation leaves no trace.
+
+Between ``begin()`` and ``commit()`` / ``revert()`` the ledger keeps an undo
+log: the first old value of every balance and allowance key a write touches,
+and the supply as it stood at ``begin()``. ``revert()`` writes those values
+back, so undoing a transaction costs what the transaction wrote, not the
+size of the ledger.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ EventHook = Callable[[str, str, dict], None]
 ChargeHook = Callable[[str], None]
 
 _LEDGER = "ledger"
+
+# Undo-log value for a key that did not exist before the write.
+_ABSENT = object()
 
 
 def _check_amount(amount: Amount) -> None:
@@ -55,6 +64,10 @@ class TokenLedger:
         self.total_supply: Amount = 0
         self.on_event = on_event
         self.on_charge = on_charge
+        # Undo log, None outside begin() ... commit()/revert().
+        self._old_balances: Optional[dict] = None
+        self._old_allowances: Optional[dict] = None
+        self._old_supply: Amount = 0
 
     # -- hooks -------------------------------------------------------------
 
@@ -83,19 +96,30 @@ class TokenLedger:
         if self.total_supply + amount > MAX_AMOUNT:
             raise AmountOverflow(f"minting {amount} exceeds the amount domain")
         self._charge("ledger_write")
-        self.balances[to] = self.balances.get(to, 0) + amount
+        balances = self.balances
+        old = self._old_balances
+        if old is not None and to not in old:
+            old[to] = balances.get(to, _ABSENT)
+        balances[to] = balances.get(to, 0) + amount
         self.total_supply += amount
         self._emit("Transfer", {"from": NULL_ADDRESS, "to": to, "amount": amount})
 
     def transfer(self, from_: Address, to: Address, amount: Amount) -> None:
         _check_amount(amount)
-        if self.balances.get(from_, 0) < amount:
+        balances = self.balances
+        if balances.get(from_, 0) < amount:
             raise InsufficientBalance(
-                f"{from_} holds {self.balances.get(from_, 0)}, needs {amount}"
+                f"{from_} holds {balances.get(from_, 0)}, needs {amount}"
             )
         self._charge("ledger_write")
-        self.balances[from_] = self.balances.get(from_, 0) - amount
-        self.balances[to] = self.balances.get(to, 0) + amount
+        old = self._old_balances
+        if old is not None:
+            if from_ not in old:
+                old[from_] = balances.get(from_, _ABSENT)
+            if to not in old:
+                old[to] = balances.get(to, _ABSENT)
+        balances[from_] = balances.get(from_, 0) - amount
+        balances[to] = balances.get(to, 0) + amount
         self._emit("Transfer", {"from": from_, "to": to, "amount": amount})
 
     def approve(self, owner: Address, spender: Address, amount: Amount) -> None:
@@ -103,7 +127,11 @@ class TokenLedger:
         if amount > MAX_AMOUNT:
             raise AmountOverflow(f"allowance {amount} exceeds the amount domain")
         self._charge("ledger_write")
-        self.allowances[(owner, spender)] = amount
+        key = (owner, spender)
+        old = self._old_allowances
+        if old is not None and key not in old:
+            old[key] = self.allowances.get(key, _ABSENT)
+        self.allowances[key] = amount
         self._emit("Approval", {"owner": owner, "spender": spender, "amount": amount})
 
     def transfer_from(
@@ -114,22 +142,59 @@ class TokenLedger:
         Allowance is checked before balance; both checks precede any mutation.
         """
         _check_amount(amount)
-        allowed = self.allowances.get((owner, spender), 0)
+        key = (owner, spender)
+        allowances, balances = self.allowances, self.balances
+        allowed = allowances.get(key, 0)
         if allowed < amount:
             raise InsufficientAllowance(
                 f"{spender} allowed {allowed} by {owner}, needs {amount}"
             )
-        if self.balances.get(owner, 0) < amount:
+        if balances.get(owner, 0) < amount:
             raise InsufficientBalance(
-                f"{owner} holds {self.balances.get(owner, 0)}, needs {amount}"
+                f"{owner} holds {balances.get(owner, 0)}, needs {amount}"
             )
         self._charge("ledger_write")
-        self.allowances[(owner, spender)] = allowed - amount
-        self.balances[owner] = self.balances.get(owner, 0) - amount
-        self.balances[to] = self.balances.get(to, 0) + amount
+        old_allowances = self._old_allowances
+        if old_allowances is not None:
+            if key not in old_allowances:
+                old_allowances[key] = allowances.get(key, _ABSENT)
+            old = self._old_balances
+            if owner not in old:
+                old[owner] = balances.get(owner, _ABSENT)
+            if to not in old:
+                old[to] = balances.get(to, _ABSENT)
+        allowances[key] = allowed - amount
+        balances[owner] = balances.get(owner, 0) - amount
+        balances[to] = balances.get(to, 0) + amount
         self._emit(
             "Transfer", {"from": owner, "to": to, "amount": amount, "spender": spender}
         )
+
+    # -- undo log ----------------------------------------------------------
+
+    def begin(self) -> None:
+        """Start logging writes so that ``revert()`` can undo them."""
+        if self._old_balances is not None:
+            raise RuntimeError("ledger undo log is already open")
+        self._old_balances = {}
+        self._old_allowances = {}
+        self._old_supply = self.total_supply
+
+    def commit(self) -> None:
+        """Keep every write since ``begin()`` and drop the log."""
+        self._old_balances = self._old_allowances = None
+
+    def revert(self) -> None:
+        """Undo every write since ``begin()`` and drop the log."""
+        for table, old in ((self.balances, self._old_balances),
+                           (self.allowances, self._old_allowances)):
+            for key, value in old.items():
+                if value is _ABSENT:
+                    del table[key]
+                else:
+                    table[key] = value
+        self.total_supply = self._old_supply
+        self._old_balances = self._old_allowances = None
 
     # -- snapshots ---------------------------------------------------------
 
@@ -137,6 +202,8 @@ class TokenLedger:
         return (dict(self.balances), dict(self.allowances), self.total_supply)
 
     def restore(self, snap: tuple) -> None:
+        """Replace the whole book with a ``snapshot()``; not while the undo
+        log is open."""
         balances, allowances, supply = snap
         self.balances = dict(balances)
         self.allowances = dict(allowances)

@@ -14,6 +14,7 @@ unhandled fatal error reverts the whole transaction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Optional
@@ -24,6 +25,11 @@ from .errors import (
     NothingToClaim,
     ZeroAmount,
 )
+
+
+def earliest_due(releases: list[tuple[int, int]]) -> Optional[int]:
+    """Smallest due time in a ``due_releases`` list, None when it is empty."""
+    return min(due for due, _ in releases) if releases else None
 
 
 def node_address(node_id: str) -> str:
@@ -122,8 +128,10 @@ class StreamMessage:
 class Node:
     """Base node: identity, wiring, error policy, and mutable state.
 
-    ``state`` holds everything a transaction may mutate; the engine snapshots
-    it for rollback, so templates must keep all mutable data inside it.
+    ``state`` holds everything a transaction may mutate. The engine copies it
+    the first time a transaction touches the node (as the trigger's target
+    or as a dispatch recipient) and puts the copy back on revert, so a node
+    may mutate only its own ``state`` and the ledger, never another node's.
     """
 
     kind = NodeKind.ROUTER
@@ -140,7 +148,7 @@ class Node:
         self.out_by_tag = dict(self.outputs)
         self.error_policy = dict(error_policy or {})
         self.engine = None  # bound when registered
-        self.state: dict = {}  # everything rollback must cover lives here
+        self.state: dict = {}  # copied on first touch in a transaction
 
     # -- wiring ------------------------------------------------------------
 
@@ -190,6 +198,18 @@ class Node:
 
     def due_releases(self, now: int) -> list[tuple[int, int]]:
         return []
+
+    def next_due(self) -> Optional[int]:
+        """Due time of the earliest pending release, None when none is.
+
+        The engine's due index asks this after a transaction touched the
+        node, and asks ``due_releases`` only once the clock reaches it. This
+        default derives it from ``due_releases``; a schedule can answer it
+        directly.
+        """
+        if type(self).due_releases is Node.due_releases:
+            return None
+        return earliest_due(self.due_releases(math.inf))
 
     def crank(self, k: int, due: int) -> None:
         raise EngineError(f"node {self.id} has no schedule to crank")
@@ -278,6 +298,9 @@ class RouterNode(Node):
 
     def due_releases(self, now: int) -> list[tuple[int, int]]:
         return self.template.due_releases(self, now)
+
+    def next_due(self) -> Optional[int]:
+        return self.template.next_due(self)
 
     def crank(self, k: int, due: int) -> None:
         self.engine.charge("config_read")

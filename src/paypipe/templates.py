@@ -2,8 +2,10 @@
 
 Each template owns its config grammar (parsing, validation, canonical
 serialization) and its runtime logic. Mutable runtime data lives in the
-node's ``state`` dict so transaction rollback covers it; template instances
-themselves hold only immutable configuration.
+node's ``state`` dict, which the engine copies the first time a transaction
+touches the node, so rollback covers it. A template may therefore mutate
+only its own node's ``state`` and the ledger; template instances themselves
+hold only immutable configuration.
 
 Aggregating templates (timelock, threshold, oracle) keep the last received
 message and stamp re-dispatches with its origin, path, and metadata, so a
@@ -13,6 +15,7 @@ an intermediate node.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .errors import (
@@ -25,7 +28,13 @@ from .errors import (
     UntrustedOracle,
     ZeroAmount,
 )
-from .nodes import ErrorSeverity, PolicyAction, StreamError, StreamMessage
+from .nodes import (
+    ErrorSeverity,
+    PolicyAction,
+    StreamError,
+    StreamMessage,
+    earliest_due,
+)
 from .predicates import PredicateEvalError, evaluate, parse_predicate, predicate_text
 
 
@@ -103,6 +112,13 @@ class Template:
 
     def due_releases(self, node, now: int) -> list[tuple[int, int]]:
         return []
+
+    def next_due(self, node) -> Optional[int]:
+        """See ``Node.next_due``; derived from ``due_releases`` unless a
+        template answers it directly."""
+        if type(self).due_releases is Template.due_releases:
+            return None
+        return earliest_due(self.due_releases(node, math.inf))
 
     def crank(self, node, k: int, due: int) -> None:
         raise EngineError(f"node {node.id} has no schedule to crank")
@@ -255,6 +271,14 @@ class TimelockTemplate(Template):
             for k, done in enumerate(node.state["released"])
             if not done and start + k * period <= now
         ]
+
+    def next_due(self, node):
+        # Due times grow with k, so the first pending release is the earliest.
+        try:
+            k = node.state["released"].index(False)
+        except ValueError:
+            return None
+        return self.config["start"] + k * self.config["period"]
 
     def crank(self, node, k, due):
         released = node.state["released"]

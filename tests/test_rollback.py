@@ -1,0 +1,369 @@
+"""Rollback and clock advance: undo log, copy-on-touch node state, due index.
+
+A transaction undoes exactly what it touched, never stays open, and an
+advance cranks exactly what a scan of every node would have found due.
+"""
+
+import random
+from functools import partial
+from pathlib import Path
+
+import pytest
+
+from paypipe.engine import SETUP_TX, Engine
+from paypipe.errors import EngineError
+from paypipe.ledger import TokenLedger
+from paypipe.nodes import (
+    EndpointNode,
+    Node,
+    NodeKind,
+    OriginatorNode,
+    RouterNode,
+)
+from paypipe.pipeline import instantiate, parse_pipeline
+from paypipe.templates import make_template
+
+from support import apply_action, random_actions, random_pipeline_text
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def build(text):
+    return instantiate(parse_pipeline(text))
+
+
+def tx_ids(engine):
+    return [r.tx.id for r in engine.transactions]
+
+
+def check_reverts_restore(engine):
+    """Make every transaction of ``engine`` check that a revert leaves the
+    fingerprint it found; returns the list the reverted ids go into."""
+    run_tx, reverted = engine._run_tx, []
+
+    def checked(trigger, info, body):
+        before = engine.state_fingerprint()
+        result = run_tx(trigger, info, body)
+        if not result.committed:
+            assert engine.state_fingerprint() == before, result.reason
+            reverted.append(result.tx.id)
+        return result
+    engine._run_tx = checked
+    return reverted
+
+
+def scan_advance(engine, delta):
+    """Reference advance: ask every node for its due releases."""
+    engine.now += delta
+    entries = sorted((due, node_id, k)
+                     for node_id, node in engine.nodes.items()
+                     for due, k in node.due_releases(engine.now))
+    return [engine._run_tx("AdvanceTime",
+                           {"node": node_id, "release": k, "at": due},
+                           partial(engine._crank, node_id, k, due))
+            for due, node_id, k in entries]
+
+
+def random_ledger_ops(rng, ledger, count):
+    """Apply ``count`` random ledger calls; failed preconditions are skipped,
+    as they write nothing."""
+    accounts = ["a", "b", "c", "d", "e"]
+    for _ in range(count):
+        op = rng.choice(["mint", "transfer", "approve", "transfer_from"])
+        x, y, z = (rng.choice(accounts) for _ in range(3))
+        amount = rng.randint(0, 60)
+        try:
+            if op == "mint":
+                ledger.mint(x, amount)
+            elif op == "transfer":
+                ledger.transfer(x, y, amount)
+            elif op == "approve":
+                ledger.approve(x, y, amount)
+            else:
+                ledger.transfer_from(x, y, z, amount)
+        except EngineError:
+            pass
+
+
+def book(ledger):
+    """The ledger's tables with their key order, and the supply."""
+    return (list(ledger.balances.items()), list(ledger.allowances.items()),
+            ledger.total_supply)
+
+
+class TestLedgerUndoLog:
+    def test_revert_restores_every_table_in_key_order(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            ledger = TokenLedger()
+            random_ledger_ops(rng, ledger, rng.randint(0, 8))
+            before = book(ledger)
+            ledger.begin()
+            random_ledger_ops(rng, ledger, rng.randint(1, 12))
+            ledger.revert()
+            assert book(ledger) == before
+
+    def test_commit_keeps_the_writes_and_closes_the_log(self):
+        ledger = TokenLedger()
+        ledger.begin()
+        ledger.mint("a", 10)
+        ledger.approve("a", "b", 4)
+        ledger.commit()
+        assert book(ledger) == ([("a", 10)], [(("a", "b"), 4)], 10)
+        ledger.begin()
+        ledger.transfer("a", "c", 3)
+        ledger.revert()
+        assert book(ledger) == ([("a", 10)], [(("a", "b"), 4)], 10)
+
+    def test_log_cannot_be_opened_twice(self):
+        ledger = TokenLedger()
+        ledger.begin()
+        with pytest.raises(RuntimeError):
+            ledger.begin()
+
+
+class TestFaultsCloseTheTransaction:
+    @pytest.mark.parametrize("amount", [1.5, True])
+    def test_bad_amount_is_rejected_before_a_transaction(self, amount):
+        engine = build((FIXTURES / "error_refund.pipe").read_text())
+        entry = engine.nodes[engine.entry].address
+        engine.ledger.approve("acme", entry, 1000)
+        before = engine.state_fingerprint()
+        with pytest.raises(TypeError):
+            engine.submit_deposit("acme", amount)
+        with pytest.raises(TypeError):
+            engine.submit_oracle_instruct("check", "oracle", "main", amount)
+        assert engine.state_fingerprint() == before
+        assert engine.transactions == []
+        engine.ledger.approve("acme", entry, 500)
+        assert engine.events[-1].tx_id == SETUP_TX
+        assert engine.events[-1].payload["amount"] == 500
+        result = engine.submit_deposit("acme", 40)
+        assert tx_ids(engine) == [1]
+        assert all(ev.tx_id == 1 for ev in result.events)
+
+    def test_bad_delta_is_rejected_before_the_clock_moves(self):
+        engine = build((FIXTURES / "error_refund.pipe").read_text())
+        with pytest.raises(TypeError):
+            engine.advance_time(1.5)
+        assert engine.now == 0
+
+    def test_fault_inside_a_transaction_undoes_and_reraises(self):
+        class BuggyNode(EndpointNode):
+            # test double: writes to the ledger and its state, then crashes
+            def on_receive(self, msg):
+                self.state["claimable"]["bob"] = msg.amount
+                self.engine.ledger.transfer(self.address, "bob", msg.amount)
+                raise ZeroDivisionError("template bug")
+
+        engine = Engine()
+        engine.add_node(OriginatorNode("o", outputs=[("main", "bug")]))
+        engine.add_node(BuggyNode("bug", recipient="bob"))
+        engine.add_edge("o", "bug")
+        engine.set_entry("o")
+        engine.setup_balances({"alice": 100})
+        engine.ledger.approve("alice", "node:o", 100)
+        before = engine.state_fingerprint()
+        with pytest.raises(ZeroDivisionError):
+            engine.submit_deposit("alice", 60)
+        assert engine.state_fingerprint() == before
+        assert engine.transactions == [] and engine.revert_traces == {}
+        # the transaction is closed: a setup write is a setup event again
+        engine.ledger.approve("alice", "node:o", 7)
+        assert engine.events[-1].tx_id == SETUP_TX
+        # and the next transaction takes the id the fault handed back
+        engine.nodes["bug"].on_receive = lambda msg: None
+        assert engine.submit_deposit("alice", 7).tx.id == 1
+
+
+class TestRandomPipelines:
+    def test_every_revert_restores_and_ids_stay_contiguous(self):
+        reverts = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            text, info = random_pipeline_text(rng)
+            actions = random_actions(rng, info)
+            actions += [("advance", {"delta": rng.randint(0, 4)})
+                        for _ in range(2)]
+            engine = build(text)
+            reverted = check_reverts_restore(engine)
+            for action in actions:
+                apply_action(engine, action)
+            assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
+            reverts += len(reverted)
+        assert reverts >= 30  # the loop really exercised rollback
+
+    def test_due_index_cranks_what_a_full_scan_finds(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            text, info = random_pipeline_text(rng)
+            actions = random_actions(rng, info)
+            actions += [("advance", {"delta": rng.randint(0, 4)})
+                        for _ in range(2)]
+            indexed, scanned = build(text), build(text)
+            scanned.advance_time = partial(scan_advance, scanned)
+            for action in actions:
+                apply_action(indexed, action)
+                apply_action(scanned, action)
+                assert indexed.state_fingerprint() == scanned.state_fingerprint()
+            assert indexed.trace_text() == scanned.trace_text()
+            assert indexed.gas_text() == scanned.gas_text()
+
+
+THREE_LOCKS = """pipeline three-locks
+
+balance acme 900
+
+node origin
+  kind originator
+  out main -> split
+
+node split
+  kind router
+  template distributing
+  out a -> a
+  out b -> b
+  out c -> c
+  config weight a 1
+  config weight b 1
+  config weight c 1
+
+node a
+  kind router
+  template timelock
+  out main -> gate
+  config start 10
+  config period 10
+  config releases 1
+  config fixed 300
+
+node gate
+  kind router
+  template conditional
+  out main -> pay-a
+  config when now >= 20
+  config on_false fatal
+
+node b
+  kind router
+  template timelock
+  out main -> pay-b
+  config start 5
+  config period 10
+  config releases 1
+  config fixed 300
+
+node c
+  kind router
+  template timelock
+  out main -> pay-c
+  config start 10
+  config period 10
+  config releases 1
+  config fixed 300
+
+node pay-a
+  kind endpoint
+  recipient alice
+
+node pay-b
+  kind endpoint
+  recipient bob
+
+node pay-c
+  kind endpoint
+  recipient carol
+"""
+
+
+def count_due_calls(engine):
+    calls = []
+    for node in engine.nodes.values():
+        def counted(now, _node=node, _due=node.due_releases):
+            calls.append(_node.id)
+            return _due(now)
+        node.due_releases = counted
+    return calls
+
+
+class TestDueIndex:
+    def funded(self):
+        engine = build(THREE_LOCKS)
+        engine.ledger.approve("acme", "node:origin", 900)
+        assert engine.submit_deposit("acme", 900).committed
+        return engine
+
+    def test_reverted_crank_beside_committed_ones_is_retried(self):
+        engine = self.funded()
+        first = engine.advance_time(10)
+        assert [(r.tx.info["at"], r.tx.info["node"], r.committed)
+                for r in first] == [(5, "b", True), (10, "a", False),
+                                    (10, "c", True)]
+        assert engine.nodes["a"].state["released"] == [False]
+        assert engine.ledger.balances["bob"] == 300
+        assert engine.ledger.balances["carol"] == 300
+        (retry,) = engine.advance_time(0)
+        assert (retry.tx.info["node"], retry.committed) == ("a", False)
+        (last,) = engine.advance_time(10)
+        assert (last.tx.info["node"], last.committed) == ("a", True)
+        assert engine.ledger.balances["alice"] == 300
+        assert engine.advance_time(100) == []
+        assert tx_ids(engine) == list(range(1, 7))
+
+    def test_idle_advance_opens_no_transaction_and_asks_no_node(self):
+        engine = self.funded()
+        calls = count_due_calls(engine)
+        assert engine.advance_time(4) == []
+        assert calls == []
+        assert tx_ids(engine) == [1]
+        engine.ledger.approve("acme", "node:origin", 1)
+        assert engine.events[-1].tx_id == SETUP_TX
+        assert len(engine.advance_time(1)) == 1
+        assert calls == ["b"]
+
+    def test_schedule_made_by_a_commit_is_indexed(self):
+        class Alarm(Node):
+            # test double: each deposit schedules one release 5 ticks later,
+            # so its schedule changes outside any crank
+            kind = NodeKind.ORIGINATOR
+
+            def __init__(self, node_id):
+                super().__init__(node_id)
+                self.state = {"due": []}
+
+            def deposit(self, from_account, amount, metadata):
+                self.state["due"].append(self.engine.now + 5)
+
+            def due_releases(self, now):
+                return [(due, k) for k, due in enumerate(self.state["due"])
+                        if due is not None and due <= now]
+
+            def crank(self, k, due):
+                self.state["due"][k] = None
+                self.engine.emit("Released", self.address,
+                                 {"release": k, "at": due, "amount": 0})
+
+        engine = Engine()
+        engine.add_node(Alarm("alarm"))
+        engine.set_entry("alarm")
+        assert engine.advance_time(3) == []
+        assert engine.submit_deposit("x", 1).committed
+        assert engine.advance_time(4) == []
+        (fired,) = engine.advance_time(1)
+        assert fired.committed and fired.tx.info["at"] == 8
+        assert engine.advance_time(10) == []
+
+    def test_node_added_after_an_advance_is_cranked(self):
+        engine = self.funded()
+        assert len(engine.advance_time(10)) == 3
+        lock = RouterNode("late", make_template("timelock", {
+            "start": 25, "period": 5, "releases": 2, "fixed": 1}),
+            outputs=[("main", "pay-late")])
+        engine.add_node(lock)
+        engine.add_node(EndpointNode("pay-late", recipient="dave"))
+        engine.add_edge("late", "pay-late")
+        results = engine.advance_time(20)
+        assert [(r.tx.info["node"], r.tx.info["release"]) for r in results] \
+            == [("a", 0), ("late", 0), ("late", 1)]
+        assert all(r.committed for r in results)
+        assert engine.nodes["late"].state["released"] == [True, True]
