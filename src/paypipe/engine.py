@@ -6,9 +6,15 @@ configurable cost table, and either commits or rolls back atomically.
 Rollback costs what the transaction touched, not the size of the ledger or
 the graph: the ledger logs the first old value of each key a write changes,
 and a node's ``state`` is copied the first time the transaction touches the
-node (as the trigger's target or as a dispatch recipient). An exception that
-is not an engine error also undoes the transaction, records nothing and
-propagates.
+node (as the trigger's target or as a dispatch recipient). The copy is built
+value by value: ints, strings, bools and None are shared, lists, dicts and
+``StreamMessage`` values are rebuilt, and a state holding any other type is
+copied with ``copy.deepcopy`` instead. The structural copy does not keep
+aliasing inside a state (two entries sharing one list get one each), so a
+node state should not share a mutable object between entries; none of this
+package's nodes does. An exception that is not an engine error, in a
+template or in an error-policy action, also undoes the transaction, records
+nothing and propagates.
 
 Intra-pipeline propagation is synchronous within the transaction; nodes that
 hold funds (timelock, threshold, oracle-directed, claimable endpoints) end
@@ -40,7 +46,7 @@ import copy
 import heapq
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import EdgeMissing, EngineError, FatalStreamError, RejectedStream, UnknownNode
 from .ledger import TokenLedger
@@ -97,8 +103,10 @@ class GasMeter:
         self.consumed += self._costs[kind]
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
+    """One emitted event. An immutable named tuple: it iterates over its
+    fields and compares equal to a plain tuple of them."""
+
     tx_id: int
     seq: int
     emitter: str
@@ -129,6 +137,9 @@ class TxResult:
 def _esc(value) -> str:
     """Escape a payload scalar so export lines stay single-line and parsable."""
     text = str(value)
+    if "%" not in text and " " not in text and "=" not in text \
+            and "\n" not in text:
+        return text  # the common case: nothing to escape
     return (
         text.replace("%", "%25")
         .replace(" ", "%20")
@@ -141,21 +152,48 @@ def _esc(value) -> str:
 _IMMUTABLE = (int, str, bool, type(None))
 
 
+class _NotPlain(Exception):
+    """A node state holds a value the structural copy does not handle."""
+
+
+def _copy_value(value):
+    """Structural copy of one state value: see ``_copy_state``."""
+    cls = value.__class__
+    if cls in _IMMUTABLE:
+        return value
+    if cls is list:
+        return [item if item.__class__ in _IMMUTABLE else _copy_value(item)
+                for item in value]
+    if cls is dict:
+        copied = {}
+        for key, item in value.items():
+            if key.__class__ not in _IMMUTABLE:
+                raise _NotPlain
+            copied[key] = item if item.__class__ in _IMMUTABLE \
+                else _copy_value(item)
+        return copied
+    if cls is StreamMessage:
+        clone = object.__new__(StreamMessage)
+        clone.__dict__ = _copy_value(value.__dict__)
+        return clone
+    raise _NotPlain
+
+
 def _copy_state(state: dict) -> dict:
-    """Deep copy of a node's state. States of immutable values and empty
-    containers, such as those of endpoints and most routers, are copied
-    without ``deepcopy``; there, two entries sharing one empty container get
-    one each."""
-    copied = {}
-    for key, value in state.items():
-        cls = value.__class__
-        if cls in _IMMUTABLE:
-            copied[key] = value
-        elif (cls is dict or cls is list) and not value:
-            copied[key] = cls()
-        else:
-            return copy.deepcopy(state)
-    return copied
+    """Deep copy of a node's state, built value by value: ints, strings,
+    bools and None are shared, lists and dicts are rebuilt by the same rule,
+    and a ``StreamMessage`` is rebuilt attribute by attribute. Any other
+    type anywhere in the state (a set, tuple, float, subclass or custom
+    object) sends the whole state to ``copy.deepcopy``.
+
+    Unlike ``deepcopy``, the structural copy does not keep aliasing inside a
+    state: two entries sharing one list or dict get one each. No state the
+    package's nodes and templates create shares a mutable object. A state
+    that contains itself also goes to ``deepcopy``."""
+    try:
+        return _copy_value(state)
+    except (_NotPlain, RecursionError):
+        return copy.deepcopy(state)
 
 
 def _require_int(name: str, value) -> None:
@@ -165,10 +203,10 @@ def _require_int(name: str, value) -> None:
 
 
 def format_event(ev: EventRecord) -> str:
-    parts = [f"tx={ev.tx_id}", f"seq={ev.seq}", f"emitter={_esc(ev.emitter)}",
-             f"kind={ev.kind}"]
-    for key in sorted(ev.payload):
-        parts.append(f"{_esc(key)}={_esc(ev.payload[key])}")
+    tx_id, seq, emitter, kind, payload = ev
+    parts = [f"tx={tx_id} seq={seq} emitter={_esc(emitter)} kind={kind}"]
+    for key in sorted(payload):
+        parts.append(f"{_esc(key)}={_esc(payload[key])}")
     return " ".join(parts)
 
 
@@ -188,7 +226,7 @@ class Engine:
         self.transactions: list[TxResult] = []
         self._next_tx_id = 1
         self._setup_seq = 0
-        self._tx: Optional[dict] = None  # {"id", "seq", "events"} while open
+        self._tx: Optional[dict] = None  # {"id", "events"} while open
         # node id -> its state before the open transaction first touched it
         self._touched: dict[str, dict] = {}
         # Due index: heap of (earliest pending due, node id); _due_at holds
@@ -226,11 +264,11 @@ class Engine:
             self.meter.charge(kind)
 
     def emit(self, kind: str, emitter: str, payload: dict) -> None:
-        if self._tx is not None:
-            record = EventRecord(self._tx["id"], self._tx["seq"], emitter, kind,
-                                 dict(payload))
-            self._tx["seq"] += 1
-            self._tx["events"].append(record)
+        tx = self._tx
+        if tx is not None:
+            events = tx["events"]
+            events.append(EventRecord(tx["id"], len(events), emitter, kind,
+                                      dict(payload)))
             self.meter.charge("event_emit")
         else:
             record = EventRecord(SETUP_TX, self._setup_seq, emitter, kind,
@@ -266,7 +304,7 @@ class Engine:
         self._next_tx_id += 1
         self.meter.start()
         self.meter.charge("tx_base")
-        self._tx = {"id": tx.id, "seq": 0, "events": []}
+        self._tx = {"id": tx.id, "events": []}
         self._touched = {}
         self.ledger.begin()
         reason = None
@@ -430,8 +468,12 @@ class Engine:
     def handle_error(self, node: Node, err: StreamError, msg: StreamMessage) -> None:
         """Emit ``StreamError``, then apply the node's policy for the severity.
 
-        Unhandled fatal errors (and failures inside the chosen action) abort
-        the transaction.
+        Unhandled fatal errors abort the transaction, and so does an engine
+        error raised by the chosen action, as a ``FatalStreamError``. Any
+        other exception from the action is a fault, not a revert: it
+        propagates, and the transaction undoes its writes and records
+        nothing. (The templates' continuations only re-enter ``dispatch``,
+        which handles a ``StreamError`` or ``RejectedStream`` itself.)
         """
         amount = msg.amount if err.amount is None else err.amount
         entry = (err.action_override, None) if err.action_override else \
@@ -463,7 +505,7 @@ class Engine:
                 self.dispatch(node, target, redirected, via_error=True)
         except FatalStreamError:
             raise
-        except Exception as exc:
+        except EngineError as exc:
             raise FatalStreamError(
                 f"{node.id}: {action_label} failed handling {err.reason!r}: {exc}"
             ) from exc

@@ -132,6 +132,10 @@ class Node:
     the first time a transaction touches the node (as the trigger's target
     or as a dispatch recipient) and puts the copy back on revert, so a node
     may mutate only its own ``state`` and the ledger, never another node's.
+    A state built from ints, strings, bools, None, lists, dicts and
+    ``StreamMessage`` values is copied structurally, which does not keep two
+    entries pointing at one list or dict; a state holding any other type is
+    copied with ``copy.deepcopy``.
     """
 
     kind = NodeKind.ROUTER

@@ -102,6 +102,7 @@ def parse_pipeline(text: str) -> PipelineSpec:
     """Parse pipeline text; raises SpecSyntaxError with line and column."""
     spec: Optional[PipelineSpec] = None
     node: Optional[NodeSpec] = None
+    out_tags: set[str] = set()  # output tags of the current node block
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.strip()
@@ -145,6 +146,7 @@ def parse_pipeline(text: str) -> PipelineSpec:
                 raise SpecSyntaxError("node takes an id", lineno, hcol)
             nid = _check_name(tokens[1][0], "node id", lineno, tokens[1][1])
             node = NodeSpec(id=nid, line=lineno)
+            out_tags = set()
             spec.nodes.append(node)
             continue
 
@@ -174,9 +176,10 @@ def parse_pipeline(text: str) -> PipelineSpec:
                 raise SpecSyntaxError("out syntax: out TAG -> TARGET", lineno, hcol)
             tag = _check_name(tokens[1][0], "output tag", lineno, tokens[1][1])
             target = _check_name(tokens[3][0], "target id", lineno, tokens[3][1])
-            if any(t == tag for t, _ in node.outputs):
+            if tag in out_tags:
                 raise SpecSyntaxError(f"duplicate output tag {tag!r}", lineno,
                                       tokens[1][1])
+            out_tags.add(tag)
             node.outputs.append((tag, target))
         elif head == "config":
             if len(tokens) < 2:
@@ -263,26 +266,21 @@ def _policy_targets(node: NodeSpec) -> list[str]:
 
 def _neighbors(node: NodeSpec, known: set) -> list[str]:
     """Successors along declared outputs then redirect edges, declaration order."""
-    seen = []
-    for _, target in node.outputs:
-        if target in known and target not in seen:
-            seen.append(target)
-    for target in _policy_targets(node):
-        if target in known and target not in seen:
-            seen.append(target)
-    return seen
+    targets = [target for _, target in node.outputs]
+    targets += _policy_targets(node)
+    return [target for target in dict.fromkeys(targets) if target in known]
 
 
-def _find_cycle(nodes: dict) -> Optional[tuple[str, str]]:
-    """First back edge found by depth-first search, or None if acyclic."""
+def _find_cycle(successors: dict) -> Optional[tuple[str, str]]:
+    """First back edge found by depth-first search, or None if acyclic;
+    ``successors`` maps each node id to its ``_neighbors``."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in nodes}
-    known = set(nodes)
-    for root in nodes:
+    color = {nid: WHITE for nid in successors}
+    for root in successors:
         if color[root] != WHITE:
             continue
         color[root] = GRAY
-        stack = [(root, iter(_neighbors(nodes[root], known)))]
+        stack = [(root, iter(successors[root]))]
         while stack:
             nid, it = stack[-1]
             nxt = next(it, None)
@@ -294,7 +292,7 @@ def _find_cycle(nodes: dict) -> Optional[tuple[str, str]]:
                 return (nid, nxt)
             if color[nxt] == WHITE:
                 color[nxt] = GRAY
-                stack.append((nxt, iter(_neighbors(nodes[nxt], known))))
+                stack.append((nxt, iter(successors[nxt])))
     return None
 
 
@@ -388,7 +386,9 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
                     "router requires at least 1 output")
 
     # cycles over declared and redirect edges
-    back_edge = _find_cycle(nodes)
+    known = set(nodes)
+    successors = {nid: _neighbors(node, known) for nid, node in nodes.items()}
+    back_edge = _find_cycle(successors)
     if back_edge is not None:
         frm, to = back_edge
         err("CycleDetected", frm, f"cycle via edge {frm} -> {to}")
@@ -402,12 +402,11 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
 
     # reachability from the originator
     if len(originators) == 1:
-        known = set(nodes)
         reached = {originators[0].id}
         frontier = [originators[0].id]
         while frontier:
             nid = frontier.pop()
-            for nxt in _neighbors(nodes[nid], known):
+            for nxt in successors[nid]:
                 if nxt not in reached:
                     reached.add(nxt)
                     frontier.append(nxt)

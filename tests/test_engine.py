@@ -312,6 +312,51 @@ class TestDeterminism:
         assert engines[0].state_fingerprint() == engines[1].state_fingerprint()
 
 
+class TestEventRecord:
+    EV = EventRecord(3, 1, "node:a", "Sent", {"to": "b", "amount": 7})
+
+    def test_fields_cannot_be_assigned(self):
+        for name in EventRecord._fields:
+            with pytest.raises(AttributeError):
+                setattr(self.EV, name, 0)
+
+    def test_repr_and_tuple_form(self):
+        assert repr(self.EV) == ("EventRecord(tx_id=3, seq=1, emitter='node:a', "
+                                 "kind='Sent', payload={'to': 'b', 'amount': 7})")
+        assert self.EV == (3, 1, "node:a", "Sent", {"to": "b", "amount": 7})
+        assert self.EV.kind == "Sent" and list(self.EV)[4] == {"to": "b",
+                                                               "amount": 7}
+
+    def test_export_escapes_emitter_keys_and_values(self):
+        ev = EventRecord(2, 4, "node:a b", "Report",
+                         {"50% off": "x=1 50% done\nnext", "n": -3})
+        assert format_event(ev) == ("tx=2 seq=4 emitter=node:a%20b kind=Report "
+                                    "50%25%20off=x%3D1%2050%25%20done%0Anext n=-3")
+
+    @pytest.mark.parametrize("raw, escaped", [
+        ("a%b", "a%25b"), ("a b", "a%20b"), ("a=b", "a%3Db"), ("a\nb", "a%0Ab"),
+        ("plain", "plain"), (-7, "-7")])
+    def test_export_escapes_each_special_character_alone(self, raw, escaped):
+        ev = EventRecord(1, 0, "e", "Report", {"k": raw})
+        assert format_event(ev) == f"tx=1 seq=0 emitter=e kind=Report k={escaped}"
+
+    def test_engines_fed_the_same_triggers_record_equal_events(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            text, info = random_pipeline_text(rng)
+            actions = random_actions(rng, info)
+            engines = [build(text), build(text)]
+            for engine in engines:
+                for action in actions:
+                    apply_action(engine, action)
+            first, second = engines
+            assert first.events == second.events
+            assert first.revert_traces == second.revert_traces
+            for result in first.transactions:
+                assert [ev.seq for ev in result.events] == \
+                    list(range(len(result.events)))
+
+
 class TestHopAccounting:
     def test_sent_count_prices_node_calls_exactly(self):
         rng = random.Random(77)

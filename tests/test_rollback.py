@@ -1,29 +1,38 @@
 """Rollback and clock advance: undo log, copy-on-touch node state, due index.
 
 A transaction undoes exactly what it touched, never stays open, and an
-advance cranks exactly what a scan of every node would have found due.
+advance cranks exactly what a scan of every node would have found due. The
+copy a transaction takes of a node's state equals ``deepcopy``'s.
 """
 
+import copy
 import random
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from paypipe.engine import SETUP_TX, Engine
-from paypipe.errors import EngineError
+from paypipe import engine as engine_module
+from paypipe.bench import _drive, build_monolith, build_pipeline_fixture
+from paypipe.engine import SETUP_TX, Engine, _copy_state, _copy_value, _NotPlain
+from paypipe.errors import EngineError, InsufficientBalance
 from paypipe.ledger import TokenLedger
 from paypipe.nodes import (
     EndpointNode,
+    ErrorSeverity,
     Node,
     NodeKind,
     OriginatorNode,
     RouterNode,
+    StreamError,
+    StreamMessage,
 )
 from paypipe.pipeline import instantiate, parse_pipeline
+from paypipe.scenario import load_scenario, run_scenario
 from paypipe.templates import make_template
 
 from support import apply_action, random_actions, random_pipeline_text
+from test_golden import PAIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -174,6 +183,167 @@ class TestFaultsCloseTheTransaction:
         # and the next transaction takes the id the fault handed back
         engine.nodes["bug"].on_receive = lambda msg: None
         assert engine.submit_deposit("alice", 7).tx.id == 1
+
+    @staticmethod
+    def warning_with(continuation):
+        """Engine whose endpoint ``b`` takes its pay, then raises a warning
+        stream error that proceeds into ``continuation``."""
+        class Warns(EndpointNode):
+            # test double: the warning's continuation is the code under test
+            def on_receive(self, msg):
+                super().on_receive(msg)
+                raise StreamError(ErrorSeverity.WARNING, "w",
+                                  continuation=continuation)
+
+        engine = Engine()
+        engine.add_node(OriginatorNode("o", outputs=[("main", "b")]))
+        engine.add_node(Warns("b", recipient="bob"))
+        engine.add_edge("o", "b")
+        engine.set_entry("o")
+        engine.setup_balances({"alice": 100})
+        engine.ledger.approve("alice", "node:o", 100)
+        return engine
+
+    def test_bug_inside_a_policy_action_is_a_fault_not_a_revert(self):
+        engine = self.warning_with(lambda: 1 // 0)
+        before = engine.state_fingerprint()
+        with pytest.raises(ZeroDivisionError):
+            engine.submit_deposit("alice", 60)
+        assert engine.state_fingerprint() == before
+        assert engine.transactions == [] and engine.revert_traces == {}
+        engine.nodes["b"].on_receive = lambda msg: None
+        assert engine.submit_deposit("alice", 7).tx.id == 1
+
+    def test_engine_error_inside_a_policy_action_reverts(self):
+        def overdraw():
+            raise InsufficientBalance("short")
+
+        engine = self.warning_with(overdraw)
+        before = engine.state_fingerprint()
+        result = engine.submit_deposit("alice", 60)
+        assert not result.committed
+        assert result.reason == ("FatalStreamError: b: proceed failed "
+                                 "handling 'w': short")
+        assert engine.state_fingerprint() == before
+
+
+def mutable_ids(value, found):
+    """Append the id of every list, dict and message reachable in ``value``."""
+    if isinstance(value, (list, dict, StreamMessage)):
+        found.append(id(value))
+        items = (value.values() if isinstance(value, dict)
+                 else vars(value).values() if isinstance(value, StreamMessage)
+                 else value)
+        for item in items:
+            mutable_ids(item, found)
+    return found
+
+
+def check_structural_copy(state):
+    """The state takes the structural path, which equals ``deepcopy``; the
+    state aliases no mutable object, and the copy shares none with it."""
+    copied = _copy_value(state)  # raises _NotPlain on the deepcopy path
+    assert copied == copy.deepcopy(state)
+    original = mutable_ids(state, [])
+    assert len(set(original)) == len(original)
+    assert not set(original) & set(mutable_ids(copied, []))
+
+
+def check_every_touch(engine):
+    """Check each node state as a transaction copies it."""
+    touch = engine._touch
+
+    def checked(node):
+        check_structural_copy(node.state)
+        return touch(node)
+    engine._touch = checked
+    return engine
+
+
+class TestStructuralCopy:
+    def test_random_pipeline_states_copy_like_deepcopy(self):
+        for seed in range(150):
+            rng = random.Random(seed)
+            text, info = random_pipeline_text(rng)
+            engine = check_every_touch(build(text))
+            for action in random_actions(rng, info):
+                apply_action(engine, action)
+                for node in engine.nodes.values():
+                    check_structural_copy(node.state)
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_fixture_states_copy_like_deepcopy(self, name):
+        engine = build((FIXTURES / f"{name}.pipe").read_text())
+        result = run_scenario(check_every_touch(engine),
+                              load_scenario(str(FIXTURES / f"{name}.scn")))
+        assert result.ok
+        for node in engine.nodes.values():
+            check_structural_copy(node.state)
+
+    def test_bench_states_copy_like_deepcopy(self):
+        pipe = check_every_touch(instantiate(build_pipeline_fixture(3, 3)))
+        mono = check_every_touch(build_monolith(3, 3))
+        for engine in (pipe, mono):
+            _drive(engine, 900, 3)
+            assert len(engine.transactions) == 4
+
+    def test_message_with_an_error_is_rebuilt(self):
+        msg = StreamMessage(5, "acme", "o", ["o", "r"], {"k": "v", "n": 2},
+                            {"severity": "warning", "reason": "x",
+                             "failed_node": "r"})
+        state = {"last": msg, "filled": {"a": 1}, "released": [True, False]}
+        check_structural_copy(state)
+        assert _copy_state(state)["last"].__class__ is StreamMessage
+
+    def test_shared_container_is_copied_once_per_entry(self):
+        shared = [1]
+        copied = _copy_state({"a": shared, "b": shared})
+        assert copied == {"a": [1], "b": [1]}
+        assert copied["a"] is not copied["b"]
+
+    def test_state_that_contains_itself_takes_the_deepcopy_path(self):
+        state = {"loop": []}
+        state["loop"].append(state)
+        copied = _copy_state(state)
+        assert copied["loop"][0] is copied and copied is not state
+
+    class SubMessage(StreamMessage):
+        pass
+
+    class Opaque:
+        def __init__(self):
+            self.items = [1]
+
+        def __eq__(self, other):
+            return type(other) is type(self) and other.items == self.items
+
+    @pytest.mark.parametrize("value", [
+        {1, 2},
+        (1, [2]),
+        1.5,
+        SubMessage(5, "acme", "o"),
+        Opaque(),
+        {(1, 2): 3},
+        [{"deep": {3}}],
+        StreamMessage(5, "acme", "o", metadata={"score": 0.5}),
+    ], ids=["set", "tuple", "float", "subclass", "object", "tuple-key",
+            "nested-set", "float-in-message"])
+    def test_other_values_take_the_deepcopy_path(self, value, monkeypatch):
+        calls = []
+        deepcopy = copy.deepcopy
+
+        def spy(obj, *args):
+            calls.append(obj)
+            return deepcopy(obj, *args)
+        monkeypatch.setattr(engine_module.copy, "deepcopy", spy)
+        shared = []
+        state = {"value": value, "a": shared, "b": shared}
+        with pytest.raises(_NotPlain):
+            _copy_value(state)
+        copied = _copy_state(state)
+        assert calls[0] is state
+        assert copied == state
+        assert copied["a"] is copied["b"]  # deepcopy keeps the aliasing
 
 
 class TestRandomPipelines:
