@@ -5,100 +5,36 @@ turns deposits into streams, routers (built from reusable templates) retain,
 split, gate, or report them, and endpoints pay the funds out. Every external
 trigger runs as one atomic, gas-metered transaction over an integrated
 token ledger, producing a deterministic event trace.
+
+The names below are the library's surface; everything else stays importable
+from its submodule.
 """
 
-from .bench import (BenchReport, MonolithicPayroll, build_monolith,
-                    build_pipeline_fixture, format_report, observables,
-                    run_comparison)
-from .engine import (
-    SETUP_TX,
-    ConservationBreach,
-    CostTable,
-    Engine,
-    EventRecord,
-    GasMeter,
-    Transaction,
-    TxResult,
-    format_event,
-)
-from .errors import (
-    AmountOverflow,
-    EdgeMissing,
-    EngineError,
-    FatalStreamError,
-    InsufficientAllowance,
-    InsufficientBalance,
-    InsufficientHeld,
-    LedgerError,
-    NotClaimable,
-    NothingToClaim,
-    ObservableMismatch,
-    RejectedStream,
-    SpecSyntaxError,
-    SpecValidationError,
-    UnknownEdge,
-    UnknownNode,
-    UntrustedOracle,
-    ZeroAmount,
-)
-from .ledger import MAX_AMOUNT, NULL_ADDRESS, TokenLedger
-from .nodes import (
-    DEFAULT_POLICY,
-    EndpointNode,
-    ErrorSeverity,
-    Node,
-    NodeKind,
-    OriginatorNode,
-    PolicyAction,
-    RouterNode,
-    StreamError,
-    StreamMessage,
-    node_address,
-)
+from .bench import format_report, run_comparison
+from .engine import ConservationBreach, CostTable, Engine, EventRecord, TxResult
+from .errors import EngineError, SpecSyntaxError, SpecValidationError
+from .nodes import ErrorSeverity, Node, PolicyAction, StreamError, StreamMessage
 from .pipeline import (
-    NodeSpec,
     PipelineSpec,
     ValidationError,
     instantiate,
-    load_pipeline,
     parse_pipeline,
     serialize_pipeline,
     validate_pipeline,
 )
-from .predicates import PredicateEvalError, evaluate, parse_predicate, predicate_text
-from .scenario import (
-    Scenario,
-    ScenarioResult,
-    Step,
-    load_scenario,
-    parse_scenario,
-    run_scenario,
-)
-from .templates import TEMPLATES, Template, apportion, make_template, template_names
+from .scenario import parse_scenario, run_scenario
+from .templates import TEMPLATES, Template
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport", "MonolithicPayroll", "build_monolith",
-    "build_pipeline_fixture", "format_report", "observables",
-    "run_comparison",
-    "SETUP_TX", "ConservationBreach", "CostTable", "Engine", "EventRecord",
-    "GasMeter", "Transaction", "TxResult", "format_event",
-    "AmountOverflow", "EdgeMissing", "EngineError", "FatalStreamError",
-    "InsufficientAllowance", "InsufficientBalance", "InsufficientHeld",
-    "LedgerError", "NotClaimable", "NothingToClaim", "ObservableMismatch",
-    "RejectedStream", "SpecSyntaxError", "SpecValidationError", "UnknownEdge",
-    "UnknownNode", "UntrustedOracle", "ZeroAmount",
-    "MAX_AMOUNT", "NULL_ADDRESS", "TokenLedger",
-    "DEFAULT_POLICY", "EndpointNode", "ErrorSeverity", "Node", "NodeKind",
-    "OriginatorNode", "PolicyAction", "RouterNode", "StreamError",
-    "StreamMessage", "node_address",
-    "NodeSpec", "PipelineSpec", "ValidationError", "instantiate",
-    "load_pipeline", "parse_pipeline", "serialize_pipeline",
-    "validate_pipeline",
-    "PredicateEvalError", "evaluate", "parse_predicate", "predicate_text",
-    "Scenario", "ScenarioResult", "Step", "load_scenario", "parse_scenario",
-    "run_scenario",
-    "TEMPLATES", "Template", "apportion", "make_template", "template_names",
+    "parse_pipeline", "validate_pipeline", "serialize_pipeline", "instantiate",
+    "PipelineSpec", "ValidationError",
+    "parse_scenario", "run_scenario",
+    "Engine", "CostTable", "TxResult", "EventRecord", "ConservationBreach",
+    "Node", "StreamMessage", "StreamError", "ErrorSeverity", "PolicyAction",
+    "Template", "TEMPLATES",
+    "run_comparison", "format_report",
+    "EngineError", "SpecSyntaxError", "SpecValidationError",
     "__version__",
 ]

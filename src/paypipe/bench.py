@@ -265,14 +265,12 @@ def run_comparison(recipients: int = 3, periods: int = 3,
                    cost_table: Optional[CostTable] = None,
                    weights=None) -> BenchReport:
     """Run both fixtures, check they pay out identically, compare gas."""
-    weights = _check_shape(recipients, periods, weights)
     if deposit is None:
         deposit = PAY_PER_PERIOD * recipients * periods
+    spec = build_pipeline_fixture(recipients, periods, weights, deposit)
     if deposit < 1:
         raise ValueError("deposit must be >= 1")
-    pipe = instantiate(build_pipeline_fixture(recipients, periods, weights,
-                                              deposit),
-                       cost_table=cost_table)
+    pipe = instantiate(spec, cost_table=cost_table)
     mono = build_monolith(recipients, periods, weights, deposit, cost_table)
     _drive(pipe, deposit, periods)
     _drive(mono, deposit, periods)

@@ -18,8 +18,9 @@ from typing import Optional
 
 from .bench import format_report, run_comparison
 from .engine import CostTable
-from .errors import ObservableMismatch, SpecSyntaxError
-from .pipeline import parse_pipeline, serialize_pipeline, validate_pipeline, instantiate
+from .errors import ObservableMismatch, SpecSyntaxError, SpecValidationError
+from .pipeline import (instantiate, parse_pipeline, serialize_pipeline,
+                       token_lines, validate_pipeline)
 from .scenario import parse_scenario, run_scenario
 
 
@@ -27,14 +28,10 @@ def parse_cost_table(text: str) -> CostTable:
     """Cost table file: one ``NAME VALUE`` pair per line, ``#`` comments."""
     known = CostTable.__dataclass_fields__
     mapping: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
+    for lineno, tokens in token_lines(text):
         if len(tokens) != 2:
             raise SpecSyntaxError("cost table lines are NAME VALUE", lineno, 1)
-        name, value = tokens
+        (name, _), (value, _) = tokens
         if name not in known:
             raise SpecSyntaxError(f"unknown cost {name!r}", lineno, 1)
         if name in mapping:
@@ -50,11 +47,6 @@ def parse_cost_table(text: str) -> CostTable:
         raise SpecSyntaxError(str(err), 1, 1) from None
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _write_out(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
@@ -63,36 +55,35 @@ def _write_out(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _load(path: str, what: str):
+def _load(path: str, what: str) -> str:
     """Read a file or exit 2 with a message on stderr."""
     try:
-        return _read(path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as err:
         print(f"cannot read {what} {path}: {err.strerror}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
-def _syntax_exit(path: str, err: SpecSyntaxError) -> "SystemExit":
-    print(f"{path}:{err.line}:{err.column}: {err.message}", file=sys.stderr)
-    return SystemExit(2)
+def _parse(parse, text: str, path: str):
+    """``parse(text)``, or exit 2 with the syntax error's position on
+    stderr."""
+    try:
+        return parse(text)
+    except SpecSyntaxError as err:
+        print(f"{path}:{err.line}:{err.column}: {err.message}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _load_cost_table(path: Optional[str]) -> Optional[CostTable]:
     if path is None:
         return None
-    text = _load(path, "cost table")
-    try:
-        return parse_cost_table(text)
-    except SpecSyntaxError as err:
-        raise _syntax_exit(path, err) from None
+    return _parse(parse_cost_table, _load(path, "cost table"), path)
 
 
 def cmd_validate(args) -> int:
-    text = _load(args.pipeline, "pipeline")
-    try:
-        spec = parse_pipeline(text)
-    except SpecSyntaxError as err:
-        raise _syntax_exit(args.pipeline, err) from None
+    spec = _parse(parse_pipeline, _load(args.pipeline, "pipeline"),
+                  args.pipeline)
     errors = validate_pipeline(spec)
     if errors:
         for e in errors:
@@ -107,20 +98,14 @@ def cmd_run(args) -> int:
     pipe_text = _load(args.pipeline, "pipeline")
     scn_text = _load(args.scenario, "scenario")
     cost_table = _load_cost_table(args.cost_table)
+    spec = _parse(parse_pipeline, pipe_text, args.pipeline)
+    scenario = _parse(parse_scenario, scn_text, args.scenario)
     try:
-        spec = parse_pipeline(pipe_text)
-    except SpecSyntaxError as err:
-        raise _syntax_exit(args.pipeline, err) from None
-    try:
-        scenario = parse_scenario(scn_text)
-    except SpecSyntaxError as err:
-        raise _syntax_exit(args.scenario, err) from None
-    errors = validate_pipeline(spec)
-    if errors:
-        for e in errors:
+        engine = instantiate(spec, cost_table=cost_table)
+    except SpecValidationError as err:
+        for e in err.errors:
             print(str(e))
         return 1
-    engine = instantiate(spec, cost_table=cost_table)
     result = run_scenario(engine, scenario)
     if args.trace:
         _write_out(args.trace, engine.trace_text())

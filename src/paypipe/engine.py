@@ -240,15 +240,14 @@ class Engine:
     # -- assembly ------------------------------------------------------------
 
     def add_node(self, node: Node) -> Node:
+        """Register ``node`` and an edge to each target of its outputs."""
         if node.id in self.nodes:
             raise ValueError(f"duplicate node id {node.id!r}")
         node.engine = self
         self.nodes[node.id] = node
+        self.edges.update((node.id, target) for _, target in node.outputs)
         self._due_stale.add(node.id)
         return node
-
-    def add_edge(self, from_id: str, to_id: str) -> None:
-        self.edges.add((from_id, to_id))
 
     def set_entry(self, node_id: str) -> None:
         self.entry = node_id
@@ -370,23 +369,6 @@ class Engine:
         return self._run_tx(
             "Claim", info, lambda: self._node(node_id).claim(account)
         )
-
-    def submit(self, trigger: str, **args):
-        """Dispatch on trigger name; one call per external action.
-
-        Returns the TxResult, or the list of them for AdvanceTime.
-        """
-        if trigger == "Deposit":
-            return self.submit_deposit(args["from_account"], args["amount"],
-                                       args.get("metadata"))
-        if trigger == "AdvanceTime":
-            return self.advance_time(args["delta"])
-        if trigger == "OracleInstruct":
-            return self.submit_oracle_instruct(args["node_id"], args["oracle"],
-                                               args["dest_tag"], args["amount"])
-        if trigger == "Claim":
-            return self.submit_claim(args["node_id"], args["account"])
-        raise ValueError(f"unknown trigger {trigger!r}")
 
     def advance_time(self, delta: int) -> list[TxResult]:
         """Move the clock, then crank every due release as its own transaction.

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import CostTable, Engine
 from .errors import SpecSyntaxError, SpecValidationError
+from .ledger import MAX_AMOUNT
 from .nodes import (
     EndpointNode,
     ErrorSeverity,
@@ -51,6 +52,7 @@ from .nodes import (
 from .templates import TEMPLATES, make_template
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_TOKEN_RE = re.compile(r"\S+")
 
 _KINDS = ("originator", "router", "endpoint")
 _MODES = ("direct", "claimable")
@@ -88,8 +90,14 @@ class ValidationError:
         return f"{self.code} {self.node_id}: {self.message}"
 
 
-def _line_tokens(raw: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw)]
+def token_lines(text: str) -> Iterator[tuple[int, list[tuple[str, int]]]]:
+    """The line reader of every text format: yields ``(lineno, [(token,
+    col), ...])`` for each line that is neither blank nor a ``#`` comment.
+    Tokens are whitespace separated; lines and columns count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw)]
+        if tokens and not tokens[0][0].startswith("#"):
+            yield lineno, tokens
 
 
 def _check_name(token: str, what: str, line: int, col: int) -> str:
@@ -104,11 +112,7 @@ def parse_pipeline(text: str) -> PipelineSpec:
     node: Optional[NodeSpec] = None
     out_tags: set[str] = set()  # output tags of the current node block
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = _line_tokens(raw)
+    for lineno, tokens in token_lines(text):
         head, hcol = tokens[0]
 
         if head == "pipeline":
@@ -247,11 +251,6 @@ def parse_pipeline(text: str) -> PipelineSpec:
     return spec
 
 
-def load_pipeline(path: str) -> PipelineSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pipeline(fh.read())
-
-
 # -- validation ----------------------------------------------------------------
 
 
@@ -301,10 +300,18 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
     errors: list[ValidationError] = []
     err = lambda code, nid, msg: errors.append(ValidationError(code, nid, msg))
 
-    # balances
+    # balances: each, and their sum, must fit the ledger's amount domain
+    supply = 0
     for account, amount in spec.balances.items():
         if amount < 0:
             err("BadConfig", "-", f"balance for {account!r} must be >= 0")
+        elif amount > MAX_AMOUNT:
+            err("BadConfig", "-",
+                f"balance for {account!r} must be <= {MAX_AMOUNT}")
+        else:
+            supply += amount
+    if supply > MAX_AMOUNT:
+        err("BadConfig", "-", f"balances sum to more than {MAX_AMOUNT}")
 
     # duplicate ids; later stages use the first occurrence of each id
     nodes: dict[str, NodeSpec] = {}
@@ -481,7 +488,5 @@ def instantiate(spec: PipelineSpec,
             node = RouterNode(ns.id, make_template(ns.template, ns.config),
                               outputs=ns.outputs, error_policy=ns.policy)
         engine.add_node(node)
-        for _, target in ns.outputs:
-            engine.add_edge(ns.id, target)
     engine.setup_balances(spec.balances)
     return engine

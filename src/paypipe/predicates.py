@@ -64,8 +64,6 @@ class Not:
     item: object
 
 
-_ORDERING_OPS = {"<", "<=", ">=", ">"}
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)

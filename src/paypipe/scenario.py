@@ -32,8 +32,9 @@ from typing import Optional
 
 from .engine import Engine, TxResult
 from .errors import SpecSyntaxError
+from .ledger import MAX_AMOUNT
 from .nodes import node_address
-from .pipeline import _line_tokens
+from .pipeline import token_lines
 
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
@@ -90,11 +91,7 @@ def parse_scenario(text: str) -> Scenario:
     scenario: Optional[Scenario] = None
     pending: Optional[tuple[str, int]] = None  # (code|"any", line of expect)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = _line_tokens(raw)
+    for lineno, tokens in token_lines(text):
         head, hcol = tokens[0]
 
         if head == "scenario":
@@ -121,9 +118,16 @@ def parse_scenario(text: str) -> Scenario:
             if len(tokens) != 4:
                 raise SpecSyntaxError(
                     "approve syntax: approve ACCOUNT NODE AMOUNT", lineno, hcol)
+            amount = _int_arg(tokens, 3, "amount", lineno)
+            if amount < 0:
+                raise SpecSyntaxError("amount must be >= 0", lineno,
+                                      tokens[3][1])
+            if amount > MAX_AMOUNT:
+                raise SpecSyntaxError(f"amount must be <= {MAX_AMOUNT}",
+                                      lineno, tokens[3][1])
             scenario.steps.append(Step("approve", lineno, {
                 "account": tokens[1][0], "node": tokens[2][0],
-                "amount": _int_arg(tokens, 3, "amount", lineno)}))
+                "amount": amount}))
         elif head == "deposit":
             if len(tokens) < 3:
                 raise SpecSyntaxError(

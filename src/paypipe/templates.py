@@ -379,7 +379,7 @@ class DistributingTemplate(Template):
     def validate(cls, config, outputs):
         problems = []
         shares = config["shares"]
-        out_tags = [tag for tag, _ in outputs]
+        out_tags = {tag for tag, _ in outputs}
         minimum = 1 if config.get("allow_single") else 2
         if len(outputs) < minimum:
             problems.append(
@@ -401,7 +401,7 @@ class DistributingTemplate(Template):
                 problems.append(f"{kind} share {tag!r} must be >= 1")
         if residuals > 1:
             problems.append("at most one residual share")
-        for tag in out_tags:
+        for tag, _ in outputs:
             if tag not in seen:
                 problems.append(f"output {tag!r} has no share")
         return problems
@@ -619,7 +619,7 @@ class WaterfallTemplate(Template):
     def validate(cls, config, outputs):
         problems = []
         tiers = config["tiers"]
-        out_tags = [tag for tag, _ in outputs]
+        out_tags = {tag for tag, _ in outputs}
         if not tiers:
             problems.append("waterfall requires at least one tier")
         seen = set()
@@ -633,7 +633,7 @@ class WaterfallTemplate(Template):
                 problems.append("only the last tier may be uncapped")
             if cap is not None and cap < 1:
                 problems.append(f"tier {tag!r} cap must be >= 1")
-        for tag in out_tags:
+        for tag, _ in outputs:
             if tag not in seen:
                 problems.append(f"output {tag!r} has no tier")
         return problems
@@ -749,10 +749,6 @@ TEMPLATES: dict[str, type] = {
         WaterfallTemplate, GoalkeeperTemplate,
     )
 }
-
-
-def template_names() -> list[str]:
-    return sorted(TEMPLATES)
 
 
 def make_template(name: str, config: dict) -> Template:

@@ -58,10 +58,8 @@ def wire(template, tags, router_id="router"):
     outputs = [(tag, f"end_{tag}") for tag in tags]
     engine.add_node(OriginatorNode("origin", outputs=[("main", router_id)]))
     engine.add_node(RouterNode(router_id, template, outputs=outputs))
-    engine.add_edge("origin", router_id)
     for tag, endpoint_id in outputs:
         engine.add_node(EndpointNode(endpoint_id, recipient=f"acct_{tag}"))
-        engine.add_edge(router_id, endpoint_id)
     engine.set_entry("origin")
     engine.setup_balances({"acme": POOL})
     engine.ledger.approve("acme", "node:origin", POOL)

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from paypipe import cli, pipeline
 from paypipe.cli import main
+from paypipe.ledger import MAX_AMOUNT
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PAYROLL = str(FIXTURES / "payroll.pipe")
@@ -61,6 +63,17 @@ class TestValidate:
         assert main(["validate", "/nonexistent/f.pipe"]) == 2
         assert capsys.readouterr().err
 
+    def test_balance_above_the_amount_domain_exits_one(self, tmp_path, capsys):
+        huge = "999999999999999999999999999999999999999999999"
+        pipe = write(tmp_path, "huge.pipe",
+                     GOOD_PIPE.replace("balance acme 100", f"balance acme {huge}"))
+        scn = write(tmp_path, "x.scn", "scenario x\n\nadvance 1\n")
+        message = f"BadConfig -: balance for 'acme' must be <= {MAX_AMOUNT}\n"
+        assert main(["validate", pipe]) == 1
+        assert capsys.readouterr().out == message
+        assert main(["run", pipe, scn]) == 1
+        assert capsys.readouterr().out == message
+
 
 class TestRun:
     def test_green_scenario_exits_zero(self, capsys):
@@ -98,6 +111,29 @@ class TestRun:
         scn = write(tmp_path, "x.scn", "scenario x\n\nadvance 1\n")
         assert main(["run", pipe, scn]) == 1
         assert "UnknownTarget" in capsys.readouterr().out
+
+    def test_validates_the_pipeline_once(self, monkeypatch, capsys):
+        calls = []
+        validate = pipeline.validate_pipeline
+
+        def counted(spec):
+            calls.append(spec.name)
+            return validate(spec)
+        # the module attribute perfbench wraps, and the name cli imports
+        monkeypatch.setattr(pipeline, "validate_pipeline", counted)
+        monkeypatch.setattr(cli, "validate_pipeline", counted)
+        assert main(["run", PAYROLL, PAYROLL_SCN]) == 0
+        capsys.readouterr()
+        assert calls == ["payroll"]
+
+    def test_approve_outside_the_amount_domain_exits_two(self, tmp_path,
+                                                          capsys):
+        pipe = write(tmp_path, "good.pipe", GOOD_PIPE)
+        for amount in ("-5", str(MAX_AMOUNT + 1)):
+            scn = write(tmp_path, "bad.scn",
+                        f"scenario x\n\napprove acme origin {amount}\n")
+            assert main(["run", pipe, scn]) == 2
+            assert capsys.readouterr().err.startswith(f"{scn}:3:21: amount must be")
 
     def test_scenario_syntax_error_exits_two(self, tmp_path, capsys):
         pipe = write(tmp_path, "good.pipe", GOOD_PIPE)

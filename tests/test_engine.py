@@ -12,7 +12,8 @@ from paypipe.engine import (
     EventRecord,
     format_event,
 )
-from paypipe.nodes import EndpointNode, Node, NodeKind, OriginatorNode
+from paypipe.nodes import (EndpointNode, Node, NodeKind, OriginatorNode,
+                           StreamMessage)
 from paypipe.pipeline import instantiate, parse_pipeline
 
 from support import apply_action, random_actions, random_pipeline_text
@@ -133,16 +134,28 @@ class TestRevert:
         assert result.reason.startswith("UnknownNode:")
 
     def test_dispatch_without_edge_reverts(self):
+        class Stray(OriginatorNode):
+            # test double: streams its deposit to a node it has no output to
+            def deposit(self, from_account, amount, metadata):
+                self.engine.ledger.transfer_from(self.address, from_account,
+                                                 self.address, amount)
+                msg = StreamMessage(amount=amount, origin=from_account,
+                                    originator=self.id, path=[self.id])
+                self.engine.dispatch(self, "y", msg)
+
         engine = Engine()
-        engine.add_node(OriginatorNode("o", outputs=[("main", "x")]))
+        engine.add_node(Stray("o", outputs=[("main", "x")]))
         engine.add_node(EndpointNode("x", recipient="bob"))
-        engine.set_entry("o")  # edge o->x never registered
+        engine.add_node(EndpointNode("y", recipient="carol"))
+        engine.set_entry("o")
         engine.setup_balances({"alice": 100})
         engine.ledger.approve("alice", "node:o", 100)
+        assert engine.edges == {("o", "x")}
+        before = engine.state_fingerprint()
         result = engine.submit_deposit("alice", 100)
         assert not result.committed
-        assert result.reason.startswith("EdgeMissing:")
-        assert engine.ledger.balance_of("alice") == 100
+        assert result.reason == "EdgeMissing: no edge o -> y"
+        assert engine.state_fingerprint() == before
 
 
 FATAL_GATE = """pipeline gate
@@ -413,28 +426,11 @@ class TestConservationCheck:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "leak")]))
         engine.add_node(LeakyNode("leak"))
-        engine.add_edge("o", "leak")
         engine.set_entry("o")
         engine.setup_balances({"alice": 100})
         engine.ledger.approve("alice", "node:o", 100)
         with pytest.raises(ConservationBreach):
             engine.submit_deposit("alice", 100)
-
-
-class TestSubmitDispatcher:
-    def test_each_trigger_routes(self):
-        engine = build(SPLIT_LOCKS)
-        approve_entry(engine, "acme", 200)
-        dep = engine.submit("Deposit", from_account="acme", amount=100)
-        assert dep.committed
-        cranks = engine.submit("AdvanceTime", delta=10)
-        assert [r.tx.trigger for r in cranks] == ["AdvanceTime", "AdvanceTime"]
-        claim = engine.submit("Claim", node_id="pay1", account="alice")
-        assert claim.tx.trigger == "Claim"
-
-    def test_unknown_trigger(self):
-        with pytest.raises(ValueError):
-            build(CHAIN).submit("Teleport")
 
 
 class TestExports:

@@ -102,7 +102,6 @@ class TestTriggerFallbacks:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "x")]))
         engine.add_node(EndpointNode("x", recipient="bob"))
-        engine.add_edge("o", "x")
         engine.set_entry("o")
         result = engine.submit_deposit("acme", 0)
         assert not result.committed

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from paypipe.errors import SpecSyntaxError, SpecValidationError
+from paypipe.ledger import MAX_AMOUNT
 from paypipe.pipeline import (
     instantiate,
     parse_pipeline,
@@ -276,6 +277,21 @@ node rep
     def test_negative_balance(self):
         text = MINIMAL.replace("balance acme 100", "balance acme -5")
         assert "BadConfig" in codes(text)
+
+    def test_balance_above_the_amount_domain(self):
+        text = MINIMAL.replace("balance acme 100", f"balance acme {MAX_AMOUNT + 1}")
+        assert [str(e) for e in validate_pipeline(parse_pipeline(text))] == [
+            f"BadConfig -: balance for 'acme' must be <= {MAX_AMOUNT}"]
+        at_max = MINIMAL.replace("balance acme 100", f"balance acme {MAX_AMOUNT}")
+        assert validate_pipeline(parse_pipeline(at_max)) == []
+
+    def test_balances_summing_above_the_amount_domain(self):
+        text = MINIMAL.replace("balance acme 100", f"balance acme {MAX_AMOUNT}\n"
+                               "balance bob 1")
+        assert [str(e) for e in validate_pipeline(parse_pipeline(text))] == [
+            f"BadConfig -: balances sum to more than {MAX_AMOUNT}"]
+        with pytest.raises(SpecValidationError):
+            instantiate(parse_pipeline(text))
 
     def test_unreachable_node(self):
         text = MINIMAL + "\nnode island\n  kind endpoint\n  recipient eve\n"

@@ -168,7 +168,6 @@ class TestFaultsCloseTheTransaction:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "bug")]))
         engine.add_node(BuggyNode("bug", recipient="bob"))
-        engine.add_edge("o", "bug")
         engine.set_entry("o")
         engine.setup_balances({"alice": 100})
         engine.ledger.approve("alice", "node:o", 100)
@@ -198,7 +197,6 @@ class TestFaultsCloseTheTransaction:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "b")]))
         engine.add_node(Warns("b", recipient="bob"))
-        engine.add_edge("o", "b")
         engine.set_entry("o")
         engine.setup_balances({"alice": 100})
         engine.ledger.approve("alice", "node:o", 100)
@@ -531,7 +529,6 @@ class TestDueIndex:
             outputs=[("main", "pay-late")])
         engine.add_node(lock)
         engine.add_node(EndpointNode("pay-late", recipient="dave"))
-        engine.add_edge("late", "pay-late")
         results = engine.advance_time(20)
         assert [(r.tx.info["node"], r.tx.info["release"]) for r in results] \
             == [("a", 0), ("late", 0), ("late", 1)]

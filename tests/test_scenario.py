@@ -3,6 +3,7 @@
 import pytest
 
 from paypipe.errors import SpecSyntaxError
+from paypipe.ledger import MAX_AMOUNT
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.scenario import parse_scenario, run_scenario
 
@@ -103,6 +104,19 @@ deposit acme 5
     def test_negative_advance_rejected_at_parse(self):
         with pytest.raises(SpecSyntaxError, match=">= 0"):
             parse_scenario("scenario x\n\nadvance -5\n")
+
+    def test_negative_approve_rejected_at_parse(self):
+        with pytest.raises(SpecSyntaxError, match=">= 0") as exc:
+            parse_scenario("scenario x\n\napprove acme origin -5\n")
+        assert (exc.value.line, exc.value.column) == (3, 21)
+
+    def test_approve_above_the_amount_domain_rejected_at_parse(self):
+        text = f"scenario x\n\napprove acme origin {MAX_AMOUNT + 1}\n"
+        with pytest.raises(SpecSyntaxError, match=f"<= {MAX_AMOUNT}") as exc:
+            parse_scenario(text)
+        assert (exc.value.line, exc.value.column) == (3, 21)
+        ok = parse_scenario(f"scenario x\n\napprove acme origin {MAX_AMOUNT}\n")
+        assert ok.steps[0].args["amount"] == MAX_AMOUNT
 
     def test_comments_and_blanks_skipped(self):
         scenario = parse_scenario(
