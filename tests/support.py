@@ -55,6 +55,34 @@ class NaiveLedger:
         return None
 
 
+# -- export oracle ---------------------------------------------------------------
+
+
+def _reference_esc(value) -> str:
+    text = str(value)
+    return (
+        text.replace("%", "%25")
+        .replace(" ", "%20")
+        .replace("=", "%3D")
+        .replace("\n", "%0A")
+    )
+
+
+def reference_trace_text(events) -> str:
+    """The ``--trace`` text of ``events``, by the documented rule one field
+    at a time: tx, seq, the escaped emitter, the kind as is, then each
+    payload key in sorted order with key and value escaped; one line per
+    event, each ending in a newline."""
+    lines = []
+    for tx_id, seq, emitter, kind, payload in events:
+        parts = [f"tx={tx_id} seq={seq} emitter={_reference_esc(emitter)} "
+                 f"kind={kind}"]
+        for key in sorted(payload):
+            parts.append(f"{_reference_esc(key)}={_reference_esc(payload[key])}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # -- graph oracles -------------------------------------------------------------
 
 
