@@ -38,6 +38,23 @@ releases: a heap holds one ``(earliest pending due, node id)`` entry per node
 with a pending release. A node's schedule changes only inside a transaction
 that touched it, so the entries of the nodes a commit touched are recomputed
 before the next advance.
+
+``format_event`` defines a line of the ``--trace`` export; ``trace_text``
+prints the same lines from templates. Within one export, each event shape (the
+kind and the payload keys in insertion order) whose kind and keys are plain
+``str`` needing no escape gets one ``%``-template, with the keys sorted, and an
+``itemgetter`` for the values. Tx, seq, the emitter and the values print with
+``%s``, that is with ``str()``, unescaped; tx and seq are ints, for which the
+f-string of ``format_event`` prints the same. Nothing is checked field by
+field. Instead, for each chunk of 512 lines, the export counts spaces, ``=``,
+``%`` and newlines over the chunk's text: a template line has exactly 3+n
+spaces and 4+n ``=`` and neither of the others, for n keys, unless a field
+needed escaping. It also checks that every kind and key in the chunk is an
+exact ``str`` (an equal ``str`` subclass would find a template built for the
+plain string). A chunk that fails is checked line by line; each failing line
+is printed by ``format_event``, and so are all later events of its shape.
+Events of any other shape go to ``format_event`` directly. The templates live
+only for one call.
 """
 
 from __future__ import annotations
@@ -46,6 +63,8 @@ import copy
 import heapq
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import EdgeMissing, EngineError, FatalStreamError, RejectedStream, UnknownNode
@@ -208,6 +227,42 @@ def format_event(ev: EventRecord) -> str:
     for key in sorted(payload):
         parts.append(f"{_esc(key)}={_esc(payload[key])}")
     return " ".join(parts)
+
+
+# Lines per chunk of the trace export: see ``Engine.trace_text``.
+_CHUNK = 512
+_KIND = itemgetter(3)
+_PAYLOAD = itemgetter(4)
+
+
+def _line_template(kind, payload) -> tuple:
+    """The ``%``-template of the lines of events with this kind and payload
+    keys, and a function from a payload to the values the template prints;
+    ``(None, None)`` when the kind or a key is not a ``str`` that prints as
+    is."""
+    names = (kind, *payload)
+    if not all(name.__class__ is str and _esc(name) == name for name in names):
+        return None, None
+    keys = sorted(payload)
+    template = "tx=%s seq=%s emitter=%s kind=" + kind + \
+        "".join(f" {key}=%s" for key in keys)
+    if len(keys) > 1:
+        return template, itemgetter(*keys)
+    if keys:
+        get = itemgetter(keys[0])
+        return template, lambda payload: (get(payload),)
+    return template, lambda payload: ()
+
+
+def _printed_as_is(line: str, ev: EventRecord) -> bool:
+    """Whether a template-built ``line`` of ``ev`` is ``format_event``'s:
+    the kind and keys are ``str`` and no field held a character to escape."""
+    kind, payload = ev[3], ev[4]
+    n = len(payload)
+    return (kind.__class__ is str
+            and all(key.__class__ is str for key in payload)
+            and line.count(" ") == 3 + n and line.count("=") == 4 + n
+            and "%" not in line and "\n" not in line)
 
 
 class Engine:
@@ -504,8 +559,50 @@ class Engine:
         return {"per_tx": per_tx, "total": sum(r.gas for r in self.transactions)}
 
     def trace_text(self) -> str:
-        lines = [format_event(ev) for ev in self.events]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """``format_event`` of every committed event, one line each, each
+        ending in a newline; see the module docstring for how."""
+        events, templates, chunks = self.events, {}, []
+        for start in range(0, len(events), _CHUNK):
+            chunk = events[start:start + _CHUNK]
+            lines, odd = [], []  # odd: positions format_event prints
+            for tx_id, seq, emitter, kind, payload in chunk:
+                try:
+                    template, values = templates[kind, *payload]
+                except KeyError:
+                    template, values = templates[kind, *payload] = \
+                        _line_template(kind, payload)
+                except TypeError:  # an unhashable kind
+                    template = None
+                if template is None:
+                    odd.append(len(lines))
+                    lines.append("")
+                else:
+                    lines.append(template % (tx_id, seq, emitter,
+                                             *values(payload)))
+            text = "\n".join(lines)
+            # A template line has 3+n spaces and 4+n "=", and no "%" or
+            # newline, unless a field printed a character to escape or the
+            # event's kind or a key was not a str.
+            names = [*map(_KIND, chunk),
+                     *chain.from_iterable(map(_PAYLOAD, chunk))]
+            keys = len(names) - len(chunk) - \
+                sum(len(chunk[i][4]) for i in odd)
+            printed = len(lines) - len(odd)
+            if (text.count(" ") != 3 * printed + keys
+                    or text.count("=") != 4 * printed + keys
+                    or "%" in text or text.count("\n") != len(lines) - 1
+                    or [*map(type, names)].count(str) != len(names)):
+                for i, line in enumerate(lines):
+                    if line and not _printed_as_is(line, chunk[i]):
+                        templates[chunk[i][3], *chunk[i][4]] = None, None
+                        odd.append(i)
+            if odd:
+                for i in odd:
+                    lines[i] = format_event(chunk[i])
+                text = "\n".join(lines)
+            chunks.append(text)
+        chunks.append("")
+        return "\n".join(chunks)
 
     def gas_text(self) -> str:
         lines = [

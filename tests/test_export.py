@@ -54,6 +54,12 @@ class Plain(str):
         return "plain"
 
 
+class Key(str, enum.Enum):
+    """Equal to the plain key ``"amount"``, but ``str`` prints ``Key.amount``."""
+
+    amount = "amount"
+
+
 class Level(enum.IntEnum):
     LOW = 1
     HIGH = 2
@@ -146,6 +152,19 @@ def test_str_subclass_and_int_enum_with_their_own_str():
            ev({"v": 1}, emitter=Spaced("x")), ev({"v": 1}, emitter=Plain("x")),
            ev({"v": 1}, emitter=Level.LOW), ev({"v": 1}, emitter=Level.HIGH),
            ev({Plain("k"): 1}), ev({"v": 1}, kind=Plain("Sent"))])
+
+
+def test_kind_or_key_equal_to_a_plain_one_prints_its_own_str():
+    check([ev({"v": 1}), ev({"v": 2}, kind=Plain("Sent")), ev({"v": 3})])
+    check([ev({"v": 1}), ev({Plain("v"): 2}), ev({"v": 3})])
+    check([ev({"amount": 1}), ev({Key.amount: 2}), ev({"amount": 3})])
+
+
+def test_plain_tuples_and_unhashable_kinds():
+    check([(1, 0, "node:a", "Sent", {"to": "b"}),
+           (1, 1, "node:a", "Sent", {"to": "b c"}),
+           (1, 2, "node:a", ["Sent"], {"to": "b"}),
+           (1, 3, "node:a", "Sent", {"to": "b"})])
 
 
 def test_empty_payload():
