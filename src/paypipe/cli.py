@@ -6,13 +6,15 @@
     paypipe bench [--recipients N] [--periods K] [--cost-table FILE]
 
 Exit codes: 0 success; 1 validation errors, failed scenario assertions,
-or benchmark divergence; 2 unreadable or unparsable input; 3 a transaction
+or benchmark divergence; 2 unreadable or unparsable input, or output that
+cannot be written (a missing directory, a closed pipe); 3 a transaction
 reverted unexpectedly or an expected revert committed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -47,12 +49,39 @@ def parse_cost_table(text: str) -> CostTable:
         raise SpecSyntaxError(str(err), 1, 1) from None
 
 
-def _write_out(path: str, text: str) -> None:
+def _write_out(path: str, text: str, what: str) -> None:
+    """Write ``text`` to the file ``path`` or exit 2 with a message on
+    stderr; ``-`` is stdout, whose broken pipe ``main`` reports."""
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        print(f"cannot write {what} {path}: {err.strerror}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _on_stdout(args) -> str:
+    """What a command writes to stdout, as the error message names it."""
+    if getattr(args, "trace", None) == "-":
+        return "trace"
+    if getattr(args, "gas_report", None) == "-":
+        return "gas report"
+    return "output"
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device, so the interpreter's last flush of
+    what a broken pipe left buffered does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed to a descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _load(path: str, what: str) -> str:
@@ -108,9 +137,9 @@ def cmd_run(args) -> int:
         return 1
     result = run_scenario(engine, scenario)
     if args.trace:
-        _write_out(args.trace, engine.trace_text())
+        _write_out(args.trace, engine.trace_text(), "trace")
     if args.gas_report:
-        _write_out(args.gas_report, engine.gas_text())
+        _write_out(args.gas_report, engine.gas_text(), "gas report")
     if not result.ok:
         for failure in result.failures:
             print(failure)
@@ -176,10 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    except BrokenPipeError as err:  # the reader of stdout went away
+        print(f"cannot write {_on_stdout(args)} -: {err.strerror}",
+              file=sys.stderr)
+        _drop_stdout()
+        return 2
 
 
 if __name__ == "__main__":

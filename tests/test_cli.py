@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output discipline, file emission."""
 
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from paypipe import cli, pipeline
 from paypipe.cli import main
@@ -25,6 +30,13 @@ node pay
   kind endpoint
   recipient bob
 """
+
+
+class BrokenStdout(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
 def write(tmp_path, name, text):
@@ -152,6 +164,32 @@ class TestRun:
         assert all(line.startswith("tx=") for line in trace_lines)
         gas_lines = gas.read_text().splitlines()
         assert gas_lines[-1].startswith("total txs=4 gas=")
+
+    @pytest.mark.parametrize("flag, what", [("--trace", "trace"),
+                                            ("--gas-report", "gas report")])
+    def test_unwritable_output_exits_two(self, flag, what, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "out")
+        assert main(["run", PAYROLL, PAYROLL_SCN, flag, path]) == 2
+        assert capsys.readouterr().err == \
+            f"cannot write {what} {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag, what", [("--trace", "trace"),
+                                            ("--gas-report", "gas report")])
+    def test_broken_stdout_exits_two(self, flag, what, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        assert main(["run", PAYROLL, PAYROLL_SCN, flag, "-"]) == 2
+        assert capsys.readouterr().err == f"cannot write {what} -: Broken pipe\n"
+
+    def test_closed_pipe_exits_two_without_a_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "paypipe", "run", PAYROLL, PAYROLL_SCN,
+             "--trace", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()  # the reader is gone before the first write
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == "cannot write trace -: Broken pipe\n"
 
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         paths = []
