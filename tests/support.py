@@ -9,6 +9,7 @@ implementations they check.
 from __future__ import annotations
 
 import random
+import re
 
 from paypipe.pipeline import NodeSpec, PipelineSpec
 
@@ -352,8 +353,55 @@ def random_pipeline_text(rng: random.Random, max_nodes: int = 10):
     return text, info
 
 
-def random_actions(rng: random.Random, info: dict):
-    """Trigger sequence for a pipeline built by random_pipeline_text."""
+# A tee between the originator and a random pipeline's first node: it pays
+# an endpoint first, sends most of a deposit on, and sends a last share
+# through a guard that reverts the deposit when its ``commit`` metadata is 0,
+# after the random pipeline has made its payouts.
+TEE = """
+node tee
+  kind router
+  template distributing
+  out pay -> tee-pay
+  out rest -> {head}
+  out guard -> tee-guard
+  config weight pay 1
+  config weight rest 4
+  config weight guard 1
+
+node tee-pay
+  kind endpoint
+  recipient ua
+
+node tee-guard
+  kind router
+  template conditional
+  out main -> tee-sink
+  config when metadata.commit > 0
+  config on_false fatal
+
+node tee-sink
+  kind endpoint
+  recipient ub
+"""
+
+
+def teed(text):
+    """``text`` with the tee between the originator and the random
+    pipeline's first node."""
+    origin = re.search(r"node origin\n  kind originator\n  out main -> (\S+)\n",
+                       text)
+    head = origin.group(1)
+    text = text.replace(origin.group(), origin.group().replace(head, "tee"))
+    return text + TEE.format(head=head)
+
+
+def random_actions(rng: random.Random, info: dict, teed: bool = False):
+    """Trigger sequence for a pipeline built by random_pipeline_text.
+
+    With ``teed``, for the pipeline behind ``TEE``, each deposit also draws
+    the guard's ``commit`` metadata: 0, which reverts the deposit, one time
+    in three. Without it the draws are those of earlier versions, so a seed
+    generates what it always did."""
     actions = [("approve", {"account": DEPOSITOR, "node": "origin",
                             "amount": 1000000})]
     for _ in range(rng.randint(2, 6)):
@@ -362,6 +410,8 @@ def random_actions(rng: random.Random, info: dict):
             metadata = {}
             if rng.random() < 0.6:
                 metadata[META_KEY] = rng.randint(0, 8)
+            if teed:
+                metadata["commit"] = int(rng.random() >= 1 / 3)
             actions.append(("deposit", {
                 "account": DEPOSITOR,
                 "amount": rng.randint(1, 500),

@@ -31,7 +31,8 @@ from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.scenario import load_scenario, run_scenario
 from paypipe.templates import make_template
 
-from support import apply_action, random_actions, random_pipeline_text
+from support import (USERS, apply_action, random_actions, random_pipeline_text,
+                     teed)
 from test_golden import PAIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -360,6 +361,28 @@ class TestRandomPipelines:
             assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
             reverts += len(reverted)
         assert reverts >= 30  # the loop really exercised rollback
+
+    def test_teed_every_revert_restores_and_ids_stay_contiguous(self):
+        """The same over the random pipelines behind the tee, whose guard
+        reverts a deposit after the random pipeline has paid out."""
+        reverts = payouts_undone = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            text, info = random_pipeline_text(rng)
+            actions = random_actions(rng, info, teed=True)
+            actions += [("advance", {"delta": rng.randint(0, 4)})
+                        for _ in range(2)]
+            engine = build(teed(text))
+            reverted = check_reverts_restore(engine)
+            for action in actions:
+                apply_action(engine, action)
+            assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
+            reverts += len(reverted)
+            payouts_undone += sum(
+                1 for tx in reverted for ev in engine.revert_traces[tx]
+                if ev.kind == "Transfer" and ev.payload["to"] in USERS)
+        assert reverts >= 30
+        assert payouts_undone >= 80  # reverts really undid payouts
 
     def test_due_index_cranks_what_a_full_scan_finds(self):
         for seed in range(150):

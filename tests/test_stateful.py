@@ -17,7 +17,6 @@ leave the engine's fingerprint as it found it.
 """
 
 import random
-import re
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -26,49 +25,12 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from paypipe.ledger import NULL_ADDRESS
 from paypipe.pipeline import instantiate, parse_pipeline
 
-from support import DEPOSITOR, META_KEY, USERS, NaiveLedger, random_pipeline_text
+from support import (DEPOSITOR, META_KEY, USERS, NaiveLedger, random_pipeline_text,
+                     teed)
 
 FUNDING = 1_000_000  # the depositor's balance in every random pipeline
 BAD_AMOUNTS = (1.5, True, "7", None)
 PICK = st.integers(min_value=0, max_value=63)  # index into a list, mod len
-
-
-TEE = """
-node tee
-  kind router
-  template distributing
-  out pay -> tee-pay
-  out rest -> {head}
-  out guard -> tee-guard
-  config weight pay 1
-  config weight rest 4
-  config weight guard 1
-
-node tee-pay
-  kind endpoint
-  recipient ua
-
-node tee-guard
-  kind router
-  template conditional
-  out main -> tee-sink
-  config when metadata.commit > 0
-  config on_false fatal
-
-node tee-sink
-  kind endpoint
-  recipient ub
-"""
-
-
-def teed(text):
-    """``text`` with the tee between the originator and the random
-    pipeline's first node."""
-    origin = re.search(r"node origin\n  kind originator\n  out main -> (\S+)\n",
-                       text)
-    head = origin.group(1)
-    text = text.replace(origin.group(), origin.group().replace(head, "tee"))
-    return text + TEE.format(head=head)
 
 
 def check_reverts_restore(engine):
