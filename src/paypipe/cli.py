@@ -77,7 +77,7 @@ def _drop_stdout() -> None:
     what a broken pipe left buffered does not fail again."""
     try:
         fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):
+    except (AttributeError, ValueError):
         return  # not a file: nothing is flushed to a descriptor
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)

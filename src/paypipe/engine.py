@@ -565,6 +565,7 @@ class Engine:
         for start in range(0, len(events), _CHUNK):
             chunk = events[start:start + _CHUNK]
             lines, odd = [], []  # odd: positions format_event prints
+            append = lines.append
             for tx_id, seq, emitter, kind, payload in chunk:
                 try:
                     template, values = templates[kind, *payload]
@@ -575,23 +576,24 @@ class Engine:
                     template = None
                 if template is None:
                     odd.append(len(lines))
-                    lines.append("")
+                    append("")
                 else:
-                    lines.append(template % (tx_id, seq, emitter,
-                                             *values(payload)))
+                    append(template % (tx_id, seq, emitter, *values(payload)))
             text = "\n".join(lines)
-            # A template line has 3+n spaces and 4+n "=", and no "%" or
-            # newline, unless a field printed a character to escape or the
-            # event's kind or a key was not a str.
-            names = [*map(_KIND, chunk),
-                     *chain.from_iterable(map(_PAYLOAD, chunk))]
-            keys = len(names) - len(chunk) - \
+            # A template line has 3+n spaces and 4+n "=" for n keys, and no
+            # "%" or newline, unless a field printed a character to escape;
+            # the lines format_event prints are still empty. A kind or key
+            # that is an equal str subclass found a plain string's template,
+            # so every kind and key must be an exact str.
+            types = [*map(type, chain(map(_KIND, chunk), chain.from_iterable(
+                map(_PAYLOAD, chunk))))]  # of every kind and key
+            keys = len(types) - len(chunk) - \
                 sum(len(chunk[i][4]) for i in odd)
             printed = len(lines) - len(odd)
             if (text.count(" ") != 3 * printed + keys
                     or text.count("=") != 4 * printed + keys
                     or "%" in text or text.count("\n") != len(lines) - 1
-                    or [*map(type, names)].count(str) != len(names)):
+                    or types.count(str) != len(types)):
                 for i, line in enumerate(lines):
                     if line and not _printed_as_is(line, chunk[i]):
                         templates[chunk[i][3], *chunk[i][4]] = None, None
