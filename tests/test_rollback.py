@@ -345,38 +345,34 @@ class TestStructuralCopy:
         assert copied["a"] is copied["b"]  # deepcopy keeps the aliasing
 
 
+def drive_corpus(tee=False):
+    """Drive seeds 0-149 of the random corpus, behind ``TEE`` when ``tee``,
+    with every revert checked to restore the fingerprint and ids checked to
+    stay contiguous; yields each engine and its reverted ids."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        text, info = random_pipeline_text(rng)
+        actions = random_actions(rng, info, teed=tee)
+        actions += [("advance", {"delta": rng.randint(0, 4)})
+                    for _ in range(2)]
+        engine = build(teed(text) if tee else text)
+        reverted = check_reverts_restore(engine)
+        for action in actions:
+            apply_action(engine, action)
+        assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
+        yield engine, reverted
+
+
 class TestRandomPipelines:
     def test_every_revert_restores_and_ids_stay_contiguous(self):
-        reverts = 0
-        for seed in range(150):
-            rng = random.Random(seed)
-            text, info = random_pipeline_text(rng)
-            actions = random_actions(rng, info)
-            actions += [("advance", {"delta": rng.randint(0, 4)})
-                        for _ in range(2)]
-            engine = build(text)
-            reverted = check_reverts_restore(engine)
-            for action in actions:
-                apply_action(engine, action)
-            assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
-            reverts += len(reverted)
+        reverts = sum(len(reverted) for _, reverted in drive_corpus())
         assert reverts >= 30  # the loop really exercised rollback
 
     def test_teed_every_revert_restores_and_ids_stay_contiguous(self):
-        """The same over the random pipelines behind the tee, whose guard
-        reverts a deposit after the random pipeline has paid out."""
+        """The same behind the tee, whose guard reverts a deposit after the
+        random pipeline has paid out."""
         reverts = payouts_undone = 0
-        for seed in range(150):
-            rng = random.Random(seed)
-            text, info = random_pipeline_text(rng)
-            actions = random_actions(rng, info, teed=True)
-            actions += [("advance", {"delta": rng.randint(0, 4)})
-                        for _ in range(2)]
-            engine = build(teed(text))
-            reverted = check_reverts_restore(engine)
-            for action in actions:
-                apply_action(engine, action)
-            assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
+        for engine, reverted in drive_corpus(tee=True):
             reverts += len(reverted)
             payouts_undone += sum(
                 1 for tx in reverted for ev in engine.revert_traces[tx]
