@@ -16,9 +16,11 @@ package's nodes does. An exception that is not an engine error, in a
 template or in an error-policy action, also undoes the transaction, records
 nothing and propagates.
 
-Intra-pipeline propagation is synchronous within the transaction; nodes that
-hold funds (timelock, threshold, oracle-directed, claimable endpoints) end
-the propagation, and the next trigger resumes it.
+``dispatch`` performs each hop of a stream from one node to the next:
+approve, pull, ``Sent``, then the recipient's ``on_receive``. Propagation is
+synchronous within the transaction; nodes that hold funds (timelock,
+threshold, oracle-directed, claimable endpoints) end the propagation, and
+the next trigger resumes it.
 
 Gas is an accounting metric only; no limit is enforced. Charge points:
 
@@ -67,15 +69,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .errors import EdgeMissing, EngineError, FatalStreamError, RejectedStream, UnknownNode
+from .errors import EdgeMissing, EngineError, FatalStreamError, UnknownNode
 from .ledger import TokenLedger
-from .nodes import (
-    ErrorSeverity,
-    Node,
-    PolicyAction,
-    StreamError,
-    StreamMessage,
-)
+from .nodes import Node, PolicyAction, StreamError, StreamMessage
 
 # Setup-time events (minting, scenario approvals) live under this pseudo-id;
 # real transactions start at 1.
@@ -223,7 +219,8 @@ def _require_int(name: str, value) -> None:
 
 def format_event(ev: EventRecord) -> str:
     tx_id, seq, emitter, kind, payload = ev
-    parts = [f"tx={tx_id} seq={seq} emitter={_esc(emitter)} kind={kind}"]
+    parts = [f"tx={tx_id} seq={seq} emitter={_esc(emitter)} "
+             f"kind={_esc(kind)}"]
     for key in sorted(payload):
         parts.append(f"{_esc(key)}={_esc(payload[key])}")
     return " ".join(parts)
@@ -268,10 +265,10 @@ def _printed_as_is(line: str, ev: EventRecord) -> bool:
 class Engine:
     """Owns the ledger, clock, gas meter, event log, and node registry."""
 
-    def __init__(self, cost_table: Optional[CostTable] = None, clock_start: int = 0):
+    def __init__(self, cost_table: Optional[CostTable] = None):
         self.cost_table = cost_table or CostTable()
         self.meter = GasMeter(self.cost_table)
-        self.now = clock_start
+        self.now = 0
         self.ledger = TokenLedger(on_event=self.emit, on_charge=self.charge)
         self.nodes: dict[str, Node] = {}
         self.edges: set[tuple[str, str]] = set()
@@ -477,12 +474,15 @@ class Engine:
 
     def dispatch(self, sender: Node, to_id: str, msg: StreamMessage,
                  via_error: bool = False) -> None:
-        """Move a stream message across one edge.
+        """Move a stream message across one edge: the whole hop.
 
-        The sender approves the recipient, the recipient pulls the funds, the
-        sender emits ``Sent``, and only then does the recipient's logic run.
-        Error-policy redirects use the same mechanics but skip the declared
-        edge check (targets are validated statically instead).
+        After the edge check, the hop charges ``node_call`` and touches the
+        recipient; the sender approves the recipient, the recipient pulls
+        the funds, the sender emits ``Sent``, and after a ``config_read``
+        the recipient's ``on_receive`` runs. A ``StreamError`` it raises goes
+        to ``handle_error`` under the recipient's policy. Error-policy
+        redirects use the same mechanics but skip the declared edge check
+        (targets are validated statically instead).
         """
         recipient = self.nodes.get(to_id)
         if recipient is None:
@@ -491,26 +491,27 @@ class Engine:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
         self.charge("node_call")
         self._touch(recipient)
+        amount, spender = msg.amount, recipient.address
+        self.ledger.approve(sender.address, spender, amount)
+        self.ledger.transfer_from(spender, sender.address, spender, amount)
+        self.emit("Sent", sender.address, {"to": to_id, "amount": amount})
+        self.charge("config_read")
         try:
-            recipient.pre_accept(sender, msg)
-        except RejectedStream as rej:
-            err = StreamError(ErrorSeverity.RECOVERABLE, f"rejected: {rej.reason}")
-            self.handle_error(sender, err, msg)
-            return
-        self.ledger.approve(sender.address, recipient.address, msg.amount)
-        recipient.pull_funds(sender, msg)
-        self.emit("Sent", sender.address, {"to": to_id, "amount": msg.amount})
-        recipient.process(sender, msg)
+            recipient.on_receive(msg)
+        except StreamError as err:
+            self.handle_error(recipient, err, msg)
 
     def handle_error(self, node: Node, err: StreamError, msg: StreamMessage) -> None:
         """Emit ``StreamError``, then apply the node's policy for the severity.
 
-        Unhandled fatal errors abort the transaction, and so does an engine
-        error raised by the chosen action, as a ``FatalStreamError``. Any
-        other exception from the action is a fault, not a revert: it
-        propagates, and the transaction undoes its writes and records
-        nothing. (The templates' continuations only re-enter ``dispatch``,
-        which handles a ``StreamError`` or ``RejectedStream`` itself.)
+        ``node`` is the node whose ``on_receive`` raised ``err`` while
+        handling ``msg``; the funds are already in its hands. Unhandled fatal
+        errors abort the transaction, and so does an engine error raised by
+        the chosen action, as a ``FatalStreamError``. Any other exception
+        from the action is a fault, not a revert: it propagates, and the
+        transaction undoes its writes and records nothing. (The templates'
+        continuations only re-enter ``dispatch``, which handles a
+        ``StreamError`` of the next hop itself.)
         """
         amount = msg.amount if err.amount is None else err.amount
         entry = (err.action_override, None) if err.action_override else \

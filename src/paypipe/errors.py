@@ -75,18 +75,6 @@ class FatalStreamError(EngineError):
     code = "FatalStreamError"
 
 
-class RejectedStream(Exception):
-    """Raised by a node that refuses a stream before pulling the funds.
-
-    The funds stay with the sender, which handles the rejection under its
-    own error policy.
-    """
-
-    def __init__(self, reason: str = "rejected"):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class SpecSyntaxError(Exception):
     """Parse failure in a pipeline spec, scenario, or cost table file."""
 

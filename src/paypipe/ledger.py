@@ -39,6 +39,10 @@ _LEDGER = "ledger"
 _ABSENT = object()
 
 
+def _ignore(*args) -> None:
+    """The default hook: does nothing."""
+
+
 def _check_amount(amount: Amount) -> None:
     if not isinstance(amount, int) or isinstance(amount, bool):
         raise TypeError(f"amount must be an int, got {type(amount).__name__}")
@@ -49,16 +53,13 @@ def _check_amount(amount: Amount) -> None:
 class TokenLedger:
     """Single-token account book used by every node in a pipeline.
 
-    ``on_event`` and ``on_charge`` are optional hooks the engine installs to
-    record Transfer/Approval events and meter gas; a bare ledger works
-    without them.
+    ``on_event(kind, emitter, payload)`` and ``on_charge(kind)`` are hooks
+    the engine installs to record Transfer/Approval events and meter gas;
+    both default to a no-op, so a bare ledger works without them.
     """
 
-    def __init__(
-        self,
-        on_event: Optional[EventHook] = None,
-        on_charge: Optional[ChargeHook] = None,
-    ):
+    def __init__(self, on_event: EventHook = _ignore,
+                 on_charge: ChargeHook = _ignore):
         self.balances: dict[Address, Amount] = {}
         self.allowances: dict[tuple[Address, Address], Amount] = {}
         self.total_supply: Amount = 0
@@ -69,24 +70,14 @@ class TokenLedger:
         self._old_allowances: Optional[dict] = None
         self._old_supply: Amount = 0
 
-    # -- hooks -------------------------------------------------------------
-
-    def _emit(self, kind: str, payload: dict) -> None:
-        if self.on_event is not None:
-            self.on_event(kind, _LEDGER, payload)
-
-    def _charge(self, kind: str) -> None:
-        if self.on_charge is not None:
-            self.on_charge(kind)
-
     # -- reads -------------------------------------------------------------
 
     def balance_of(self, account: Address) -> Amount:
-        self._charge("ledger_read")
+        self.on_charge("ledger_read")
         return self.balances.get(account, 0)
 
     def allowance(self, owner: Address, spender: Address) -> Amount:
-        self._charge("ledger_read")
+        self.on_charge("ledger_read")
         return self.allowances.get((owner, spender), 0)
 
     # -- mutations ---------------------------------------------------------
@@ -95,14 +86,15 @@ class TokenLedger:
         _check_amount(amount)
         if self.total_supply + amount > MAX_AMOUNT:
             raise AmountOverflow(f"minting {amount} exceeds the amount domain")
-        self._charge("ledger_write")
+        self.on_charge("ledger_write")
         balances = self.balances
         old = self._old_balances
         if old is not None and to not in old:
             old[to] = balances.get(to, _ABSENT)
         balances[to] = balances.get(to, 0) + amount
         self.total_supply += amount
-        self._emit("Transfer", {"from": NULL_ADDRESS, "to": to, "amount": amount})
+        self.on_event("Transfer", _LEDGER,
+                      {"from": NULL_ADDRESS, "to": to, "amount": amount})
 
     def transfer(self, from_: Address, to: Address, amount: Amount) -> None:
         _check_amount(amount)
@@ -111,7 +103,7 @@ class TokenLedger:
             raise InsufficientBalance(
                 f"{from_} holds {balances.get(from_, 0)}, needs {amount}"
             )
-        self._charge("ledger_write")
+        self.on_charge("ledger_write")
         old = self._old_balances
         if old is not None:
             if from_ not in old:
@@ -120,19 +112,21 @@ class TokenLedger:
                 old[to] = balances.get(to, _ABSENT)
         balances[from_] = balances.get(from_, 0) - amount
         balances[to] = balances.get(to, 0) + amount
-        self._emit("Transfer", {"from": from_, "to": to, "amount": amount})
+        self.on_event("Transfer", _LEDGER,
+                      {"from": from_, "to": to, "amount": amount})
 
     def approve(self, owner: Address, spender: Address, amount: Amount) -> None:
         _check_amount(amount)
         if amount > MAX_AMOUNT:
             raise AmountOverflow(f"allowance {amount} exceeds the amount domain")
-        self._charge("ledger_write")
+        self.on_charge("ledger_write")
         key = (owner, spender)
         old = self._old_allowances
         if old is not None and key not in old:
             old[key] = self.allowances.get(key, _ABSENT)
         self.allowances[key] = amount
-        self._emit("Approval", {"owner": owner, "spender": spender, "amount": amount})
+        self.on_event("Approval", _LEDGER,
+                      {"owner": owner, "spender": spender, "amount": amount})
 
     def transfer_from(
         self, spender: Address, owner: Address, to: Address, amount: Amount
@@ -153,7 +147,7 @@ class TokenLedger:
             raise InsufficientBalance(
                 f"{owner} holds {balances.get(owner, 0)}, needs {amount}"
             )
-        self._charge("ledger_write")
+        self.on_charge("ledger_write")
         old_allowances = self._old_allowances
         if old_allowances is not None:
             if key not in old_allowances:
@@ -166,9 +160,8 @@ class TokenLedger:
         allowances[key] = allowed - amount
         balances[owner] = balances.get(owner, 0) - amount
         balances[to] = balances.get(to, 0) + amount
-        self._emit(
-            "Transfer", {"from": owner, "to": to, "amount": amount, "spender": spender}
-        )
+        self.on_event("Transfer", _LEDGER, {"from": owner, "to": to,
+                                            "amount": amount, "spender": spender})
 
     # -- undo log ----------------------------------------------------------
 

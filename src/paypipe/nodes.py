@@ -2,14 +2,15 @@
 
 Three node kinds form a pipeline: an originator turns plain tokens into a
 stream, routers retain or forward it, and endpoints turn it back into plain
-tokens. Funds always move by approve-then-pull: the sender approves the
-recipient, the recipient executes the delegated transfer, and the sender
-emits a ``Sent`` event once the pull succeeds.
+tokens. ``Engine.dispatch`` moves a stream from one node to the next by
+approve-then-pull: the sender approves the recipient, the recipient executes
+the delegated transfer, the sender emits a ``Sent`` event, and only then is
+the recipient's ``on_receive`` called, with the funds already in its hands.
 
-Errors raised while a node processes a stream are ``StreamError`` values with
-a severity; the owning node's error policy decides whether to proceed, hold
-the funds, refund the origin, or redirect to a designated handler. An
-unhandled fatal error reverts the whole transaction.
+Errors raised by ``on_receive`` are ``StreamError`` values with a severity;
+the receiving node's error policy decides whether to proceed, hold the
+funds, refund the origin, or redirect to a designated handler. An unhandled
+fatal error reverts the whole transaction.
 """
 
 from __future__ import annotations
@@ -103,15 +104,14 @@ class StreamError(Exception):
 class StreamMessage:
     """The unit flowing through a pipeline.
 
-    ``path`` records every node the message traversed, starting at the
-    originator; ``error`` carries context when a message is redirected by an
-    error policy.
+    ``origin`` is the depositing account, which a refund pays back;
+    ``metadata`` travels with every share of the deposit; ``error`` carries
+    context when a message is redirected by an error policy. The hops a
+    message took are the ``Sent`` events of the trace.
     """
 
     amount: int
     origin: str
-    originator: str
-    path: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
     error: Optional[dict] = None
 
@@ -119,8 +119,6 @@ class StreamMessage:
         return StreamMessage(
             amount=self.amount if amount is None else amount,
             origin=self.origin,
-            originator=self.originator,
-            path=list(self.path),
             metadata=dict(self.metadata),
         )
 
@@ -136,6 +134,10 @@ class Node:
     ``StreamMessage`` values is copied structurally, which does not keep two
     entries pointing at one list or dict; a state holding any other type is
     copied with ``copy.deepcopy``.
+
+    A node receives a stream only through ``on_receive(msg)``, called by the
+    engine after the funds have moved to the node's address; it forwards a
+    stream with ``engine.dispatch``.
     """
 
     kind = NodeKind.ROUTER
@@ -175,24 +177,9 @@ class Node:
 
     # -- stream protocol ---------------------------------------------------
 
-    def pre_accept(self, sender: "Node", msg: StreamMessage) -> None:
-        """Refusal hook; raise RejectedStream to refuse before funds move."""
-
-    def pull_funds(self, sender: "Node", msg: StreamMessage) -> None:
-        self.engine.ledger.transfer_from(
-            self.address, sender.address, self.address, msg.amount
-        )
-
-    def process(self, sender: "Node", msg: StreamMessage) -> None:
-        """Run this node's logic after a pull; stream errors go to the policy."""
-        msg.path.append(self.id)
-        self.engine.charge("config_read")
-        try:
-            self.on_receive(msg)
-        except StreamError as err:
-            self.engine.handle_error(self, err, msg)
-
     def on_receive(self, msg: StreamMessage) -> None:
+        """Handle a stream whose funds the engine has already moved here; a
+        ``StreamError`` goes to this node's error policy."""
         raise NotImplementedError
 
     # -- optional trigger surfaces ------------------------------------------
@@ -236,13 +223,8 @@ class OriginatorNode(Node):
         self.engine.ledger.transfer_from(
             self.address, from_account, self.address, amount
         )
-        msg = StreamMessage(
-            amount=amount,
-            origin=from_account,
-            originator=self.id,
-            path=[self.id],
-            metadata=dict(metadata or {}),
-        )
+        msg = StreamMessage(amount=amount, origin=from_account,
+                            metadata=dict(metadata or {}))
         _, to = self.outputs[0]
         self.engine.dispatch(self, to, msg)
 

@@ -465,8 +465,7 @@ def serialize_pipeline(spec: PipelineSpec) -> str:
 
 
 def instantiate(spec: PipelineSpec,
-                cost_table: Optional[CostTable] = None,
-                clock_start: int = 0) -> Engine:
+                cost_table: Optional[CostTable] = None) -> Engine:
     """Build a ready engine from a valid pipeline.
 
     Raises SpecValidationError when validation finds problems.
@@ -474,7 +473,7 @@ def instantiate(spec: PipelineSpec,
     problems = validate_pipeline(spec)
     if problems:
         raise SpecValidationError(problems)
-    engine = Engine(cost_table=cost_table, clock_start=clock_start)
+    engine = Engine(cost_table=cost_table)
     for ns in spec.nodes:
         if ns.kind == "originator":
             node = OriginatorNode(ns.id, outputs=ns.outputs,

@@ -8,9 +8,9 @@ only its own node's ``state`` and the ledger; template instances themselves
 hold only immutable configuration.
 
 Aggregating templates (timelock, threshold, oracle) keep the last received
-message and stamp re-dispatches with its origin, path, and metadata, so a
-later refund always returns funds to the depositing account rather than to
-an intermediate node.
+message and stamp re-dispatches with its origin and metadata, so a later
+refund always returns funds to the depositing account rather than to an
+intermediate node.
 """
 
 from __future__ import annotations

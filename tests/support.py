@@ -71,13 +71,13 @@ def _reference_esc(value) -> str:
 
 def reference_trace_text(events) -> str:
     """The ``--trace`` text of ``events``, by the documented rule one field
-    at a time: tx, seq, the escaped emitter, the kind as is, then each
+    at a time: tx, seq, the escaped emitter, the escaped kind, then each
     payload key in sorted order with key and value escaped; one line per
     event, each ending in a newline."""
     lines = []
     for tx_id, seq, emitter, kind, payload in events:
         parts = [f"tx={tx_id} seq={seq} emitter={_reference_esc(emitter)} "
-                 f"kind={kind}"]
+                 f"kind={_reference_esc(kind)}"]
         for key in sorted(payload):
             parts.append(f"{_reference_esc(key)}={_reference_esc(payload[key])}")
         lines.append(" ".join(parts))

@@ -13,10 +13,15 @@ import pytest
 from paypipe import cli, pipeline
 from paypipe.cli import main
 from paypipe.ledger import MAX_AMOUNT
+from paypipe.templates import TEMPLATES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PAYROLL = str(FIXTURES / "payroll.pipe")
 PAYROLL_SCN = str(FIXTURES / "payroll.scn")
+# ``python -m paypipe`` in a child process imports this checkout's package.
+SRC = str(Path(__file__).parent.parent / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 GOOD_PIPE = """pipeline toy
 
@@ -85,6 +90,78 @@ class TestValidate:
         assert capsys.readouterr().out == message
         assert main(["run", pipe, scn]) == 1
         assert capsys.readouterr().out == message
+
+
+def router_pipeline(template, outputs, config):
+    """A pipeline whose router ``r`` runs ``template`` with these ``config``
+    lines, after one output per tag to an endpoint of its own; the last
+    config line is line ``11 + len(outputs) + len(config)``."""
+    lines = ["pipeline t", "", "balance acme 100", "",
+             "node origin", "  kind originator", "  out main -> r", "",
+             "node r", "  kind router", f"  template {template}"]
+    lines += [f"  out {tag} -> pay_{tag}" for tag in outputs]
+    lines += [f"  config {line}" for line in config]
+    for tag in outputs:
+        lines += ["", f"node pay_{tag}", "  kind endpoint", f"  recipient {tag}"]
+    return "\n".join(lines) + "\n"
+
+
+# Per template: output tags, config lines (the last one malformed) and the
+# syntax error's message.
+MALFORMED_CONFIG = {
+    "reporting": (["main"], ["sink audit", "sink"], "sink takes one label"),
+    "timelock": (["main"], ["start 0", "period 10", "releases 3 4"],
+                 "releases takes one integer"),
+    "threshold": (["main"], ["limit"], "limit takes one integer"),
+    "distributing": (["a", "b"], ["weight a 1", "weight b"],
+                     "weight takes a tag and an integer"),
+    "conditional": (["main"], ["when"], "when needs a predicate"),
+    "oracle": (["a"], ["oracle ops", "oracle ops"], "duplicate oracle 'ops'"),
+    "waterfall": (["a", "b"], ["tier a 10", "tier b"],
+                  "tier takes a tag and a cap (integer or rest)"),
+    "goalkeeper": ([], ["mode burn"], "mode must be refund, hold, or forward"),
+}
+
+# Per template: output tags, config lines that parse but do not validate,
+# and the one problem validation reports.
+INVALID_CONFIG = {
+    "reporting": (["main"], ["keys memo"], "reporting requires a sink label"),
+    "timelock": (["main"], ["start 0", "period 0", "releases 2", "fixed 5"],
+                 "period must be >= 1"),
+    "threshold": (["main"], ["limit 0"], "limit must be >= 1"),
+    "distributing": (["a", "b"], ["weight a 1", "weight b 0"],
+                     "weight share 'b' must be >= 1"),
+    "conditional": (["main"], ["when amount >"],
+                    "bad predicate: unexpected end of predicate"),
+    "oracle": (["a"], [], "oracle requires at least one trusted account"),
+    "waterfall": (["a", "b"], ["tier a rest", "tier b 5"],
+                  "only the last tier may be uncapped"),
+    "goalkeeper": ([], ["mode hold"], "goalkeeper hold mode requires admin"),
+}
+
+
+class TestTemplateConfigErrors:
+    def test_every_template_is_covered(self):
+        assert set(MALFORMED_CONFIG) == set(INVALID_CONFIG) == set(TEMPLATES)
+
+    @pytest.mark.parametrize("template", MALFORMED_CONFIG)
+    def test_malformed_line_exits_two_with_position(self, template, tmp_path,
+                                                     capsys):
+        outputs, config, message = MALFORMED_CONFIG[template]
+        path = write(tmp_path, "bad.pipe",
+                     router_pipeline(template, outputs, config))
+        assert main(["validate", path]) == 2
+        line = 11 + len(outputs) + len(config)
+        assert capsys.readouterr() == ("", f"{path}:{line}:10: {message}\n")
+
+    @pytest.mark.parametrize("template", INVALID_CONFIG)
+    def test_invalid_config_exits_one_with_bad_config(self, template, tmp_path,
+                                                      capsys):
+        outputs, config, message = INVALID_CONFIG[template]
+        path = write(tmp_path, "bad.pipe",
+                     router_pipeline(template, outputs, config))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr() == (f"BadConfig r: {message}\n", "")
 
 
 class TestRun:
@@ -183,7 +260,7 @@ class TestRun:
     def test_closed_pipe_exits_two_without_a_traceback(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "paypipe", "run", PAYROLL, PAYROLL_SCN,
-             "--trace", "-"],
+             "--trace", "-"], env=CHILD_ENV,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         proc.stdout.close()  # the reader is gone before the first write
         err = proc.stderr.read()
@@ -241,12 +318,12 @@ class TestEntrypoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "paypipe", "validate", PAYROLL],
-            capture_output=True, text=True)
+            env=CHILD_ENV, capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == ""
 
     def test_no_args_shows_usage(self):
         proc = subprocess.run([sys.executable, "-m", "paypipe"],
-                              capture_output=True, text=True)
+                              env=CHILD_ENV, capture_output=True, text=True)
         assert proc.returncode == 2
         assert "usage" in (proc.stderr + proc.stdout).lower()

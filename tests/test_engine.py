@@ -139,8 +139,7 @@ class TestRevert:
             def deposit(self, from_account, amount, metadata):
                 self.engine.ledger.transfer_from(self.address, from_account,
                                                  self.address, amount)
-                msg = StreamMessage(amount=amount, origin=from_account,
-                                    originator=self.id, path=[self.id])
+                msg = StreamMessage(amount=amount, origin=from_account)
                 self.engine.dispatch(self, "y", msg)
 
         engine = Engine()

@@ -119,6 +119,11 @@ def test_special_character_in_every_field(char):
            clean])
 
 
+def test_kind_is_escaped():
+    assert export([ev({"to": "b"}, kind="Se nt=1\n%")]) == \
+        "tx=1 seq=0 emitter=node:a kind=Se%20nt%3D1%0A%25 to=b\n"
+
+
 @pytest.mark.parametrize("text", ["%s", "%d", "%%", "%(x)s", "100%", "%"])
 def test_format_directives_print_as_text(text):
     check([ev({"reason": text}), ev({"reason": "ok"}, emitter=text),

@@ -175,6 +175,24 @@ class TestParse:
         with pytest.raises(SpecSyntaxError, match="integer"):
             parse_pipeline("pipeline x\n\nbalance acme lots\n")
 
+    @pytest.mark.parametrize("name", ["0a", "a.b", "-x"])
+    def test_names_of_letters_digits_and_underscore_dot_dash(self, name):
+        text = MINIMAL.replace("pipeline tiny", f"pipeline {name}") \
+            .replace("pay", name).replace("main", name)
+        spec = parse_pipeline(text)
+        assert spec.name == name
+        assert spec.nodes[0].outputs == [(name, name)]
+        assert spec.nodes[1].id == name
+
+    @pytest.mark.parametrize("name", ["a/b", "\u00e9"])
+    @pytest.mark.parametrize("what, old", [
+        ("pipeline name", "pipeline tiny"), ("node id", "node pay"),
+        ("output tag", "out main"), ("target id", "-> pay")])
+    def test_other_characters_in_a_name_are_rejected(self, name, what, old):
+        new = old.replace(old.split()[1], name)
+        with pytest.raises(SpecSyntaxError, match=f"bad {what} {name!r}"):
+            parse_pipeline(MINIMAL.replace(old, new))
+
     def test_policy_redirect_needs_target(self):
         text = MINIMAL.replace("  kind originator\n",
                                "  kind originator\n  on fatal redirect\n")

@@ -287,7 +287,7 @@ class TestStructuralCopy:
             assert len(engine.transactions) == 4
 
     def test_message_with_an_error_is_rebuilt(self):
-        msg = StreamMessage(5, "acme", "o", ["o", "r"], {"k": "v", "n": 2},
+        msg = StreamMessage(5, "acme", {"k": "v", "n": 2},
                             {"severity": "warning", "reason": "x",
                              "failed_node": "r"})
         state = {"last": msg, "filled": {"a": 1}, "released": [True, False]}
@@ -320,11 +320,11 @@ class TestStructuralCopy:
         {1, 2},
         (1, [2]),
         1.5,
-        SubMessage(5, "acme", "o"),
+        SubMessage(5, "acme"),
         Opaque(),
         {(1, 2): 3},
         [{"deep": {3}}],
-        StreamMessage(5, "acme", "o", metadata={"score": 0.5}),
+        StreamMessage(5, "acme", metadata={"score": 0.5}),
     ], ids=["set", "tuple", "float", "subclass", "object", "tuple-key",
             "nested-set", "float-in-message"])
     def test_other_values_take_the_deepcopy_path(self, value, monkeypatch):
