@@ -84,6 +84,27 @@ def reference_trace_text(events) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# -- line reader oracle --------------------------------------------------------
+
+_REFERENCE_LINE_END = re.compile(r"\r\n|\r|\n")
+_REFERENCE_WORD = re.compile(r"\S+")
+
+
+def reference_token_lines(text: str) -> list:
+    """The documented reader of the text formats, by regular expressions:
+    lines end at ``\\n``, ``\\r\\n`` or ``\\r``; words are runs of
+    non-whitespace; a line whose first word starts with ``#`` is a comment.
+    Returns ``[(lineno, [(word, column), ...])]`` for every line with a word
+    that is not a comment, lines and columns counting from 1."""
+    out = []
+    for lineno, raw in enumerate(_REFERENCE_LINE_END.split(text), 1):
+        words = [(m.group(), m.start() + 1)
+                 for m in _REFERENCE_WORD.finditer(raw)]
+        if words and not words[0][0].startswith("#"):
+            out.append((lineno, words))
+    return out
+
+
 # -- graph oracles -------------------------------------------------------------
 
 

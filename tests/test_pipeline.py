@@ -122,6 +122,82 @@ def codes(text):
     return {e.code for e in validate_pipeline(parse_pipeline(text))}
 
 
+# One text that fails every check that a spec with one originator can reach
+# (reachability runs only then), and one with two originators.
+EVERY_CHECK = f"""pipeline order
+
+balance neg -5
+balance big {MAX_AMOUNT + 1}
+balance a {MAX_AMOUNT}
+balance b 1
+
+node origin
+  kind originator
+  template reporting
+  recipient x
+  out main -> split
+  out extra -> ghost
+  on fatal redirect nowhere
+
+node split
+  kind router
+  template distributing
+  out a -> pay
+  out b -> origin
+  config weight a 1
+  on warning redirect pay
+  on recoverable redirect relay
+  on fatal redirect lost
+
+node relay
+  kind router
+  template reporting
+  out next -> pay2
+  config sink s
+
+node split
+  kind endpoint
+  recipient dup
+
+node pay
+  kind endpoint
+  template reporting
+  out z -> pay2
+
+node pay2
+  kind endpoint
+  recipient bob
+
+node bare
+
+node lonely
+  kind router
+  mode direct
+
+node empty
+  kind router
+  template reporting
+"""
+TWO_ORIGINATORS = """pipeline two
+
+node first
+  kind originator
+  out main -> pay
+  out spare -> gone
+
+node second
+  kind originator
+  out main -> first
+
+node pay
+  kind endpoint
+  recipient bob
+
+node stray
+  kind endpoint
+"""
+
+
 class TestParse:
     def test_minimal(self):
         spec = parse_pipeline(MINIMAL)
@@ -374,6 +450,49 @@ node pay
         assert "BadConfig" in codes(base.format(opt_in=""))
         clean = base.format(opt_in="  config allow_single\n")
         assert validate_pipeline(parse_pipeline(clean)) == []
+
+
+    def test_every_check_in_order(self):
+        """The full ordered list, not only the set of codes: checks run in
+        a fixed order, each over the nodes in declaration order."""
+        assert [str(e) for e in validate_pipeline(parse_pipeline(EVERY_CHECK))] == [
+            "BadConfig -: balance for 'neg' must be >= 0",
+            f"BadConfig -: balance for 'big' must be <= {MAX_AMOUNT}",
+            f"BadConfig -: balances sum to more than {MAX_AMOUNT}",
+            "DuplicateId split: node id declared more than once",
+            "UnknownTarget origin: output 'extra' targets unknown node 'ghost'",
+            "UnknownTarget origin: policy redirects to unknown node 'nowhere'",
+            "UnknownTarget split: policy redirects to unknown node 'lost'",
+            "ArityViolation split: output 'b' feeds originator 'origin'",
+            "BadConfig split: redirect target 'relay' must be a goalkeeper "
+            "router or an endpoint",
+            "BadConfig origin: originators take no template",
+            "BadConfig origin: mode and recipient apply to endpoints only",
+            "ArityViolation origin: originator requires exactly 1 output, has 2",
+            "BadConfig pay: endpoints take no template",
+            "ArityViolation pay: endpoint takes no outputs, has 1",
+            "BadConfig pay: endpoint requires recipient",
+            "BadConfig bare: node must declare kind",
+            "BadConfig lonely: mode and recipient apply to endpoints only",
+            "BadConfig lonely: router requires a template",
+            "ArityViolation empty: router requires at least 1 output",
+            "CycleDetected split: cycle via edge split -> origin",
+            "BadConfig split: output 'b' has no share",
+            "BadConfig empty: reporting requires exactly 1 output, has 0",
+            "BadConfig empty: reporting requires a sink label",
+            "UnreachableNode bare: no path from the originator reaches this node",
+            "UnreachableNode lonely: no path from the originator reaches this "
+            "node",
+            "UnreachableNode empty: no path from the originator reaches this node",
+        ]
+        spec = parse_pipeline(TWO_ORIGINATORS)
+        assert [str(e) for e in validate_pipeline(spec)] == [
+            "UnknownTarget first: output 'spare' targets unknown node 'gone'",
+            "MultipleOriginators -: pipeline has 2 originators, needs exactly 1",
+            "ArityViolation second: output 'main' feeds originator 'first'",
+            "ArityViolation first: originator requires exactly 1 output, has 2",
+            "BadConfig stray: endpoint requires recipient",
+        ]
 
 
 class TestInstantiate:
