@@ -30,10 +30,10 @@ def parse_cost_table(text: str) -> CostTable:
     """Cost table file: one ``NAME VALUE`` pair per line, ``#`` comments."""
     known = CostTable.__dataclass_fields__
     mapping: dict[str, int] = {}
-    for lineno, tokens in token_lines(text):
+    for lineno, _, tokens in token_lines(text):
         if len(tokens) != 2:
             raise SpecSyntaxError("cost table lines are NAME VALUE", lineno, 1)
-        (name, _), (value, _) = tokens
+        name, value = tokens
         if name not in known:
             raise SpecSyntaxError(f"unknown cost {name!r}", lineno, 1)
         if name in mapping:

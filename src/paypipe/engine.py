@@ -47,16 +47,17 @@ kind and the payload keys in insertion order) whose kind and keys are plain
 ``str`` needing no escape gets one ``%``-template, with the keys sorted, and an
 ``itemgetter`` for the values. Tx, seq, the emitter and the values print with
 ``%s``, that is with ``str()``, unescaped; tx and seq are ints, for which the
-f-string of ``format_event`` prints the same. Nothing is checked field by
+f-string of ``format_event`` prints the same. Events of any other shape are
+printed by ``format_event`` when they are met. Nothing is checked field by
 field. Instead, for each chunk of 512 lines, the export counts spaces, ``=``,
-``%`` and newlines over the chunk's text: a template line has exactly 3+n
-spaces and 4+n ``=`` and neither of the others, for n keys, unless a field
-needed escaping. It also checks that every kind and key in the chunk is an
-exact ``str`` (an equal ``str`` subclass would find a template built for the
-plain string). A chunk that fails is checked line by line; each failing line
-is printed by ``format_event``, and so are all later events of its shape.
-Events of any other shape go to ``format_event`` directly. The templates live
-only for one call.
+``%`` and newlines over the chunk's text, less what ``format_event`` printed:
+a template line has exactly 3+n spaces and 4+n ``=`` and neither of the
+others, for n keys, unless a field needed escaping. It also checks that every
+kind and key of a template line is an exact ``str`` (an equal ``str`` subclass
+would find a template built for the plain string). A chunk with no template
+line is not checked. A chunk that fails is checked line by line; each failing
+line is printed by ``format_event``, and so are all later events of its shape.
+The templates live only for one call.
 """
 
 from __future__ import annotations
@@ -262,6 +263,31 @@ def _printed_as_is(line: str, ev: EventRecord) -> bool:
             and "%" not in line and "\n" not in line)
 
 
+def _templates_as_is(text: str, chunk: list, lines: list, odd: list) -> bool:
+    """Whether every template line of a chunk is ``format_event``'s, from
+    counts over the chunk's ``text``: a template line has 3+n spaces and 4+n
+    ``=`` for n keys, and no ``%`` or newline, unless a field printed a
+    character to escape. The counts leave out the ``odd`` lines, which
+    ``format_event`` printed. A kind or key that is an equal ``str``
+    subclass found a plain string's template, so every kind and key of a
+    template line must be an exact ``str``."""
+    spaces = equals = percents = 0
+    if odd:
+        skip = set(odd)
+        chunk = [ev for i, ev in enumerate(chunk) if i not in skip]
+        printed = "".join([lines[i] for i in odd])
+        spaces, equals = printed.count(" "), printed.count("=")
+        percents = printed.count("%")
+    types = [*map(type, chain(map(_KIND, chunk), chain.from_iterable(
+        map(_PAYLOAD, chunk))))]  # of every kind and key
+    keys = len(types) - len(chunk)
+    return (text.count(" ") - spaces == 3 * len(chunk) + keys
+            and text.count("=") - equals == 4 * len(chunk) + keys
+            and text.count("%") == percents
+            and text.count("\n") == len(lines) - 1
+            and types.count(str) == len(types))
+
+
 class Engine:
     """Owns the ledger, clock, gas meter, event log, and node registry."""
 
@@ -315,17 +341,17 @@ class Engine:
             self.meter.charge(kind)
 
     def emit(self, kind: str, emitter: str, payload: dict) -> None:
+        # tuple.__new__ is what EventRecord(...) runs, minus one Python call
         tx = self._tx
         if tx is not None:
             events = tx["events"]
-            events.append(EventRecord(tx["id"], len(events), emitter, kind,
-                                      dict(payload)))
+            events.append(tuple.__new__(EventRecord, (
+                tx["id"], len(events), emitter, kind, dict(payload))))
             self.meter.charge("event_emit")
         else:
-            record = EventRecord(SETUP_TX, self._setup_seq, emitter, kind,
-                                 dict(payload))
+            self.events.append(tuple.__new__(EventRecord, (
+                SETUP_TX, self._setup_seq, emitter, kind, dict(payload))))
             self._setup_seq += 1
-            self.events.append(record)
 
     # -- transaction machinery ---------------------------------------------
 
@@ -565,9 +591,10 @@ class Engine:
         events, templates, chunks = self.events, {}, []
         for start in range(0, len(events), _CHUNK):
             chunk = events[start:start + _CHUNK]
-            lines, odd = [], []  # odd: positions format_event prints
+            lines, odd = [], []  # odd: positions format_event printed
             append = lines.append
-            for tx_id, seq, emitter, kind, payload in chunk:
+            for ev in chunk:
+                tx_id, seq, emitter, kind, payload = ev
                 try:
                     template, values = templates[kind, *payload]
                 except KeyError:
@@ -577,31 +604,17 @@ class Engine:
                     template = None
                 if template is None:
                     odd.append(len(lines))
-                    append("")
+                    append(format_event(ev))
                 else:
                     append(template % (tx_id, seq, emitter, *values(payload)))
             text = "\n".join(lines)
-            # A template line has 3+n spaces and 4+n "=" for n keys, and no
-            # "%" or newline, unless a field printed a character to escape;
-            # the lines format_event prints are still empty. A kind or key
-            # that is an equal str subclass found a plain string's template,
-            # so every kind and key must be an exact str.
-            types = [*map(type, chain(map(_KIND, chunk), chain.from_iterable(
-                map(_PAYLOAD, chunk))))]  # of every kind and key
-            keys = len(types) - len(chunk) - \
-                sum(len(chunk[i][4]) for i in odd)
-            printed = len(lines) - len(odd)
-            if (text.count(" ") != 3 * printed + keys
-                    or text.count("=") != 4 * printed + keys
-                    or "%" in text or text.count("\n") != len(lines) - 1
-                    or types.count(str) != len(types)):
+            if len(odd) < len(lines) and \
+                    not _templates_as_is(text, chunk, lines, odd):
+                skip = set(odd)
                 for i, line in enumerate(lines):
-                    if line and not _printed_as_is(line, chunk[i]):
+                    if i not in skip and not _printed_as_is(line, chunk[i]):
                         templates[chunk[i][3], *chunk[i][4]] = None, None
-                        odd.append(i)
-            if odd:
-                for i in odd:
-                    lines[i] = format_event(chunk[i])
+                        lines[i] = format_event(chunk[i])
                 text = "\n".join(lines)
             chunks.append(text)
         chunks.append("")

@@ -52,7 +52,9 @@ from .nodes import (
 from .templates import TEMPLATES, make_template
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-_TOKEN_RE = re.compile(r"\S+")
+
+# A line of text as ``token_lines`` yields it: (lineno, raw text, words).
+_Line = tuple[int, str, list[str]]
 
 _KINDS = ("originator", "router", "endpoint")
 _MODES = ("direct", "claimable")
@@ -90,19 +92,41 @@ class ValidationError:
         return f"{self.code} {self.node_id}: {self.message}"
 
 
-def token_lines(text: str) -> Iterator[tuple[int, list[tuple[str, int]]]]:
-    """The line reader of every text format: yields ``(lineno, [(token,
-    col), ...])`` for each line that is neither blank nor a ``#`` comment.
-    Tokens are whitespace separated; lines and columns count from 1."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = [(m.group(), m.start() + 1) for m in _TOKEN_RE.finditer(raw)]
-        if tokens and not tokens[0][0].startswith("#"):
-            yield lineno, tokens
+def token_lines(text: str) -> Iterator[_Line]:
+    """The line reader of every text format: yields ``(lineno, raw,
+    words)`` for each line that is neither blank nor a ``#`` comment. Lines
+    end at ``\\n``, ``\\r\\n`` or ``\\r`` and count from 1; words are
+    split at whitespace as by ``str.split()``. ``column`` finds a word's
+    column."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        words = raw.split()
+        if words and words[0][0] != "#":
+            yield lineno, raw, words
 
 
-def _check_name(token: str, what: str, line: int, col: int) -> str:
+def column(line: _Line, i: int) -> int:
+    """The column of word ``i`` of a ``token_lines`` line, counting
+    characters from 1 (a tab counts as one). Each word is searched for from
+    the end of the one before it, so a repeated word is found at its own
+    position."""
+    _, raw, words = line
+    pos = 0
+    for word in words[:i]:
+        pos = raw.find(word, pos) + len(word)
+    return raw.find(words[i], pos) + 1
+
+
+def syntax_error(message: str, line: _Line, i: int) -> SpecSyntaxError:
+    """A syntax error at word ``i`` of a ``token_lines`` line."""
+    return SpecSyntaxError(message, line[0], column(line, i))
+
+
+def _check_name(what: str, line: _Line, i: int) -> str:
+    token = line[2][i]
     if not _NAME_RE.match(token):
-        raise SpecSyntaxError(f"bad {what} {token!r}", line, col)
+        raise syntax_error(f"bad {what} {token!r}", line, i)
     return token
 
 
@@ -112,136 +136,127 @@ def parse_pipeline(text: str) -> PipelineSpec:
     node: Optional[NodeSpec] = None
     out_tags: set[str] = set()  # output tags of the current node block
 
-    for lineno, tokens in token_lines(text):
-        head, hcol = tokens[0]
+    for line in token_lines(text):
+        tokens = line[2]
+        head = tokens[0]
 
         if head == "pipeline":
             if spec is not None:
-                raise SpecSyntaxError("duplicate pipeline header", lineno, hcol)
+                raise syntax_error("duplicate pipeline header", line, 0)
             if len(tokens) != 2:
-                raise SpecSyntaxError("pipeline takes a name", lineno, hcol)
-            name = _check_name(tokens[1][0], "pipeline name", lineno, tokens[1][1])
-            spec = PipelineSpec(name=name)
+                raise syntax_error("pipeline takes a name", line, 0)
+            spec = PipelineSpec(name=_check_name("pipeline name", line, 1))
             continue
 
         if spec is None:
-            raise SpecSyntaxError("expected a pipeline header first", lineno, hcol)
+            raise syntax_error("expected a pipeline header first", line, 0)
 
         if head == "balance":
             node = None
             if len(tokens) != 3:
-                raise SpecSyntaxError("balance takes an account and an amount",
-                                      lineno, hcol)
-            account = tokens[1][0]
+                raise syntax_error("balance takes an account and an amount",
+                                   line, 0)
+            account = tokens[1]
             try:
-                amount = int(tokens[2][0], 10)
+                amount = int(tokens[2], 10)
             except ValueError:
-                raise SpecSyntaxError(
-                    f"balance amount must be an integer, got {tokens[2][0]!r}",
-                    lineno, tokens[2][1]) from None
+                raise syntax_error(
+                    f"balance amount must be an integer, got {tokens[2]!r}",
+                    line, 2) from None
             if account in spec.balances:
-                raise SpecSyntaxError(f"duplicate balance for {account!r}",
-                                      lineno, tokens[1][1])
+                raise syntax_error(f"duplicate balance for {account!r}",
+                                   line, 1)
             spec.balances[account] = amount
             continue
 
         if head == "node":
             if len(tokens) != 2:
-                raise SpecSyntaxError("node takes an id", lineno, hcol)
-            nid = _check_name(tokens[1][0], "node id", lineno, tokens[1][1])
-            node = NodeSpec(id=nid, line=lineno)
+                raise syntax_error("node takes an id", line, 0)
+            node = NodeSpec(id=_check_name("node id", line, 1), line=line[0])
             out_tags = set()
             spec.nodes.append(node)
             continue
 
         # everything else is a field line of the current node block
         if node is None:
-            raise SpecSyntaxError(f"{head!r} outside a node block", lineno, hcol)
+            raise syntax_error(f"{head!r} outside a node block", line, 0)
 
         if head == "kind":
-            if len(tokens) != 2 or tokens[1][0] not in _KINDS:
-                raise SpecSyntaxError(
-                    "kind must be originator, router, or endpoint", lineno, hcol)
+            if len(tokens) != 2 or tokens[1] not in _KINDS:
+                raise syntax_error(
+                    "kind must be originator, router, or endpoint", line, 0)
             if node.kind is not None:
-                raise SpecSyntaxError("duplicate kind", lineno, hcol)
-            node.kind = tokens[1][0]
+                raise syntax_error("duplicate kind", line, 0)
+            node.kind = tokens[1]
         elif head == "template":
             if len(tokens) != 2:
-                raise SpecSyntaxError("template takes a name", lineno, hcol)
-            tname, tcol = tokens[1]
+                raise syntax_error("template takes a name", line, 0)
+            tname = tokens[1]
             if tname not in TEMPLATES:
-                raise SpecSyntaxError(f"unknown template {tname!r}", lineno, tcol)
+                raise syntax_error(f"unknown template {tname!r}", line, 1)
             if node.template is not None:
-                raise SpecSyntaxError("duplicate template", lineno, hcol)
+                raise syntax_error("duplicate template", line, 0)
             node.template = tname
             node.config = TEMPLATES[tname].empty_config()
         elif head == "out":
-            if len(tokens) != 4 or tokens[2][0] != "->":
-                raise SpecSyntaxError("out syntax: out TAG -> TARGET", lineno, hcol)
-            tag = _check_name(tokens[1][0], "output tag", lineno, tokens[1][1])
-            target = _check_name(tokens[3][0], "target id", lineno, tokens[3][1])
+            if len(tokens) != 4 or tokens[2] != "->":
+                raise syntax_error("out syntax: out TAG -> TARGET", line, 0)
+            tag = _check_name("output tag", line, 1)
+            target = _check_name("target id", line, 3)
             if tag in out_tags:
-                raise SpecSyntaxError(f"duplicate output tag {tag!r}", lineno,
-                                      tokens[1][1])
+                raise syntax_error(f"duplicate output tag {tag!r}", line, 1)
             out_tags.add(tag)
             node.outputs.append((tag, target))
         elif head == "config":
             if len(tokens) < 2:
-                raise SpecSyntaxError("config takes a key", lineno, hcol)
+                raise syntax_error("config takes a key", line, 0)
             if node.template is None:
-                raise SpecSyntaxError(
-                    "config requires a template declared first", lineno, hcol)
+                raise syntax_error(
+                    "config requires a template declared first", line, 0)
             try:
-                TEMPLATES[node.template].parse_config_line(
-                    node.config, [t for t, _ in tokens[1:]])
+                TEMPLATES[node.template].parse_config_line(node.config,
+                                                           tokens[1:])
             except ValueError as err:
-                raise SpecSyntaxError(str(err), lineno, tokens[1][1]) from None
+                raise syntax_error(str(err), line, 1) from None
         elif head == "on":
             if len(tokens) < 3:
-                raise SpecSyntaxError(
-                    "on syntax: on SEVERITY ACTION [TARGET]", lineno, hcol)
-            sev_tok, sev_col = tokens[1]
+                raise syntax_error(
+                    "on syntax: on SEVERITY ACTION [TARGET]", line, 0)
+            sev_tok, act_tok = tokens[1], tokens[2]
             if sev_tok not in _SEVERITIES:
-                raise SpecSyntaxError(
-                    "severity must be warning, recoverable, or fatal",
-                    lineno, sev_col)
-            act_tok, act_col = tokens[2]
+                raise syntax_error(
+                    "severity must be warning, recoverable, or fatal", line, 1)
             if act_tok not in _ACTIONS:
-                raise SpecSyntaxError(
+                raise syntax_error(
                     "action must be proceed, hold, refund, or redirect",
-                    lineno, act_col)
+                    line, 2)
             severity = _SEVERITIES[sev_tok]
             action = _ACTIONS[act_tok]
             if action is PolicyAction.REDIRECT:
                 if len(tokens) != 4:
-                    raise SpecSyntaxError("redirect takes a target node",
-                                          lineno, act_col)
-                target = _check_name(tokens[3][0], "redirect target", lineno,
-                                     tokens[3][1])
+                    raise syntax_error("redirect takes a target node", line, 2)
+                target = _check_name("redirect target", line, 3)
             else:
                 if len(tokens) != 3:
-                    raise SpecSyntaxError(f"{act_tok} takes no target", lineno,
-                                          tokens[3][1])
+                    raise syntax_error(f"{act_tok} takes no target", line, 3)
                 target = None
             if severity in node.policy:
-                raise SpecSyntaxError(f"duplicate policy for {sev_tok}",
-                                      lineno, sev_col)
+                raise syntax_error(f"duplicate policy for {sev_tok}", line, 1)
             node.policy[severity] = (action, target)
         elif head == "mode":
-            if len(tokens) != 2 or tokens[1][0] not in _MODES:
-                raise SpecSyntaxError("mode must be direct or claimable",
-                                      lineno, hcol)
+            if len(tokens) != 2 or tokens[1] not in _MODES:
+                raise syntax_error("mode must be direct or claimable", line, 0)
             if node.mode is not None:
-                raise SpecSyntaxError("duplicate mode", lineno, hcol)
-            node.mode = tokens[1][0]
+                raise syntax_error("duplicate mode", line, 0)
+            node.mode = tokens[1]
         elif head == "recipient":
             if len(tokens) != 2:
-                raise SpecSyntaxError("recipient takes one account", lineno, hcol)
+                raise syntax_error("recipient takes one account", line, 0)
             if node.recipient is not None:
-                raise SpecSyntaxError("duplicate recipient", lineno, hcol)
-            node.recipient = tokens[1][0]
+                raise syntax_error("duplicate recipient", line, 0)
+            node.recipient = tokens[1]
         else:
-            raise SpecSyntaxError(f"unknown directive {head!r}", lineno, hcol)
+            raise syntax_error(f"unknown directive {head!r}", line, 0)
 
     if spec is None:
         raise SpecSyntaxError("missing pipeline header", 1, 1)
@@ -256,23 +271,16 @@ def parse_pipeline(text: str) -> PipelineSpec:
 
 def _policy_targets(node: NodeSpec) -> list[str]:
     """Redirect targets in ascending severity order."""
-    return [
-        node.policy[sev][1]
-        for sev in sorted(node.policy)
-        if node.policy[sev][0] is PolicyAction.REDIRECT
-    ]
-
-
-def _neighbors(node: NodeSpec, known: set) -> list[str]:
-    """Successors along declared outputs then redirect edges, declaration order."""
-    targets = [target for _, target in node.outputs]
-    targets += _policy_targets(node)
-    return [target for target in dict.fromkeys(targets) if target in known]
+    policy = node.policy
+    if not policy:
+        return []
+    return [policy[sev][1] for sev in sorted(policy)
+            if policy[sev][0] is PolicyAction.REDIRECT]
 
 
 def _find_cycle(successors: dict) -> Optional[tuple[str, str]]:
     """First back edge found by depth-first search, or None if acyclic;
-    ``successors`` maps each node id to its ``_neighbors``."""
+    ``successors`` maps each node id to the ids its edges lead to."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {nid: WHITE for nid in successors}
     for root in successors:
@@ -320,6 +328,7 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
             err("DuplicateId", node.id, "node id declared more than once")
         else:
             nodes[node.id] = node
+    redirects = {nid: _policy_targets(node) for nid, node in nodes.items()}
 
     # unknown targets
     for node in nodes.values():
@@ -327,7 +336,7 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
             if target not in nodes:
                 err("UnknownTarget", node.id,
                     f"output {tag!r} targets unknown node {target!r}")
-        for target in _policy_targets(node):
+        for target in redirects[node.id]:
             if target not in nodes:
                 err("UnknownTarget", node.id,
                     f"policy redirects to unknown node {target!r}")
@@ -348,7 +357,7 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
 
     # diverted funds must land somewhere terminal, not re-enter routing
     for node in nodes.values():
-        for target in _policy_targets(node):
+        for target in redirects[node.id]:
             tgt = nodes.get(target)
             if tgt is None:
                 continue
@@ -392,9 +401,14 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
                 err("ArityViolation", node.id,
                     "router requires at least 1 output")
 
-    # cycles over declared and redirect edges
-    known = set(nodes)
-    successors = {nid: _neighbors(node, known) for nid, node in nodes.items()}
+    # cycles over declared and redirect edges, outputs first; a target an
+    # output names twice is met twice, which neither walk below minds
+    successors = {}
+    for nid, node in nodes.items():
+        targets = [target for _, target in node.outputs]
+        if redirects[nid]:
+            targets = list(dict.fromkeys(targets + redirects[nid]))
+        successors[nid] = [target for target in targets if target in nodes]
     back_edge = _find_cycle(successors)
     if back_edge is not None:
         frm, to = back_edge

@@ -64,7 +64,7 @@ class Not:
     item: object
 
 
-_TOKEN_RE = re.compile(
+_LEXEME_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<str>"[^"\n]*")
@@ -83,7 +83,7 @@ def _tokenize(text: str, line: int, col_offset: int) -> list[tuple[str, str, int
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = _LEXEME_RE.match(text, pos)
         if m is None:
             raise SpecSyntaxError(
                 f"bad character {text[pos]!r} in predicate", line, col_offset + pos + 1

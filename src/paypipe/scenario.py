@@ -34,7 +34,7 @@ from .engine import Engine, TxResult
 from .errors import SpecSyntaxError
 from .ledger import MAX_AMOUNT
 from .nodes import node_address
-from .pipeline import token_lines
+from .pipeline import syntax_error, token_lines
 
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
@@ -65,24 +65,26 @@ class ScenarioResult:
     transactions: list
 
 
-def _int_arg(tokens, i, what, lineno):
-    tok, col = tokens[i]
+def _int_arg(line, i, what):
+    tok = line[2][i]
     if not _INT_RE.match(tok):
-        raise SpecSyntaxError(f"{what} must be an integer, got {tok!r}", lineno, col)
+        raise syntax_error(f"{what} must be an integer, got {tok!r}", line, i)
     return int(tok)
 
 
-def _metadata(tokens, lineno):
+def _metadata(line, start):
+    """The ``key=value`` words of ``line`` from word ``start`` on."""
     meta = {}
-    for tok, col in tokens:
+    for i in range(start, len(line[2])):
+        tok = line[2][i]
         if "=" not in tok:
-            raise SpecSyntaxError(f"metadata must be key=value, got {tok!r}",
-                                  lineno, col)
+            raise syntax_error(f"metadata must be key=value, got {tok!r}",
+                               line, i)
         key, _, value = tok.partition("=")
         if not key:
-            raise SpecSyntaxError("metadata key is empty", lineno, col)
+            raise syntax_error("metadata key is empty", line, i)
         if key in meta:
-            raise SpecSyntaxError(f"duplicate metadata key {key!r}", lineno, col)
+            raise syntax_error(f"duplicate metadata key {key!r}", line, i)
         meta[key] = int(value) if _INT_RE.match(value) else value
     return meta
 
@@ -91,79 +93,75 @@ def parse_scenario(text: str) -> Scenario:
     scenario: Optional[Scenario] = None
     pending: Optional[tuple[str, int]] = None  # (code|"any", line of expect)
 
-    for lineno, tokens in token_lines(text):
-        head, hcol = tokens[0]
+    for line in token_lines(text):
+        lineno, _, tokens = line
+        head = tokens[0]
 
         if head == "scenario":
             if scenario is not None:
-                raise SpecSyntaxError("duplicate scenario header", lineno, hcol)
+                raise syntax_error("duplicate scenario header", line, 0)
             if len(tokens) != 2:
-                raise SpecSyntaxError("scenario takes a name", lineno, hcol)
-            scenario = Scenario(name=tokens[1][0])
+                raise syntax_error("scenario takes a name", line, 0)
+            scenario = Scenario(name=tokens[1])
             continue
         if scenario is None:
-            raise SpecSyntaxError("expected a scenario header first", lineno, hcol)
+            raise syntax_error("expected a scenario header first", line, 0)
 
         if pending is not None and head not in _TX_STEPS:
-            raise SpecSyntaxError(
+            raise syntax_error(
                 "expect revert must precede deposit, instruct, or claim",
-                lineno, hcol)
+                line, 0)
 
         if head == "expect":
-            if len(tokens) < 2 or tokens[1][0] != "revert" or len(tokens) > 3:
-                raise SpecSyntaxError("expect syntax: expect revert [CODE]",
-                                      lineno, hcol)
-            pending = (tokens[2][0] if len(tokens) == 3 else "any", lineno)
+            if len(tokens) < 2 or tokens[1] != "revert" or len(tokens) > 3:
+                raise syntax_error("expect syntax: expect revert [CODE]",
+                                   line, 0)
+            pending = (tokens[2] if len(tokens) == 3 else "any", lineno)
         elif head == "approve":
             if len(tokens) != 4:
-                raise SpecSyntaxError(
-                    "approve syntax: approve ACCOUNT NODE AMOUNT", lineno, hcol)
-            amount = _int_arg(tokens, 3, "amount", lineno)
+                raise syntax_error(
+                    "approve syntax: approve ACCOUNT NODE AMOUNT", line, 0)
+            amount = _int_arg(line, 3, "amount")
             if amount < 0:
-                raise SpecSyntaxError("amount must be >= 0", lineno,
-                                      tokens[3][1])
+                raise syntax_error("amount must be >= 0", line, 3)
             if amount > MAX_AMOUNT:
-                raise SpecSyntaxError(f"amount must be <= {MAX_AMOUNT}",
-                                      lineno, tokens[3][1])
+                raise syntax_error(f"amount must be <= {MAX_AMOUNT}", line, 3)
             scenario.steps.append(Step("approve", lineno, {
-                "account": tokens[1][0], "node": tokens[2][0],
-                "amount": amount}))
+                "account": tokens[1], "node": tokens[2], "amount": amount}))
         elif head == "deposit":
             if len(tokens) < 3:
-                raise SpecSyntaxError(
+                raise syntax_error(
                     "deposit syntax: deposit ACCOUNT AMOUNT [k=v ...]",
-                    lineno, hcol)
+                    line, 0)
             step = Step("deposit", lineno, {
-                "account": tokens[1][0],
-                "amount": _int_arg(tokens, 2, "amount", lineno),
-                "metadata": _metadata(tokens[3:], lineno)})
+                "account": tokens[1],
+                "amount": _int_arg(line, 2, "amount"),
+                "metadata": _metadata(line, 3)})
             scenario.steps.append(step)
         elif head == "advance":
             if len(tokens) != 2:
-                raise SpecSyntaxError("advance takes a time delta", lineno, hcol)
-            delta = _int_arg(tokens, 1, "delta", lineno)
+                raise syntax_error("advance takes a time delta", line, 0)
+            delta = _int_arg(line, 1, "delta")
             if delta < 0:
-                raise SpecSyntaxError("delta must be >= 0", lineno, tokens[1][1])
+                raise syntax_error("delta must be >= 0", line, 1)
             scenario.steps.append(Step("advance", lineno, {"delta": delta}))
         elif head == "instruct":
             if len(tokens) != 5:
-                raise SpecSyntaxError(
+                raise syntax_error(
                     "instruct syntax: instruct NODE ORACLE TAG AMOUNT",
-                    lineno, hcol)
+                    line, 0)
             scenario.steps.append(Step("instruct", lineno, {
-                "node": tokens[1][0], "oracle": tokens[2][0],
-                "tag": tokens[3][0],
-                "amount": _int_arg(tokens, 4, "amount", lineno)}))
+                "node": tokens[1], "oracle": tokens[2], "tag": tokens[3],
+                "amount": _int_arg(line, 4, "amount")}))
         elif head == "claim":
             if len(tokens) != 3:
-                raise SpecSyntaxError("claim syntax: claim NODE ACCOUNT",
-                                      lineno, hcol)
+                raise syntax_error("claim syntax: claim NODE ACCOUNT", line, 0)
             scenario.steps.append(Step("claim", lineno, {
-                "node": tokens[1][0], "account": tokens[2][0]}))
+                "node": tokens[1], "account": tokens[2]}))
         elif head == "assert":
-            scenario.steps.append(_parse_assert(tokens, lineno, hcol))
+            scenario.steps.append(_parse_assert(line))
         else:
-            raise SpecSyntaxError(f"unknown action {head!r}", lineno, hcol)
+            raise syntax_error(f"unknown action {head!r}", line, 0)
 
         if pending is not None and head in _TX_STEPS:
             scenario.steps[-1].expect = pending[0]
@@ -177,38 +175,34 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _parse_assert(tokens, lineno, hcol) -> Step:
+def _parse_assert(line) -> Step:
+    lineno, _, tokens = line
     if len(tokens) < 2:
-        raise SpecSyntaxError("assert takes a subject", lineno, hcol)
-    what = tokens[1][0]
+        raise syntax_error("assert takes a subject", line, 0)
+    what = tokens[1]
     if what == "balance":
         if len(tokens) != 4:
-            raise SpecSyntaxError("assert balance ACCOUNT AMOUNT", lineno, hcol)
+            raise syntax_error("assert balance ACCOUNT AMOUNT", line, 0)
         return Step("assert_balance", lineno, {
-            "account": tokens[2][0],
-            "amount": _int_arg(tokens, 3, "amount", lineno)})
+            "account": tokens[2], "amount": _int_arg(line, 3, "amount")})
     if what == "held":
         if len(tokens) != 4:
-            raise SpecSyntaxError("assert held NODE AMOUNT", lineno, hcol)
+            raise syntax_error("assert held NODE AMOUNT", line, 0)
         return Step("assert_held", lineno, {
-            "node": tokens[2][0],
-            "amount": _int_arg(tokens, 3, "amount", lineno)})
+            "node": tokens[2], "amount": _int_arg(line, 3, "amount")})
     if what == "claimable":
         if len(tokens) != 5:
-            raise SpecSyntaxError("assert claimable NODE ACCOUNT AMOUNT",
-                                  lineno, hcol)
+            raise syntax_error("assert claimable NODE ACCOUNT AMOUNT", line, 0)
         return Step("assert_claimable", lineno, {
-            "node": tokens[2][0], "account": tokens[3][0],
-            "amount": _int_arg(tokens, 4, "amount", lineno)})
+            "node": tokens[2], "account": tokens[3],
+            "amount": _int_arg(line, 4, "amount")})
     if what == "events":
         if len(tokens) != 4:
-            raise SpecSyntaxError("assert events KIND COUNT", lineno, hcol)
+            raise syntax_error("assert events KIND COUNT", line, 0)
         return Step("assert_events", lineno, {
-            "kind": tokens[2][0],
-            "count": _int_arg(tokens, 3, "count", lineno)})
-    raise SpecSyntaxError(
-        "assert subject must be balance, held, claimable, or events",
-        lineno, tokens[1][1])
+            "kind": tokens[2], "count": _int_arg(line, 3, "count")})
+    raise syntax_error(
+        "assert subject must be balance, held, claimable, or events", line, 1)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -56,6 +56,18 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_form_feed_in_a_comment_ends_no_line(self, tmp_path, capsys):
+        text = GOOD_PIPE.replace("\n\nnode origin",
+                                 "\n# page break \f here\nnode origin")
+        assert text.split("\n")[3] == "# page break \f here"
+        path = write(tmp_path, "paged.pipe", text)
+        assert main(["validate", path]) == 0
+        bad = write(tmp_path, "bad.pipe", text + "  colour blue\n")
+        assert main(["validate", bad]) == 2
+        line = len(text.split("\n"))
+        assert capsys.readouterr().err == \
+            f"{bad}:{line}:3: unknown directive 'colour'\n"
+
     def test_canonical_prints_normalized_text(self, tmp_path, capsys):
         path = write(tmp_path, "good.pipe", GOOD_PIPE)
         assert main(["validate", path, "--canonical"]) == 0

@@ -210,6 +210,24 @@ def test_lines_needing_escaping_under_many_shapes():
     check(events)
 
 
+def test_lines_format_event_prints_leave_their_chunk_unchecked(monkeypatch):
+    """The chunk check counts only template lines, so kinds and keys that
+    need escaping, int keys and unhashable kinds, which ``format_event``
+    prints, send no chunk to the line-by-line check."""
+    def line_by_line(line, event):
+        raise AssertionError("a chunk was checked line by line")
+
+    monkeypatch.setattr(engine_module, "_printed_as_is", line_by_line)
+    events = []
+    for i in range(1300):
+        events.append(ev({"to": "b", "amount": i}, tx=i))
+        events.append(ev({"t o=%\n": "b c", "amount": i}, kind="Se nt=%", tx=i))
+        events.append(ev({1: "a b"}, tx=i))
+        events.append((i, 0, "node:a", ["Sent"], {"to": "b=c"}))
+    check(events)
+    check(events[1::4])  # chunks with no template line
+
+
 # -- no state survives an export ------------------------------------------------
 
 

@@ -23,7 +23,7 @@ import pytest
 from paypipe.cli import parse_cost_table
 from paypipe.errors import SpecSyntaxError
 from paypipe.ledger import MAX_AMOUNT
-from paypipe.pipeline import parse_pipeline, token_lines
+from paypipe.pipeline import column, parse_pipeline, token_lines
 from paypipe.scenario import parse_scenario
 
 from support import random_pipeline_text, reference_token_lines
@@ -295,7 +295,9 @@ def test_every_bad_line_is_tab_indented_with_a_wide_separator():
 
 def read(text):
     """``token_lines(text)`` as ``[(lineno, [(word, column), ...])]``."""
-    return [(lineno, list(tokens)) for lineno, tokens in token_lines(text)]
+    return [(line[0], [(word, column(line, i))
+                       for i, word in enumerate(line[2])])
+            for line in token_lines(text)]
 
 
 def fixture_texts():
@@ -303,10 +305,14 @@ def fixture_texts():
             for path in sorted(FIXTURES.iterdir())]
 
 
+# Characters ``str.splitlines()`` ends a line at and the reader does not.
+NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029")
+
 # What a mutation may insert: separators, indentation, a comment mark and
 # characters that name nothing.
 _INSERTS = ("\t", " ", "\u00a0", "\u3000", "\x1f", "#", "  ", "\n", "\r\n",
-            "\r", "x", "->", "=", "\u00e9")
+            "\r", "x", "->", "=", "\u00e9", *NOT_LINE_ENDS)
 
 
 def mutate(rng: random.Random, text: str) -> str:
@@ -370,3 +376,40 @@ def test_split_and_the_word_pattern_agree_on_every_code_point():
     for code in range(sys.maxunicode + 1):
         char = chr(code)
         assert char.isspace() == (space.match(char) is not None), hex(code)
+
+
+# -- line ends --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_lines_end_at_newline_crlf_and_cr(end):
+    text = end.join(["pipeline p", "", "# note", "node n", "  colour blue", ""])
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse_pipeline(text)
+    assert (exc.value.message, exc.value.line, exc.value.column) == \
+        ("unknown directive 'colour'", 5, 3)
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS,
+                         ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+class TestCharactersThatEndNoLine:
+    def test_a_comment_holding_it_stays_one_comment(self, char):
+        text = f"pipeline p\n\nnode n\n# page break {char} here\n  colour blue\n"
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_pipeline(text)
+        assert (exc.value.message, exc.value.line, exc.value.column) == \
+            ("unknown directive 'colour'", 5, 3)
+
+    def test_it_separates_words(self, char):
+        spec = parse_pipeline(f"pipeline p\nbalance{char}acme{char}7\n")
+        assert spec.balances == {"acme": 7}
+        line = next(token_lines(f"a{char}b{char}b\n"))
+        assert line[2] == ["a", "b", "b"]
+        assert [column(line, i) for i in range(3)] == [1, 3, 5]
+
+    def test_in_every_format(self, char):
+        scenario = parse_scenario(f"scenario s\n# a {char} b\nadvance{char}3\n")
+        assert [(s.kind, s.line, s.args) for s in scenario.steps] == \
+            [("advance", 3, {"delta": 3})]
+        table = parse_cost_table(f"# a {char} b\nledger_write{char}7\n")
+        assert table.ledger_write == 7
