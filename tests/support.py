@@ -105,6 +105,19 @@ def reference_token_lines(text: str) -> list:
     return out
 
 
+# -- due-release oracle ----------------------------------------------------------
+
+
+def reference_due_releases(released, start, period, now):
+    """``(due, k)`` of every pending release whose due time
+    ``start + k * period`` has come by ``now``, checking every flag."""
+    return [
+        (start + k * period, k)
+        for k, done in enumerate(released)
+        if not done and start + k * period <= now
+    ]
+
+
 # -- graph oracles -------------------------------------------------------------
 
 

@@ -17,7 +17,7 @@ HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden"
 PAIRS = ("error_hold", "error_proceed", "error_redirect", "error_refund",
-         "flows", "payroll")
+         "flows", "holes", "payroll")
 
 
 @pytest.mark.parametrize("name", PAIRS)

@@ -300,6 +300,27 @@ class TestStructuralCopy:
         assert copied == {"a": [1], "b": [1]}
         assert copied["a"] is not copied["b"]
 
+    def test_flat_list_is_a_new_list_sharing_its_items(self):
+        flags = [10**30, "x" * 40, True, None, False, -7]
+        copied = _copy_value(flags)
+        assert copied == flags and copied is not flags
+        assert all(a is b for a, b in zip(copied, flags))
+        copied[2] = False
+        assert flags[2] is True
+        assert _copy_value([]) == []
+
+    class Flag(int):
+        pass
+
+    @pytest.mark.parametrize("item", [Flag(1), 1.5, (1, 2)],
+                             ids=["int-subclass", "float", "tuple"])
+    def test_list_with_another_item_takes_the_deepcopy_path(self, item):
+        state = {"released": [False, item, True]}
+        with pytest.raises(_NotPlain):
+            _copy_value(state)
+        copied = _copy_state(state)
+        assert copied == state and copied["released"] is not state["released"]
+
     def test_state_that_contains_itself_takes_the_deepcopy_path(self):
         state = {"loop": []}
         state["loop"].append(state)
