@@ -25,7 +25,7 @@ from typing import Optional
 from .engine import CostTable, Engine
 from .errors import EngineError, ObservableMismatch, ZeroAmount
 from .ledger import NULL_ADDRESS
-from .nodes import Node, NodeKind
+from .nodes import Node, NodeKind, schedule_due, schedule_next_due
 from .pipeline import PipelineSpec, instantiate, parse_pipeline
 from .templates import apportion
 
@@ -137,11 +137,10 @@ class MonolithicPayroll(Node):
         raise EngineError("monolithic payroll takes no streams")
 
     def due_releases(self, now):
-        return [
-            (START + k * PERIOD, k)
-            for k, done in enumerate(self.state["released"])
-            if not done and START + k * PERIOD <= now
-        ]
+        return schedule_due(self.state["released"], START, PERIOD, now)
+
+    def next_due(self):
+        return schedule_next_due(self.state["released"], START, PERIOD)
 
     def crank(self, k, due):
         self.engine.charge("config_read")

@@ -37,9 +37,12 @@ identical event logs and gas logs; the text exports below are byte-stable.
 
 Advancing the clock asks only the nodes that have a release due for their
 releases: a heap holds one ``(earliest pending due, node id)`` entry per node
-with a pending release. A node's schedule changes only inside a transaction
-that touched it, so the entries of the nodes a commit touched are recomputed
-before the next advance.
+with a pending release. The due index holds only nodes with a schedule (a
+node's ``scheduled``: its class, or a router's template class, overrides
+``due_releases``); no other node is ever asked ``next_due``. A node's
+schedule changes only inside a transaction that touched it, so the entries of
+the scheduled nodes a commit touched are recomputed before the next advance,
+and an advance with nothing stale does not reindex.
 
 ``format_event`` defines a line of the ``--trace`` export; ``trace_text``
 prints the same lines from templates. Within one export, each event shape (the
@@ -166,6 +169,7 @@ def _esc(value) -> str:
 
 # Values a copy of a node state may share with the original.
 _IMMUTABLE = (int, str, bool, type(None))
+_IMMUTABLE_SET = frozenset(_IMMUTABLE)
 
 
 class _NotPlain(Exception):
@@ -178,6 +182,10 @@ def _copy_value(value):
     if cls in _IMMUTABLE:
         return value
     if cls is list:
+        # a list of shareable items only, checked at C speed up to the first
+        # other item, is copied whole
+        if _IMMUTABLE_SET.issuperset(map(type, value)):
+            return value.copy()
         return [item if item.__class__ in _IMMUTABLE else _copy_value(item)
                 for item in value]
     if cls is dict:
@@ -310,10 +318,12 @@ class Engine:
         # Due index: heap of (earliest pending due, node id); _due_at holds
         # each indexed node's current key, so heap entries that disagree with
         # it are stale and skipped. Nodes in _due_stale get their key
-        # recomputed before the next advance.
+        # recomputed before the next advance. Only the ids in _scheduled,
+        # the nodes with a schedule, enter any of them.
         self._due_heap: list[tuple[int, str]] = []
         self._due_at: dict[str, int] = {}
         self._due_stale: set[str] = set()
+        self._scheduled: set[str] = set()
 
     # -- assembly ------------------------------------------------------------
 
@@ -324,7 +334,9 @@ class Engine:
         node.engine = self
         self.nodes[node.id] = node
         self.edges.update((node.id, target) for _, target in node.outputs)
-        self._due_stale.add(node.id)
+        if node.scheduled:
+            self._scheduled.add(node.id)
+            self._due_stale.add(node.id)
         return node
 
     def set_entry(self, node_id: str) -> None:
@@ -399,7 +411,7 @@ class Engine:
             raise
         else:
             self.ledger.commit()
-            self._due_stale.update(self._touched)
+            self._due_stale.update(self._scheduled.intersection(self._touched))
         finally:
             events = tuple(self._tx["events"])
             self._tx = None
@@ -461,7 +473,8 @@ class Engine:
             raise ValueError("time cannot move backwards")
         self.now += delta
         now, heap, due_at = self.now, self._due_heap, self._due_at
-        self._reindex()
+        if self._due_stale:
+            self._reindex()
         entries = []
         while heap and heap[0][0] <= now:
             due, node_id = heapq.heappop(heap)

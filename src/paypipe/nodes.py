@@ -33,6 +33,36 @@ def earliest_due(releases: list[tuple[int, int]]) -> Optional[int]:
     return min(due for due, _ in releases) if releases else None
 
 
+def schedule_due(released: list[bool], start: int, period: int,
+                 now) -> list[tuple[int, int]]:
+    """``(due, k)`` of every pending release of a schedule whose release k
+    falls due at ``start + k * period``, for the releases due by ``now``.
+
+    Due times rise with k because ``period >= 1``, so the scan starts at the
+    first pending flag and stops at the first release not yet due."""
+    try:
+        k = released.index(False)
+    except ValueError:
+        return []
+    due, n, found = start + k * period, len(released), []
+    while k < n and due <= now:
+        if not released[k]:
+            found.append((due, k))
+        k += 1
+        due += period
+    return found
+
+
+def schedule_next_due(released: list[bool], start: int,
+                      period: int) -> Optional[int]:
+    """Due time of a schedule's first pending release, None when none is;
+    the earliest, as due times rise with k."""
+    try:
+        return start + released.index(False) * period
+    except ValueError:
+        return None
+
+
 def node_address(node_id: str) -> str:
     """Ledger address owned by a node; derived, so instantiation is deterministic."""
     return f"node:{node_id}"
@@ -141,6 +171,13 @@ class Node:
     """
 
     kind = NodeKind.ROUTER
+    # Whether the node has a release schedule: set per class, true when the
+    # class overrides ``due_releases``; a router takes its template's.
+    scheduled = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.scheduled = cls.due_releases is not Node.due_releases
 
     def __init__(
         self,
@@ -193,12 +230,13 @@ class Node:
     def next_due(self) -> Optional[int]:
         """Due time of the earliest pending release, None when none is.
 
-        The engine's due index asks this after a transaction touched the
-        node, and asks ``due_releases`` only once the clock reaches it. This
-        default derives it from ``due_releases``; a schedule can answer it
-        directly.
+        The engine's due index holds only nodes whose ``scheduled`` is true.
+        It asks this after a transaction touched such a node, and asks
+        ``due_releases`` only once the clock reaches it; a node without a
+        schedule is never asked. This default derives it from
+        ``due_releases``; a schedule can answer it directly.
         """
-        if type(self).due_releases is Node.due_releases:
+        if not self.scheduled:
             return None
         return earliest_due(self.due_releases(math.inf))
 
@@ -277,6 +315,7 @@ class RouterNode(Node):
     def __init__(self, node_id, template, outputs=None, error_policy=None):
         super().__init__(node_id, outputs=outputs, error_policy=error_policy)
         self.template = template
+        self.scheduled = template.scheduled
         self.state = template.initial_state()
 
     def on_receive(self, msg: StreamMessage) -> None:

@@ -34,6 +34,8 @@ from .nodes import (
     StreamError,
     StreamMessage,
     earliest_due,
+    schedule_due,
+    schedule_next_due,
 )
 from .predicates import PredicateEvalError, evaluate, parse_predicate, predicate_text
 
@@ -71,6 +73,13 @@ class Template:
     """
 
     name = ""
+    # Whether the template has a release schedule: set per class, true when
+    # the class overrides ``due_releases``.
+    scheduled = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.scheduled = cls.due_releases is not Template.due_releases
 
     def __init__(self, config: dict):
         self.config = config
@@ -114,9 +123,10 @@ class Template:
         return []
 
     def next_due(self, node) -> Optional[int]:
-        """See ``Node.next_due``; derived from ``due_releases`` unless a
-        template answers it directly."""
-        if type(self).due_releases is Template.due_releases:
+        """See ``Node.next_due``: the due index asks it only of a router whose
+        template's ``scheduled`` is true. Derived from ``due_releases``
+        unless a template answers it directly."""
+        if not self.scheduled:
             return None
         return earliest_due(self.due_releases(node, math.inf))
 
@@ -264,21 +274,13 @@ class TimelockTemplate(Template):
         # otherwise accumulate silently; cranks move the funds
 
     def due_releases(self, node, now):
-        start = self.config["start"]
-        period = self.config["period"]
-        return [
-            (start + k * period, k)
-            for k, done in enumerate(node.state["released"])
-            if not done and start + k * period <= now
-        ]
+        config = self.config
+        return schedule_due(node.state["released"], config["start"],
+                            config["period"], now)
 
     def next_due(self, node):
-        # Due times grow with k, so the first pending release is the earliest.
-        try:
-            k = node.state["released"].index(False)
-        except ValueError:
-            return None
-        return self.config["start"] + k * self.config["period"]
+        return schedule_next_due(node.state["released"], self.config["start"],
+                                 self.config["period"])
 
     def crank(self, node, k, due):
         released = node.state["released"]

@@ -12,8 +12,10 @@ Every step also runs on a twin engine built from the same text.
 After every step the machine checks conservation, the ledger against a
 ``NaiveLedger`` replayed from the committed ledger events, contiguous
 transaction ids, that no transaction is left open and that the twin saw the
-same events and revert traces. Every transaction that reverts is checked to
-leave the engine's fingerprint as it found it.
+same events and revert traces, and that the due index holds only nodes with a
+schedule, each either marked stale or keyed at its ``next_due()``. Every
+transaction that reverts is checked to leave the engine's fingerprint as it
+found it.
 """
 
 import random
@@ -205,6 +207,20 @@ class EngineMachine(RuleBasedStateMachine):
         assert engine.ledger._old_balances is None
         assert set(engine.revert_traces) == {
             r.tx.id for r in engine.transactions if not r.committed}
+
+    @invariant()
+    def due_index_is_current(self):
+        engine = self.engine
+        heap = set(engine._due_heap)
+        for node_id, node in engine.nodes.items():
+            if not node.scheduled:
+                assert node_id not in engine._due_at
+                assert node_id not in engine._due_stale
+            elif node_id not in engine._due_stale:
+                due = node.next_due()
+                assert engine._due_at.get(node_id) == due
+                if due is not None:
+                    assert (due, node_id) in heap
 
     @invariant()
     def twin_agrees(self):
