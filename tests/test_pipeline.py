@@ -117,6 +117,79 @@ node vault
   mode claimable
 """
 
+# What KITCHEN_SINK lacks (a residual share, allow_single, a fixed timelock,
+# goalkeepers that refund and forward, keys over two lines), with config
+# lines out of canonical order.
+OUT_OF_ORDER = """pipeline extras
+
+balance acme 500
+
+node origin
+  kind originator
+  out main -> rep
+
+node rep
+  kind router
+  template reporting
+  out main -> lock
+  config keys memo
+  config sink audit
+  config keys tier
+
+node lock
+  kind router
+  template timelock
+  out main -> check
+  config releases 3
+  config fixed 40
+  config period 2
+  config start 0
+
+node check
+  kind router
+  template conditional
+  out main -> solo
+  config on_false fatal
+  config when not (amount<5 or metadata.tier != "gold")
+  on fatal redirect back
+  on recoverable redirect pass
+
+node solo
+  kind router
+  template distributing
+  out only -> split
+  config allow_single
+  config residual only
+
+node split
+  kind router
+  template distributing
+  out x -> pay_x
+  out y -> pay_y
+  config residual y
+  config weight x 2
+
+node back
+  kind router
+  template goalkeeper
+  config admin root
+  config mode refund
+
+node pass
+  kind router
+  template goalkeeper
+  out main -> pay_y
+  config mode forward
+
+node pay_x
+  kind endpoint
+  recipient xavier
+
+node pay_y
+  kind endpoint
+  recipient yvonne
+"""
+
 
 def codes(text):
     return {e.code for e in validate_pipeline(parse_pipeline(text))}
@@ -508,9 +581,183 @@ class TestInstantiate:
         assert engine.ledger.total_supply == 100
 
 
+# The canonical text of KITCHEN_SINK and OUT_OF_ORDER, byte for byte.
+KITCHEN_SINK_CANONICAL = """pipeline everything
+
+balance acme 100000
+balance reserve 5000
+
+node origin
+  kind originator
+  out main -> rep
+
+node rep
+  kind router
+  template reporting
+  out main -> gate
+  config sink audit
+  config keys memo score
+
+node gate
+  kind router
+  template threshold
+  out main -> cond
+  config limit 50
+
+node cond
+  kind router
+  template conditional
+  out main -> lock
+  config when amount >= 10 and (metadata.score > 3 or not now < 5)
+  config on_false warning
+  on recoverable redirect keeper
+  on fatal redirect keeper
+
+node lock
+  kind router
+  template timelock
+  out main -> split
+  config start 10
+  config period 5
+  config releases 4
+  config fraction 1 3
+
+node split
+  kind router
+  template distributing
+  out a -> falls
+  out b -> orc
+  out fee -> fees
+  config fixed fee 7
+  config weight a 3
+  config weight b 2
+
+node falls
+  kind router
+  template waterfall
+  out senior -> pay_senior
+  out junior -> pay_junior
+  config tier senior 1000
+  config tier junior rest
+
+node orc
+  kind router
+  template oracle
+  out main -> vault
+  config oracle alice
+  config oracle carol
+
+node keeper
+  kind router
+  template goalkeeper
+  config mode hold
+  config admin root
+
+node fees
+  kind endpoint
+  recipient fee-collector
+  mode direct
+
+node pay_senior
+  kind endpoint
+  recipient senior-acct
+  mode direct
+
+node pay_junior
+  kind endpoint
+  recipient junior-acct
+  mode direct
+
+node vault
+  kind endpoint
+  recipient carol
+  mode claimable
+"""
+
+OUT_OF_ORDER_CANONICAL = """pipeline extras
+
+balance acme 500
+
+node origin
+  kind originator
+  out main -> rep
+
+node rep
+  kind router
+  template reporting
+  out main -> lock
+  config sink audit
+  config keys memo tier
+
+node lock
+  kind router
+  template timelock
+  out main -> check
+  config start 0
+  config period 2
+  config releases 3
+  config fixed 40
+
+node check
+  kind router
+  template conditional
+  out main -> solo
+  config when not (amount < 5 or metadata.tier != "gold")
+  config on_false fatal
+  on recoverable redirect pass
+  on fatal redirect back
+
+node solo
+  kind router
+  template distributing
+  out only -> split
+  config residual only
+  config allow_single
+
+node split
+  kind router
+  template distributing
+  out x -> pay_x
+  out y -> pay_y
+  config residual y
+  config weight x 2
+
+node back
+  kind router
+  template goalkeeper
+  config mode refund
+  config admin root
+
+node pass
+  kind router
+  template goalkeeper
+  out main -> pay_y
+  config mode forward
+
+node pay_x
+  kind endpoint
+  recipient xavier
+  mode direct
+
+node pay_y
+  kind endpoint
+  recipient yvonne
+  mode direct
+"""
+
+
 class TestCanonicalForm:
+    @pytest.mark.parametrize("text, canonical", [
+        (KITCHEN_SINK, KITCHEN_SINK_CANONICAL),
+        (OUT_OF_ORDER, OUT_OF_ORDER_CANONICAL),
+    ], ids=["kitchen-sink", "out-of-order"])
+    def test_canonical_text(self, text, canonical):
+        spec = parse_pipeline(text)
+        assert validate_pipeline(spec) == []
+        assert serialize_pipeline(spec) == canonical
+
     def test_round_trip_is_fixpoint(self):
-        for text in (MINIMAL, KITCHEN_SINK):
+        for text in (MINIMAL, KITCHEN_SINK, OUT_OF_ORDER):
             first = serialize_pipeline(parse_pipeline(text))
             second = serialize_pipeline(parse_pipeline(first))
             assert first == second
