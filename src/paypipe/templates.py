@@ -384,9 +384,9 @@ class DistributingTemplate(Template):
         out_tags = {tag for tag, _ in outputs}
         minimum = 1 if config.get("allow_single") else 2
         if len(outputs) < minimum:
-            problems.append(
-                f"distributing requires at least {minimum} outputs, has {len(outputs)}"
-            )
+            plural = "s" if minimum > 1 else ""
+            problems.append(f"distributing requires at least {minimum} "
+                            f"output{plural}, has {len(outputs)}")
         if not shares:
             problems.append("distributing requires at least one share")
         seen = set()
@@ -694,7 +694,7 @@ class GoalkeeperTemplate(Template):
         problems = []
         mode = config.get("mode")
         if mode is None:
-            problems.append("goalkeeper requires mode")
+            return ["goalkeeper requires mode"]
         if mode == "hold" and "admin" not in config:
             problems.append("goalkeeper hold mode requires admin")
         if mode == "forward":

@@ -171,6 +171,15 @@ BAD_CONFIGS = [
     ("goalkeeper", ["a", "b"], ["mode forward"], [
         "BadConfig r: goalkeeper forward mode requires exactly 1 output",
     ]),
+    # without a mode there is no output count to check against
+    ("goalkeeper", ["main"], [], [
+        "BadConfig r: goalkeeper requires mode",
+    ]),
+    ("distributing", [], ["residual a", "allow_single"], [
+        "ArityViolation r: router requires at least 1 output",
+        "BadConfig r: distributing requires at least 1 output, has 0",
+        "BadConfig r: share 'a' does not match any output",
+    ]),
 ]
 
 
