@@ -1,11 +1,11 @@
 """Router templates: the reusable behaviors a pipeline wires together.
 
-Each template owns its config grammar (parsing, validation, canonical
-serialization) and its runtime logic. Mutable runtime data lives in the
-node's ``state`` dict, which the engine copies the first time a transaction
-touches the node, so rollback covers it. A template may therefore mutate
-only its own node's ``state`` and the ledger; template instances themselves
-hold only immutable configuration.
+Each template declares its config grammar as a table, which one parser,
+one validator and one printer read, and owns its runtime logic. Mutable
+runtime data lives in the node's ``state`` dict, which the engine copies
+the first time a transaction touches the node, so rollback covers it. A
+template may therefore mutate only its own node's ``state`` and the
+ledger; template instances themselves hold only immutable configuration.
 
 Aggregating templates (timelock, threshold, oracle) keep the last received
 message and stamp re-dispatches with its origin and metadata, so a later
@@ -16,7 +16,7 @@ intermediate node.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     EngineError,
@@ -57,22 +57,157 @@ def apportion(total: int, weights: list[int]) -> list[int]:
     return floors
 
 
-def _int_token(token: str, what: str) -> int:
+# The words a config key takes. INT, NUMERATOR, DENOMINATOR and CAP are
+# base-10 integers, and CAP may also be ``rest``, stored as None; an error
+# names an INT by its key and the others as "KEY KIND". LABEL and TAG are
+# one word; a TAG names an output. TEXT and LABELS are one or more words,
+# joined into one string or kept apart. A tuple is a set of choices.
+INT, NUMERATOR, DENOMINATOR, CAP = "int", "numerator", "denominator", "cap"
+LABEL, TAG, TEXT, LABELS = "label", "tag", "text", "labels"
+
+
+class ConfigKey(NamedTuple):
+    """One row of a template's config table.
+
+    ``into`` is where the value goes. None keeps it under ``key``: one
+    word, a tuple of integers, the joined TEXT, or True for a key without
+    words. Otherwise it names the template's one list. A row whose words
+    begin with TAG appends the tagged entry ``(tag, value)`` to it, led by
+    the key when several rows share the list, with ``value`` None for a
+    row without a value word. Any other row appends each of its words,
+    which ``item`` names in the duplicate message. ``arity`` is the
+    message for words that do not fit, ``bound`` the lowest valid value.
+    """
+
+    key: str
+    words: tuple
+    arity: str
+    into: Optional[str] = None
+    bound: Optional[int] = None
+    item: str = ""
+
+
+def _integer(word: str, what: str) -> int:
+    """``word`` as a base-10 integer; ``what`` names it in the error."""
     try:
-        return int(token, 10)
+        return int(word, 10)
     except ValueError:
-        raise ValueError(f"{what} must be an integer, got {token!r}") from None
+        raise ValueError(f"{what} must be an integer, got {word!r}") from None
+
+
+def _line_parser(row: ConfigKey, keyed: bool):
+    """The function that stores a config line of ``row.key`` in a config,
+    given the line's tokens. A line of one word, or a tagged entry, is how
+    nearly every line of a large pipeline reads: that path calls ``int``
+    inline and ``_integer`` only for its error."""
+    key, kinds, arity, into, _, item = row
+    size = len(kinds) + 1
+    many = kinds in ((TEXT,), (LABELS,))
+    entry = kinds[:1] == (TAG,)
+    last = kinds[-1] if kinds else None
+    number, cap = last in (INT, NUMERATOR, DENOMINATOR, CAP), last == CAP
+    choices = last if type(last) is tuple else ()
+    what = key if last == INT else f"{key} {last}"
+
+    if entry:
+        def parse(config, tokens):
+            if len(tokens) != size:
+                raise ValueError(arity)
+            value = tokens[2] if size == 3 else None
+            if cap and value == "rest":
+                value = None
+            elif number:
+                try:
+                    value = int(value, 10)
+                except ValueError:
+                    _integer(value, what)  # raises the error naming it
+            config[into].append((key, tokens[1], value) if keyed
+                                else (tokens[1], value))
+    elif size == 2 and into is None and not many:
+        def parse(config, tokens):
+            if len(tokens) != 2:
+                raise ValueError(arity)
+            value = tokens[1]
+            if number:
+                try:
+                    value = int(value, 10)
+                except ValueError:
+                    _integer(value, what)  # raises the error naming it
+            elif choices and value not in choices:
+                raise ValueError(arity)
+            if key in config:
+                raise ValueError(f"duplicate config key {key!r}")
+            config[key] = value
+    else:
+        def parse(config, tokens):
+            if len(tokens) != size and not (many and len(tokens) > 1):
+                raise ValueError(arity)
+            if into is not None:
+                items = config[into]
+                for word in tokens[1:]:
+                    if word in items:
+                        raise ValueError(f"duplicate {item} {word!r}")
+                    items.append(word)
+                return
+            if many:
+                value = " ".join(tokens[1:])
+            else:
+                value = tuple(_integer(word, f"{key} {kind}")
+                              for kind, word in zip(kinds, tokens[1:])) or True
+            if key in config:
+                raise ValueError(f"duplicate config key {key!r}")
+            config[key] = value
+
+    return parse
+
+
+def _read_table(cls) -> None:
+    """Set ``cls``'s config grammar from its table."""
+    table = cls.config_table
+    # a template keeps at most one list
+    (name,) = {row.into for row in table if row.into} or {None}
+    cls.empty_config = staticmethod(dict if name is None
+                                    else lambda: {name: []})
+    tagged = [row for row in table if row.words[:1] == (TAG,)]
+    cls._tagged = tagged
+    parsers = {row.key: _line_parser(row, len(tagged) > 1) for row in table}
+
+    def parse_config_line(config: dict, tokens: list[str]) -> None:
+        try:
+            parse = parsers[tokens[0]]
+        except KeyError:
+            if parsers:
+                raise ValueError(
+                    f"unknown {cls.name} config key {tokens[0]!r}") from None
+            raise ValueError(f"{cls.name} takes no config") from None
+        parse(config, tokens)
+
+    cls.parse_config_line = staticmethod(parse_config_line)
+    cls._required = [(key, f"{cls.name} requires {what}")
+                     for key, what in cls.required.items()]
+    cls._bounds = [(row.key, row.bound, f"{row.key} must be >= {row.bound}")
+                   for row in table if row.into is None and row.bound is not None]
 
 
 class Template:
     """Behavior plugged into a router node.
 
-    Class-side hooks (``empty_config`` / ``parse_config_line`` / ``validate`` /
-    ``config_lines``) define the config grammar; instance methods run at
+    The config grammar is a table. ``config_table`` holds one ``ConfigKey``
+    per key, in canonical order; ``required`` maps each key or list that
+    must not be missing or empty to the words its problem puts after
+    "requires"; ``outputs`` is the output-count rule, "1" for exactly one,
+    "1+" for at least one, None for none. ``empty_config`` and
+    ``parse_config_line`` are made from the table when a subclass is
+    defined; ``validate`` and ``config_lines`` read it. Rules across
+    fields are written out in ``_output_problems``, ``_entry_problems``
+    (for each tagged entry) and ``_check``. Instance methods run at
     execution time with the owning node passed in.
     """
 
     name = ""
+    config_table: tuple = ()
+    required: dict = {}
+    outputs: Optional[str] = None
     # Whether the template has a release schedule: set per class, true when
     # the class overrides ``due_releases``.
     scheduled = False
@@ -80,36 +215,101 @@ class Template:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.scheduled = cls.due_releases is not Template.due_releases
+        _read_table(cls)
 
     def __init__(self, config: dict):
         self.config = config
 
     # -- config grammar -----------------------------------------------------
 
-    @staticmethod
-    def empty_config() -> dict:
-        return {}
-
-    @classmethod
-    def parse_config_line(cls, config: dict, tokens: list[str]) -> None:
-        raise ValueError(f"{cls.name} takes no config")
-
     @classmethod
     def validate(cls, config: dict, outputs: list[tuple[str, str]]) -> list[str]:
         """Config-level problems as human-readable strings; empty if fine."""
-        return []
+        problems = cls._output_problems(config, len(outputs))
+        for key, problem in cls._required:
+            if key not in config or config[key] == []:
+                problems.append(problem)
+        for key, bound, problem in cls._bounds:
+            if config.get(key, bound) < bound:
+                problems.append(problem)
+        tagged = cls._tagged
+        if not tagged:
+            return problems + cls._check(config, outputs)
+        # the tagged entries against the outputs, each way
+        item, keyed = tagged[0].item, len(tagged) > 1
+        bounds = {row.key: row.bound for row in tagged}
+        entry_problems = cls._entry_problems
+        out_tags = {tag for tag, _ in outputs}
+        seen = set()
+        entries = config[tagged[0].into]
+        for i, entry in enumerate(entries):
+            if keyed:
+                key, tag, value = entry
+            else:
+                key, (tag, value) = tagged[0].key, entry
+            if tag in seen:
+                problems.append(f"duplicate {item} for tag {tag!r}")
+            seen.add(tag)
+            if tag not in out_tags:
+                problems.append(f"{item} {tag!r} does not match any output")
+            bound = bounds[key]
+            if bound is not None and value < bound:
+                problems.append(f"{key} {item} {tag!r} must be >= {bound}")
+            if entry_problems is not None:
+                problems += entry_problems(tag, value, i == len(entries) - 1)
+        problems += cls._check(config, outputs)
+        for tag, _ in outputs:
+            if tag not in seen:
+                problems.append(f"output {tag!r} has no {item}")
+        return problems
 
     @classmethod
     def config_lines(cls, config: dict) -> list[str]:
         """Config in canonical order, one logical line per entry."""
+        lines = []
+        for row in cls.config_table:
+            key, words, into = row.key, row.words, row.into
+            if into is None:
+                if key in config:
+                    value = config[key]
+                    if type(value) is tuple:
+                        key = " ".join(map(str, (key, *value)))
+                    elif value is not True:
+                        key = f"{key} {value}"
+                    lines.append(key)
+            elif words[:1] != (TAG,):
+                items = config[into]
+                if words != (LABELS,):
+                    lines += [f"{key} {word}" for word in items]
+                elif items:
+                    lines.append(" ".join((key, *items)))
+            elif row is cls._tagged[0]:
+                # all entries in list order, whichever row made each
+                valued = {row.key: len(row.words) > 1 for row in cls._tagged}
+                for entry in config[into]:
+                    key, tag, value = entry if len(valued) > 1 else (key, *entry)
+                    if not valued[key]:
+                        lines.append(f"{key} {tag}")
+                    else:
+                        lines.append(f"{key} {tag} "
+                                     f"{'rest' if value is None else value}")
+        return lines
+
+    # the rules the table cannot state
+    @classmethod
+    def _output_problems(cls, config: dict, count: int) -> list[str]:
+        if cls.outputs == "1" and count != 1:
+            return [f"{cls.name} requires exactly 1 output, has {count}"]
+        if cls.outputs == "1+" and count < 1:
+            return [f"{cls.name} requires at least 1 output"]
         return []
 
-    # helpers shared by the scalar-keyed grammars
+    # problems of one tagged entry's value beyond its bound, if any
+    _entry_problems = None
+
     @classmethod
-    def _set_scalar(cls, config: dict, key: str, value) -> None:
-        if key in config:
-            raise ValueError(f"duplicate config key {key!r}")
-        config[key] = value
+    def _check(cls, config: dict, outputs: list[tuple[str, str]]) -> list[str]:
+        return []
 
     # -- runtime -------------------------------------------------------------
 
@@ -148,43 +348,13 @@ class ReportingTemplate(Template):
     """
 
     name = "reporting"
-
-    @staticmethod
-    def empty_config() -> dict:
-        return {"keys": []}
-
-    @classmethod
-    def parse_config_line(cls, config, tokens):
-        key = tokens[0]
-        if key == "sink":
-            if len(tokens) != 2:
-                raise ValueError("sink takes one label")
-            cls._set_scalar(config, "sink", tokens[1])
-        elif key == "keys":
-            if len(tokens) < 2:
-                raise ValueError("keys needs at least one metadata key")
-            for k in tokens[1:]:
-                if k in config["keys"]:
-                    raise ValueError(f"duplicate report key {k!r}")
-                config["keys"].append(k)
-        else:
-            raise ValueError(f"unknown reporting config key {key!r}")
-
-    @classmethod
-    def validate(cls, config, outputs):
-        problems = []
-        if len(outputs) != 1:
-            problems.append(f"reporting requires exactly 1 output, has {len(outputs)}")
-        if not config.get("sink"):
-            problems.append("reporting requires a sink label")
-        return problems
-
-    @classmethod
-    def config_lines(cls, config):
-        lines = [f"sink {config['sink']}"]
-        if config["keys"]:
-            lines.append("keys " + " ".join(config["keys"]))
-        return lines
+    config_table = (
+        ConfigKey("sink", (LABEL,), "sink takes one label"),
+        ConfigKey("keys", (LABELS,), "keys needs at least one metadata key",
+                  into="keys", item="report key"),
+    )
+    required = {"sink": "a sink label"}
+    outputs = "1"
 
     def receive(self, node, msg):
         payload = {"sink": self.config["sink"], "amount": msg.amount,
@@ -207,59 +377,29 @@ class TimelockTemplate(Template):
     """
 
     name = "timelock"
+    config_table = (
+        ConfigKey("start", (INT,), "start takes one integer", bound=0),
+        ConfigKey("period", (INT,), "period takes one integer", bound=1),
+        ConfigKey("releases", (INT,), "releases takes one integer", bound=1),
+        ConfigKey("fixed", (INT,), "fixed takes one integer"),
+        ConfigKey("fraction", (NUMERATOR, DENOMINATOR),
+                  "fraction takes two integers: numerator denominator"),
+    )
+    required = {"start": "start", "period": "period", "releases": "releases"}
+    outputs = "1"
 
     @classmethod
-    def parse_config_line(cls, config, tokens):
-        key = tokens[0]
-        if key in ("start", "period", "releases", "fixed"):
-            if len(tokens) != 2:
-                raise ValueError(f"{key} takes one integer")
-            cls._set_scalar(config, key, _int_token(tokens[1], key))
-        elif key == "fraction":
-            if len(tokens) != 3:
-                raise ValueError("fraction takes two integers: numerator denominator")
-            cls._set_scalar(config, "fraction",
-                            (_int_token(tokens[1], "fraction numerator"),
-                             _int_token(tokens[2], "fraction denominator")))
-        else:
-            raise ValueError(f"unknown timelock config key {key!r}")
-
-    @classmethod
-    def validate(cls, config, outputs):
+    def _check(cls, config, outputs):
         problems = []
-        if len(outputs) != 1:
-            problems.append(f"timelock requires exactly 1 output, has {len(outputs)}")
-        for key in ("start", "period", "releases"):
-            if key not in config:
-                problems.append(f"timelock requires {key}")
-        if config.get("start", 0) < 0:
-            problems.append("start must be >= 0")
-        if config.get("period", 1) < 1:
-            problems.append("period must be >= 1")
-        if config.get("releases", 1) < 1:
-            problems.append("releases must be >= 1")
-        has_fixed = "fixed" in config
-        has_fraction = "fraction" in config
-        if has_fixed == has_fraction:
+        if ("fixed" in config) == ("fraction" in config):
             problems.append("timelock requires exactly one of fixed or fraction")
-        if has_fixed and config["fixed"] < 1:
+        if config.get("fixed", 1) < 1:
             problems.append("fixed must be >= 1")
-        if has_fraction:
+        if "fraction" in config:
             p, q = config["fraction"]
             if q < 1 or p < 1 or p > q:
                 problems.append("fraction must satisfy 1 <= numerator <= denominator")
         return problems
-
-    @classmethod
-    def config_lines(cls, config):
-        lines = [f"start {config['start']}", f"period {config['period']}",
-                 f"releases {config['releases']}"]
-        if "fixed" in config:
-            lines.append(f"fixed {config['fixed']}")
-        else:
-            p, q = config["fraction"]
-            lines.append(f"fraction {p} {q}")
-        return lines
 
     def initial_state(self):
         return {"released": [False] * self.config["releases"], "last": None}
@@ -311,30 +451,11 @@ class ThresholdTemplate(Template):
     the limit. Amounts already held count toward the next flush."""
 
     name = "threshold"
-
-    @classmethod
-    def parse_config_line(cls, config, tokens):
-        if tokens[0] == "limit":
-            if len(tokens) != 2:
-                raise ValueError("limit takes one integer")
-            cls._set_scalar(config, "limit", _int_token(tokens[1], "limit"))
-        else:
-            raise ValueError(f"unknown threshold config key {tokens[0]!r}")
-
-    @classmethod
-    def validate(cls, config, outputs):
-        problems = []
-        if len(outputs) != 1:
-            problems.append(f"threshold requires exactly 1 output, has {len(outputs)}")
-        if "limit" not in config:
-            problems.append("threshold requires limit")
-        elif config["limit"] < 1:
-            problems.append("limit must be >= 1")
-        return problems
-
-    @classmethod
-    def config_lines(cls, config):
-        return [f"limit {config['limit']}"]
+    config_table = (
+        ConfigKey("limit", (INT,), "limit takes one integer", bound=1),
+    )
+    required = {"limit": "limit"}
+    outputs = "1"
 
     def initial_state(self):
         return {"last": None}
@@ -354,71 +475,30 @@ class DistributingTemplate(Template):
     ties), with an optional residual share absorbing rounding leftovers."""
 
     name = "distributing"
-
-    @staticmethod
-    def empty_config() -> dict:
-        return {"shares": []}
-
-    @classmethod
-    def parse_config_line(cls, config, tokens):
-        key = tokens[0]
-        if key in ("fixed", "weight"):
-            if len(tokens) != 3:
-                raise ValueError(f"{key} takes a tag and an integer")
-            config["shares"].append((key, tokens[1], _int_token(tokens[2], key)))
-        elif key == "residual":
-            if len(tokens) != 2:
-                raise ValueError("residual takes a tag")
-            config["shares"].append(("residual", tokens[1], None))
-        elif key == "allow_single":
-            if len(tokens) != 1:
-                raise ValueError("allow_single takes no value")
-            cls._set_scalar(config, "allow_single", True)
-        else:
-            raise ValueError(f"unknown distributing config key {key!r}")
+    config_table = (
+        ConfigKey("fixed", (TAG, INT), "fixed takes a tag and an integer",
+                  into="shares", bound=1, item="share"),
+        ConfigKey("weight", (TAG, INT), "weight takes a tag and an integer",
+                  into="shares", bound=1, item="share"),
+        ConfigKey("residual", (TAG,), "residual takes a tag",
+                  into="shares", item="share"),
+        ConfigKey("allow_single", (), "allow_single takes no value"),
+    )
+    required = {"shares": "at least one share"}
 
     @classmethod
-    def validate(cls, config, outputs):
-        problems = []
-        shares = config["shares"]
-        out_tags = {tag for tag, _ in outputs}
+    def _output_problems(cls, config, count):
         minimum = 1 if config.get("allow_single") else 2
-        if len(outputs) < minimum:
-            plural = "s" if minimum > 1 else ""
-            problems.append(f"distributing requires at least {minimum} "
-                            f"output{plural}, has {len(outputs)}")
-        if not shares:
-            problems.append("distributing requires at least one share")
-        seen = set()
-        residuals = 0
-        for kind, tag, value in shares:
-            if tag in seen:
-                problems.append(f"duplicate share for tag {tag!r}")
-            seen.add(tag)
-            if tag not in out_tags:
-                problems.append(f"share {tag!r} does not match any output")
-            if kind == "residual":
-                residuals += 1
-            elif value < 1:
-                problems.append(f"{kind} share {tag!r} must be >= 1")
-        if residuals > 1:
-            problems.append("at most one residual share")
-        for tag, _ in outputs:
-            if tag not in seen:
-                problems.append(f"output {tag!r} has no share")
-        return problems
+        if count >= minimum:
+            return []
+        plural = "s" if minimum > 1 else ""
+        return [f"distributing requires at least {minimum} output{plural}, "
+                f"has {count}"]
 
     @classmethod
-    def config_lines(cls, config):
-        lines = []
-        for kind, tag, value in config["shares"]:
-            if kind == "residual":
-                lines.append(f"residual {tag}")
-            else:
-                lines.append(f"{kind} {tag} {value}")
-        if config.get("allow_single"):
-            lines.append("allow_single")
-        return lines
+    def _check(cls, config, outputs):
+        kinds = [kind for kind, _, _ in config["shares"]]
+        return ["at most one residual share"] if kinds.count("residual") > 1 else []
 
     def receive(self, node, msg):
         shares = self.config["shares"]
@@ -469,6 +549,13 @@ class ConditionalTemplate(Template):
     policy the interrupted forward resumes."""
 
     name = "conditional"
+    config_table = (
+        ConfigKey("when", (TEXT,), "when needs a predicate"),
+        ConfigKey("on_false", (("warning", "recoverable", "fatal"),),
+                  "on_false must be warning, recoverable, or fatal"),
+    )
+    required = {"when": "when"}
+    outputs = "1"
 
     def __init__(self, config):
         super().__init__(config)
@@ -478,47 +565,21 @@ class ConditionalTemplate(Template):
         )
 
     @classmethod
-    def parse_config_line(cls, config, tokens):
-        key = tokens[0]
-        if key == "when":
-            if len(tokens) < 2:
-                raise ValueError("when needs a predicate")
-            cls._set_scalar(config, "when", " ".join(tokens[1:]))
-        elif key == "on_false":
-            if len(tokens) != 2 or tokens[1] not in ("warning", "recoverable",
-                                                     "fatal"):
-                raise ValueError(
-                    "on_false must be warning, recoverable, or fatal")
-            cls._set_scalar(config, "on_false", tokens[1])
-        else:
-            raise ValueError(f"unknown conditional config key {key!r}")
-
-    @classmethod
-    def validate(cls, config, outputs):
-        problems = []
-        if len(outputs) != 1:
-            problems.append(
-                f"conditional requires exactly 1 output, has {len(outputs)}"
-            )
-        if "when" not in config:
-            problems.append("conditional requires when")
-        else:
+    def _check(cls, config, outputs):
+        if "when" in config:
             try:
                 parse_predicate(config["when"])
             except SpecSyntaxError as err:
-                problems.append(f"bad predicate: {err.message}")
-        return problems
+                return [f"bad predicate: {err.message}"]
+        return []
 
     @classmethod
     def config_lines(cls, config):
         try:
-            canonical = predicate_text(parse_predicate(config["when"]))
+            when = predicate_text(parse_predicate(config["when"]))
         except SpecSyntaxError:
-            canonical = config["when"]
-        lines = [f"when {canonical}"]
-        if "on_false" in config:
-            lines.append(f"on_false {config['on_false']}")
-        return lines
+            when = config["when"]
+        return super().config_lines({**config, "when": when})
 
     def receive(self, node, msg):
         engine = node.engine
@@ -544,34 +605,12 @@ class OracleTemplate(Template):
     destination."""
 
     name = "oracle"
-
-    @staticmethod
-    def empty_config() -> dict:
-        return {"oracles": []}
-
-    @classmethod
-    def parse_config_line(cls, config, tokens):
-        if tokens[0] == "oracle":
-            if len(tokens) != 2:
-                raise ValueError("oracle takes one account per line")
-            if tokens[1] in config["oracles"]:
-                raise ValueError(f"duplicate oracle {tokens[1]!r}")
-            config["oracles"].append(tokens[1])
-        else:
-            raise ValueError(f"unknown oracle config key {tokens[0]!r}")
-
-    @classmethod
-    def validate(cls, config, outputs):
-        problems = []
-        if not outputs:
-            problems.append("oracle requires at least 1 output")
-        if not config["oracles"]:
-            problems.append("oracle requires at least one trusted account")
-        return problems
-
-    @classmethod
-    def config_lines(cls, config):
-        return [f"oracle {account}" for account in config["oracles"]]
+    config_table = (
+        ConfigKey("oracle", (LABEL,), "oracle takes one account per line",
+                  into="oracles", item="oracle"),
+    )
+    required = {"oracles": "at least one trusted account"}
+    outputs = "1+"
 
     def initial_state(self):
         return {"available": 0, "last": None}
@@ -602,50 +641,18 @@ class WaterfallTemplate(Template):
     absorbs the rest. Overflow past every cap raises a recoverable error."""
 
     name = "waterfall"
-
-    @staticmethod
-    def empty_config() -> dict:
-        return {"tiers": []}
-
-    @classmethod
-    def parse_config_line(cls, config, tokens):
-        if tokens[0] == "tier":
-            if len(tokens) != 3:
-                raise ValueError("tier takes a tag and a cap (integer or rest)")
-            cap = None if tokens[2] == "rest" else _int_token(tokens[2], "tier cap")
-            config["tiers"].append((tokens[1], cap))
-        else:
-            raise ValueError(f"unknown waterfall config key {tokens[0]!r}")
+    config_table = (
+        ConfigKey("tier", (TAG, CAP),
+                  "tier takes a tag and a cap (integer or rest)",
+                  into="tiers", item="tier"),
+    )
+    required = {"tiers": "at least one tier"}
 
     @classmethod
-    def validate(cls, config, outputs):
-        problems = []
-        tiers = config["tiers"]
-        out_tags = {tag for tag, _ in outputs}
-        if not tiers:
-            problems.append("waterfall requires at least one tier")
-        seen = set()
-        for i, (tag, cap) in enumerate(tiers):
-            if tag in seen:
-                problems.append(f"duplicate tier for tag {tag!r}")
-            seen.add(tag)
-            if tag not in out_tags:
-                problems.append(f"tier {tag!r} does not match any output")
-            if cap is None and i != len(tiers) - 1:
-                problems.append("only the last tier may be uncapped")
-            if cap is not None and cap < 1:
-                problems.append(f"tier {tag!r} cap must be >= 1")
-        for tag, _ in outputs:
-            if tag not in seen:
-                problems.append(f"output {tag!r} has no tier")
-        return problems
-
-    @classmethod
-    def config_lines(cls, config):
-        return [
-            f"tier {tag} {'rest' if cap is None else cap}"
-            for tag, cap in config["tiers"]
-        ]
+    def _entry_problems(cls, tag, cap, last):
+        if cap is None:
+            return [] if last else ["only the last tier may be uncapped"]
+        return [f"tier {tag!r} cap must be >= 1"] if cap < 1 else []
 
     def initial_state(self):
         return {"filled": {tag: 0 for tag, _ in self.config["tiers"]}}
@@ -674,27 +681,19 @@ class GoalkeeperTemplate(Template):
     refunds the origin, holds for an admin to claim, or forwards onward."""
 
     name = "goalkeeper"
+    config_table = (
+        ConfigKey("mode", (("refund", "hold", "forward"),),
+                  "mode must be refund, hold, or forward"),
+        ConfigKey("admin", (LABEL,), "admin takes one account"),
+    )
+    required = {"mode": "mode"}
 
     @classmethod
-    def parse_config_line(cls, config, tokens):
-        key = tokens[0]
-        if key == "mode":
-            if len(tokens) != 2 or tokens[1] not in ("refund", "hold", "forward"):
-                raise ValueError("mode must be refund, hold, or forward")
-            cls._set_scalar(config, "mode", tokens[1])
-        elif key == "admin":
-            if len(tokens) != 2:
-                raise ValueError("admin takes one account")
-            cls._set_scalar(config, "admin", tokens[1])
-        else:
-            raise ValueError(f"unknown goalkeeper config key {key!r}")
-
-    @classmethod
-    def validate(cls, config, outputs):
-        problems = []
+    def _check(cls, config, outputs):
         mode = config.get("mode")
         if mode is None:
-            return ["goalkeeper requires mode"]
+            return []
+        problems = []
         if mode == "hold" and "admin" not in config:
             problems.append("goalkeeper hold mode requires admin")
         if mode == "forward":
@@ -703,13 +702,6 @@ class GoalkeeperTemplate(Template):
         elif outputs:
             problems.append(f"goalkeeper {mode} mode takes no outputs")
         return problems
-
-    @classmethod
-    def config_lines(cls, config):
-        lines = [f"mode {config['mode']}"]
-        if "admin" in config:
-            lines.append(f"admin {config['admin']}")
-        return lines
 
     def receive(self, node, msg):
         info = msg.error or {}
@@ -742,6 +734,8 @@ class GoalkeeperTemplate(Template):
                          {"account": account, "amount": amount})
         return amount
 
+
+_read_table(Template)
 
 TEMPLATES: dict[str, type] = {
     cls.name: cls
