@@ -4,14 +4,17 @@ Each parse case reaches one site that rejects a config line (including the
 shared integer and duplicate-key checks under each name they are called
 with) and pins the error's message, line and column. Each validation case
 is one config per group of checks that can fire together, and pins the
-whole ordered problem list that ``validate_pipeline`` returns for it.
+whole ordered problem list that ``validate_pipeline`` returns for it. The
+config keys documented in docs/formats.md are checked against the tables.
 """
+
+from pathlib import Path
 
 import pytest
 
 from paypipe.errors import SpecSyntaxError
 from paypipe.pipeline import parse_pipeline, validate_pipeline
-from paypipe.templates import Template
+from paypipe.templates import TEMPLATES, Template
 
 from test_cli import router_pipeline
 
@@ -189,3 +192,31 @@ BAD_CONFIGS = [
 def test_bad_config_problems(template, outputs, config, problems):
     spec = parse_pipeline(router_pipeline(template, outputs, config))
     assert [str(e) for e in validate_pipeline(spec)] == problems
+
+
+def documented_config() -> dict:
+    """Template name -> the ``config`` lines of its block under "###
+    Templates" in docs/formats.md, as lists of words, comments dropped."""
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    section = text.split("\n### Templates\n", 1)[1].split("\n### ", 1)[0]
+    blocks = {}
+    for para in section.split("\n**")[1:]:
+        name = para.split("**", 1)[0]
+        code = para.split("```\n", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0].split() for line in code.splitlines()]
+        blocks[name] = [words[1:] for words in lines if words]
+    return blocks
+
+
+def test_docs_list_every_key_of_every_table():
+    docs = documented_config()
+    assert set(docs) == set(TEMPLATES)
+    for name, lines in docs.items():
+        table = TEMPLATES[name].config_table
+        keys = list(dict.fromkeys(words[0] for words in lines))
+        assert keys == [row.key for row in table], name
+        # a set of choices is written out as CHOICE|CHOICE|...
+        for row in table:
+            if row.words and type(row.words[0]) is tuple:
+                written = [words[1] for words in lines if words[0] == row.key]
+                assert written == ["|".join(row.words[0])], (name, row.key)
