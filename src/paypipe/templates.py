@@ -198,9 +198,9 @@ class Template:
     "requires"; ``outputs`` is the output-count rule, "1" for exactly one,
     "1+" for at least one, None for none. ``empty_config`` and
     ``parse_config_line`` are made from the table when a subclass is
-    defined; ``validate`` and ``config_lines`` read it. Rules across
-    fields are written out in ``_output_problems``, ``_entry_problems``
-    (for each tagged entry) and ``_check``. Instance methods run at
+    defined; ``validate`` and ``config_lines`` read it. What the table
+    cannot state, such as a rule across fields, is written out in the
+    optional hooks below ``config_lines``. Instance methods run at
     execution time with the owning node passed in.
     """
 
@@ -225,7 +225,17 @@ class Template:
     @classmethod
     def validate(cls, config: dict, outputs: list[tuple[str, str]]) -> list[str]:
         """Config-level problems as human-readable strings; empty if fine."""
-        problems = cls._output_problems(config, len(outputs))
+        count = len(outputs)
+        if cls.outputs == "1":
+            problems = [] if count == 1 else [
+                f"{cls.name} requires exactly 1 output, has {count}"]
+        elif cls.outputs == "1+":
+            problems = [] if count else [
+                f"{cls.name} requires at least 1 output"]
+        elif cls._output_problems is not None:
+            problems = cls._output_problems(config, count)
+        else:
+            problems = []
         for key, problem in cls._required:
             if key not in config or config[key] == []:
                 problems.append(problem)
@@ -234,7 +244,9 @@ class Template:
                 problems.append(problem)
         tagged = cls._tagged
         if not tagged:
-            return problems + cls._check(config, outputs)
+            if cls._check is not None:
+                problems += cls._check(config, outputs)
+            return problems
         # the tagged entries against the outputs, each way
         item, keyed = tagged[0].item, len(tagged) > 1
         bounds = {row.key: row.bound for row in tagged}
@@ -257,7 +269,8 @@ class Template:
                 problems.append(f"{key} {item} {tag!r} must be >= {bound}")
             if entry_problems is not None:
                 problems += entry_problems(tag, value, i == len(entries) - 1)
-        problems += cls._check(config, outputs)
+        if cls._check is not None:
+            problems += cls._check(config, outputs)
         for tag, _ in outputs:
             if tag not in seen:
                 problems.append(f"output {tag!r} has no {item}")
@@ -295,21 +308,12 @@ class Template:
                                      f"{'rest' if value is None else value}")
         return lines
 
-    # the rules the table cannot state
-    @classmethod
-    def _output_problems(cls, config: dict, count: int) -> list[str]:
-        if cls.outputs == "1" and count != 1:
-            return [f"{cls.name} requires exactly 1 output, has {count}"]
-        if cls.outputs == "1+" and count < 1:
-            return [f"{cls.name} requires at least 1 output"]
-        return []
-
-    # problems of one tagged entry's value beyond its bound, if any
-    _entry_problems = None
-
-    @classmethod
-    def _check(cls, config: dict, outputs: list[tuple[str, str]]) -> list[str]:
-        return []
+    # The rules the table cannot state, each a classmethod returning a list
+    # of problems, or None where a template has no such rule:
+    # _output_problems(config, count) when ``outputs`` is None,
+    # _entry_problems(tag, value, last) for each tagged entry, after its
+    # own checks, and _check(config, outputs) after all entries.
+    _output_problems = _entry_problems = _check = None
 
     # -- runtime -------------------------------------------------------------
 
@@ -690,16 +694,15 @@ class GoalkeeperTemplate(Template):
 
     @classmethod
     def _check(cls, config, outputs):
-        mode = config.get("mode")
-        if mode is None:
-            return []
-        problems = []
+        # a missing mode is reported alone: it has no output count to check
+        mode, problems = config.get("mode"), []
         if mode == "hold" and "admin" not in config:
             problems.append("goalkeeper hold mode requires admin")
         if mode == "forward":
             if len(outputs) != 1:
-                problems.append("goalkeeper forward mode requires exactly 1 output")
-        elif outputs:
+                problems.append(
+                    "goalkeeper forward mode requires exactly 1 output")
+        elif mode is not None and outputs:
             problems.append(f"goalkeeper {mode} mode takes no outputs")
         return problems
 
