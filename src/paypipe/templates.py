@@ -183,7 +183,8 @@ def _read_table(cls) -> None:
         parse(config, tokens)
 
     cls.parse_config_line = staticmethod(parse_config_line)
-    cls._required = [(key, f"{cls.name} requires {what}")
+    # (key, whether it names the list, the problem when missing or empty)
+    cls._required = [(key, key == name, f"{cls.name} requires {what}")
                      for key, what in cls.required.items()]
     cls._bounds = [(row.key, row.bound, f"{row.key} must be >= {row.bound}")
                    for row in table if row.into is None and row.bound is not None]
@@ -236,8 +237,8 @@ class Template:
             problems = cls._output_problems(config, count)
         else:
             problems = []
-        for key, problem in cls._required:
-            if key not in config or config[key] == []:
+        for key, listed, problem in cls._required:
+            if not config[key] if listed else key not in config:
                 problems.append(problem)
         for key, bound, problem in cls._bounds:
             if config.get(key, bound) < bound:
