@@ -57,6 +57,13 @@ def apportion(total: int, weights: list[int]) -> list[int]:
     return floors
 
 
+def _int_token(token: str, what: str) -> int:
+    try:
+        return int(token, 10)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {token!r}") from None
+
+
 # The words a config key takes. INT, NUMERATOR, DENOMINATOR and CAP are
 # base-10 integers, and CAP may also be ``rest``, stored as None; an error
 # names an INT by its key and the others as "KEY KIND". LABEL and TAG are
@@ -87,19 +94,11 @@ class ConfigKey(NamedTuple):
     item: str = ""
 
 
-def _integer(word: str, what: str) -> int:
-    """``word`` as a base-10 integer; ``what`` names it in the error."""
-    try:
-        return int(word, 10)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {word!r}") from None
-
-
 def _line_parser(row: ConfigKey, keyed: bool):
     """The function that stores a config line of ``row.key`` in a config,
     given the line's tokens. A line of one word, or a tagged entry, is how
     nearly every line of a large pipeline reads: that path calls ``int``
-    inline and ``_integer`` only for its error."""
+    inline and ``_int_token`` only for its error."""
     key, kinds, arity, into, _, item = row
     size = len(kinds) + 1
     many = kinds in ((TEXT,), (LABELS,))
@@ -120,7 +119,7 @@ def _line_parser(row: ConfigKey, keyed: bool):
                 try:
                     value = int(value, 10)
                 except ValueError:
-                    _integer(value, what)  # raises the error naming it
+                    _int_token(value, what)  # raises the error naming it
             config[into].append((key, tokens[1], value) if keyed
                                 else (tokens[1], value))
     elif size == 2 and into is None and not many:
@@ -132,7 +131,7 @@ def _line_parser(row: ConfigKey, keyed: bool):
                 try:
                     value = int(value, 10)
                 except ValueError:
-                    _integer(value, what)  # raises the error naming it
+                    _int_token(value, what)  # raises the error naming it
             elif choices and value not in choices:
                 raise ValueError(arity)
             if key in config:
@@ -152,7 +151,7 @@ def _line_parser(row: ConfigKey, keyed: bool):
             if many:
                 value = " ".join(tokens[1:])
             else:
-                value = tuple(_integer(word, f"{key} {kind}")
+                value = tuple(_int_token(word, f"{key} {kind}")
                               for kind, word in zip(kinds, tokens[1:])) or True
             if key in config:
                 raise ValueError(f"duplicate config key {key!r}")

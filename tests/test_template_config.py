@@ -197,7 +197,8 @@ def test_bad_config_problems(template, outputs, config, problems):
 def documented_config() -> dict:
     """Template name -> the ``config`` lines of its block under "###
     Templates" in docs/formats.md, as lists of words, comments dropped."""
-    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(
+        encoding="utf-8")
     section = text.split("\n### Templates\n", 1)[1].split("\n### ", 1)[0]
     blocks = {}
     for para in section.split("\n**")[1:]:
