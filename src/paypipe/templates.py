@@ -161,7 +161,9 @@ def _line_parser(row: ConfigKey, keyed: bool):
 
 
 def _read_table(cls) -> None:
-    """Set ``cls``'s config grammar from its table."""
+    """Set ``cls``'s config grammar from its table. ``empty_config`` and
+    ``parse_config_line`` are built here, not looked up per call, because
+    a large pipeline calls them once per node and once per config line."""
     table = cls.config_table
     # a template keeps at most one list
     (name,) = {row.into for row in table if row.into} or {None}
