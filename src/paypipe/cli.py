@@ -20,7 +20,8 @@ from typing import Optional
 
 from .bench import format_report, run_comparison
 from .engine import CostTable
-from .errors import ObservableMismatch, SpecSyntaxError, SpecValidationError
+from .errors import (ObservableMismatch, SpecSyntaxError, SpecValidationError,
+                     int_word)
 from .pipeline import (instantiate, parse_pipeline, serialize_pipeline,
                        token_lines, validate_pipeline)
 from .scenario import parse_scenario, run_scenario
@@ -38,11 +39,11 @@ def parse_cost_table(text: str) -> CostTable:
             raise SpecSyntaxError(f"unknown cost {name!r}", lineno, 1)
         if name in mapping:
             raise SpecSyntaxError(f"duplicate cost {name!r}", lineno, 1)
-        try:
-            mapping[name] = int(value, 10)
-        except ValueError:
+        cost = int_word(value)
+        if cost is None:
             raise SpecSyntaxError(f"cost {name!r} must be an integer",
-                                  lineno, 1) from None
+                                  lineno, 1)
+        mapping[name] = cost
     try:
         return CostTable(**mapping)
     except ValueError as err:

@@ -85,6 +85,20 @@ class SpecSyntaxError(Exception):
         self.column = column
 
 
+def int_word(word: str):
+    """The integer a word of any text format spells, or None when it spells
+    none; raises nothing. A word is an integer when it is ASCII
+    ``-?[0-9]+`` and ``int`` converts it, which a word longer than the
+    interpreter's digit limit (``sys.get_int_max_str_digits()``) is not."""
+    if word.isascii() and (word.isdigit()
+                           or word[:1] == "-" and word[1:].isdigit()):
+        try:
+            return int(word)
+        except ValueError:  # past the digit limit
+            pass
+    return None
+
+
 class SpecValidationError(Exception):
     """Raised when instantiating a spec that has validation errors."""
 

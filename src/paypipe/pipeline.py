@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .engine import CostTable, Engine
-from .errors import SpecSyntaxError, SpecValidationError
+from .errors import SpecSyntaxError, SpecValidationError, int_word
 from .ledger import MAX_AMOUNT
 from .nodes import (
     EndpointNode,
@@ -156,13 +156,11 @@ def parse_pipeline(text: str) -> PipelineSpec:
             if len(tokens) != 3:
                 raise syntax_error("balance takes an account and an amount",
                                    line, 0)
-            account = tokens[1]
-            try:
-                amount = int(tokens[2], 10)
-            except ValueError:
+            account, amount = tokens[1], int_word(tokens[2])
+            if amount is None:
                 raise syntax_error(
                     f"balance amount must be an integer, got {tokens[2]!r}",
-                    line, 2) from None
+                    line, 2)
             if account in spec.balances:
                 raise syntax_error(f"duplicate balance for {account!r}",
                                    line, 1)

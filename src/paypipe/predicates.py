@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import SpecSyntaxError
+from .errors import SpecSyntaxError, int_word
 
 
 class PredicateEvalError(Exception):
@@ -68,7 +68,7 @@ _LEXEME_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<str>"[^"\n]*")
-  | (?P<int>\d+)
+  | (?P<int>[0-9]+)
   | (?P<op><=|>=|!=|==|=|<|>)
   | (?P<lpar>\()
   | (?P<rpar>\))
@@ -177,9 +177,14 @@ class _Parser:
         return Cmp(op, left, right)
 
     def operand(self):
-        kind, text, _col = self.take()
+        kind, text, col = self.take()
         if kind == "int":
-            return Lit(int(text))
+            value = int_word(text)
+            if value is None:
+                raise SpecSyntaxError(
+                    f"integer literal of {len(text)} digits is too long",
+                    self.line, col)
+            return Lit(value)
         if kind == "str":
             return Lit(text[1:-1])
         if kind == "meta":

@@ -26,17 +26,14 @@ claimable amounts, and event counts by kind.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import Engine, TxResult
-from .errors import SpecSyntaxError
+from .errors import SpecSyntaxError, int_word
 from .ledger import MAX_AMOUNT
 from .nodes import node_address
 from .pipeline import syntax_error, token_lines
-
-_INT_RE = re.compile(r"^-?[0-9]+$")
 
 # steps that submit a transaction and may carry an expect-revert mark
 _TX_STEPS = ("deposit", "instruct", "claim")
@@ -66,10 +63,11 @@ class ScenarioResult:
 
 
 def _int_arg(line, i, what):
-    tok = line[2][i]
-    if not _INT_RE.match(tok):
-        raise syntax_error(f"{what} must be an integer, got {tok!r}", line, i)
-    return int(tok)
+    value = int_word(line[2][i])
+    if value is None:
+        raise syntax_error(f"{what} must be an integer, got {line[2][i]!r}",
+                           line, i)
+    return value
 
 
 def _metadata(line, start):
@@ -85,7 +83,8 @@ def _metadata(line, start):
             raise syntax_error("metadata key is empty", line, i)
         if key in meta:
             raise syntax_error(f"duplicate metadata key {key!r}", line, i)
-        meta[key] = int(value) if _INT_RE.match(value) else value
+        number = int_word(value)
+        meta[key] = value if number is None else number
     return meta
 
 

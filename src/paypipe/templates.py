@@ -27,6 +27,7 @@ from .errors import (
     UnknownEdge,
     UntrustedOracle,
     ZeroAmount,
+    int_word,
 )
 from .nodes import (
     ErrorSeverity,
@@ -57,18 +58,12 @@ def apportion(total: int, weights: list[int]) -> list[int]:
     return floors
 
 
-def _int_token(token: str, what: str) -> int:
-    try:
-        return int(token, 10)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {token!r}") from None
-
-
 # The words a config key takes. INT, NUMERATOR, DENOMINATOR and CAP are
-# base-10 integers, and CAP may also be ``rest``, stored as None; an error
-# names an INT by its key and the others as "KEY KIND". LABEL and TAG are
-# one word; a TAG names an output. TEXT and LABELS are one or more words,
-# joined into one string or kept apart. A tuple is a set of choices.
+# integers as ``int_word`` reads them, and CAP may also be ``rest``, stored
+# as None; an error names an INT by its key and the others as "KEY KIND".
+# LABEL and TAG are one word; a TAG names an output. TEXT and LABELS are
+# one or more words, joined into one string or kept apart. A tuple is a set
+# of choices.
 INT, NUMERATOR, DENOMINATOR, CAP = "int", "numerator", "denominator", "cap"
 LABEL, TAG, TEXT, LABELS = "label", "tag", "text", "labels"
 
@@ -96,9 +91,7 @@ class ConfigKey(NamedTuple):
 
 def _line_parser(row: ConfigKey, keyed: bool):
     """The function that stores a config line of ``row.key`` in a config,
-    given the line's tokens. A line of one word, or a tagged entry, is how
-    nearly every line of a large pipeline reads: that path calls ``int``
-    inline and ``_int_token`` only for its error."""
+    given the line's tokens."""
     key, kinds, arity, into, _, item = row
     size = len(kinds) + 1
     many = kinds in ((TEXT,), (LABELS,))
@@ -116,10 +109,9 @@ def _line_parser(row: ConfigKey, keyed: bool):
             if cap and value == "rest":
                 value = None
             elif number:
-                try:
-                    value = int(value, 10)
-                except ValueError:
-                    _int_token(value, what)  # raises the error naming it
+                word, value = value, int_word(value)
+                if value is None:
+                    raise ValueError(f"{what} must be an integer, got {word!r}")
             config[into].append((key, tokens[1], value) if keyed
                                 else (tokens[1], value))
     elif size == 2 and into is None and not many:
@@ -128,10 +120,10 @@ def _line_parser(row: ConfigKey, keyed: bool):
                 raise ValueError(arity)
             value = tokens[1]
             if number:
-                try:
-                    value = int(value, 10)
-                except ValueError:
-                    _int_token(value, what)  # raises the error naming it
+                value = int_word(tokens[1])
+                if value is None:
+                    raise ValueError(
+                        f"{what} must be an integer, got {tokens[1]!r}")
             elif choices and value not in choices:
                 raise ValueError(arity)
             if key in config:
@@ -151,8 +143,12 @@ def _line_parser(row: ConfigKey, keyed: bool):
             if many:
                 value = " ".join(tokens[1:])
             else:
-                value = tuple(_int_token(word, f"{key} {kind}")
-                              for kind, word in zip(kinds, tokens[1:])) or True
+                value = tuple(map(int_word, tokens[1:]))
+                if None in value:
+                    i = value.index(None)
+                    raise ValueError(f"{key} {kinds[i]} must be an integer, "
+                                     f"got {tokens[i + 1]!r}")
+                value = value or True
             if key in config:
                 raise ValueError(f"duplicate config key {key!r}")
             config[key] = value

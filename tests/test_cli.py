@@ -307,6 +307,48 @@ class TestRun:
         assert capsys.readouterr().err
 
 
+class TestOverlongIntegers:
+    """A 4,400-digit word is past the interpreter's default conversion
+    limit of 4,300 digits, so it is not an integer: a coded error where an
+    integer is required, a string as a metadata value, never a traceback."""
+
+    BIG = "1" * 4400
+
+    def child(self, *args):
+        env = {**CHILD_ENV, "PYTHONINTMAXSTRDIGITS": "4300"}
+        proc = subprocess.run([sys.executable, "-m", "paypipe", *args],
+                              env=env, capture_output=True, text=True)
+        assert "Traceback" not in proc.stderr
+        return proc
+
+    def test_scenario_amount_exits_two(self, tmp_path):
+        pipe = write(tmp_path, "good.pipe", GOOD_PIPE)
+        scn = write(tmp_path, "big.scn",
+                    f"scenario x\n\napprove acme origin {self.BIG}\n")
+        proc = self.child("run", pipe, scn)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"{scn}:3:21: amount must be an integer, got '1111")
+
+    def test_predicate_literal_is_bad_config(self, tmp_path):
+        gate = GOOD_PIPE.replace("out main -> pay", "out main -> gate") + (
+            "\nnode gate\n  kind router\n  template conditional\n"
+            f"  out main -> pay\n  config when amount >= {self.BIG}\n")
+        proc = self.child("validate", write(tmp_path, "big.pipe", gate))
+        assert proc.returncode == 1
+        assert proc.stdout == ("BadConfig gate: bad predicate: integer "
+                               "literal of 4400 digits is too long\n")
+
+    def test_metadata_value_runs(self, tmp_path):
+        pipe = write(tmp_path, "good.pipe", GOOD_PIPE)
+        scn = write(tmp_path, "big.scn",
+                    "scenario x\n\napprove acme origin 50\n"
+                    f"deposit acme 50 n={self.BIG}\nassert balance bob 50\n")
+        proc = self.child("run", pipe, scn)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("ok: scenario x, 1 transactions")
+
+
 class TestBench:
     def test_default_bench_exits_zero(self, capsys):
         assert main(["bench"]) == 0
