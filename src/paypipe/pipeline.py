@@ -395,9 +395,6 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
                     "mode and recipient apply to endpoints only")
             if node.template is None:
                 err("BadConfig", node.id, "router requires a template")
-            elif not node.outputs and node.template != "goalkeeper":
-                err("ArityViolation", node.id,
-                    "router requires at least 1 output")
 
     # cycles over declared and redirect edges, outputs first; a target an
     # output names twice is met twice, which neither walk below minds

@@ -649,6 +649,7 @@ class WaterfallTemplate(Template):
                   into="tiers", item="tier"),
     )
     required = {"tiers": "at least one tier"}
+    outputs = "1+"
 
     @classmethod
     def _entry_problems(cls, tag, cap, last):

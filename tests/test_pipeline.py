@@ -548,7 +548,6 @@ node pay
             "BadConfig bare: node must declare kind",
             "BadConfig lonely: mode and recipient apply to endpoints only",
             "BadConfig lonely: router requires a template",
-            "ArityViolation empty: router requires at least 1 output",
             "CycleDetected split: cycle via edge split -> origin",
             "BadConfig split: output 'b' has no share",
             "BadConfig empty: reporting requires exactly 1 output, has 0",

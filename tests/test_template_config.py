@@ -148,7 +148,6 @@ BAD_CONFIGS = [
         "BadConfig r: bad predicate: unexpected end of predicate",
     ]),
     ("oracle", [], [], [
-        "ArityViolation r: router requires at least 1 output",
         "BadConfig r: oracle requires at least 1 output",
         "BadConfig r: oracle requires at least one trusted account",
     ]),
@@ -179,7 +178,6 @@ BAD_CONFIGS = [
         "BadConfig r: goalkeeper requires mode",
     ]),
     ("distributing", [], ["residual a", "allow_single"], [
-        "ArityViolation r: router requires at least 1 output",
         "BadConfig r: distributing requires at least 1 output, has 0",
         "BadConfig r: share 'a' does not match any output",
     ]),
@@ -192,6 +190,16 @@ BAD_CONFIGS = [
 def test_bad_config_problems(template, outputs, config, problems):
     spec = parse_pipeline(router_pipeline(template, outputs, config))
     assert [str(e) for e in validate_pipeline(spec)] == problems
+
+
+@pytest.mark.parametrize("template", sorted(set(TEMPLATES) - {"goalkeeper"}))
+def test_a_router_without_outputs_has_one_count_problem(template):
+    """Its template's output rule reports it; the pipeline does not."""
+    spec = parse_pipeline(router_pipeline(template, [], []))
+    problems = [str(e) for e in validate_pipeline(spec)]
+    count = [p for p in problems if " output" in p]
+    assert len(count) == 1, problems
+    assert count[0].startswith(f"BadConfig r: {template} requires "), problems
 
 
 def documented_config() -> dict:
