@@ -25,7 +25,7 @@ from typing import Optional
 from .engine import CostTable, Engine
 from .errors import EngineError, ObservableMismatch, ZeroAmount
 from .ledger import NULL_ADDRESS
-from .nodes import Node, NodeKind, schedule_due, schedule_next_due
+from .nodes import Node, schedule_due, schedule_next_due
 from .pipeline import PipelineSpec, instantiate, parse_pipeline
 from .templates import apportion
 
@@ -114,8 +114,6 @@ def build_pipeline_fixture(recipients: int, periods: int, weights=None,
 
 class MonolithicPayroll(Node):
     """The whole payroll in one node: schedule, reporting, split, payout."""
-
-    kind = NodeKind.ORIGINATOR
 
     def __init__(self, node_id: str, recipients: list[str], releases: int,
                  weights=None):

@@ -68,12 +68,6 @@ def node_address(node_id: str) -> str:
     return f"node:{node_id}"
 
 
-class NodeKind(Enum):
-    ORIGINATOR = "originator"
-    ROUTER = "router"
-    ENDPOINT = "endpoint"
-
-
 class ErrorSeverity(IntEnum):
     WARNING = 1
     RECOVERABLE = 2
@@ -170,7 +164,6 @@ class Node:
     stream with ``engine.dispatch``.
     """
 
-    kind = NodeKind.ROUTER
     # Whether the node has a release schedule: set per class, true when the
     # class overrides ``due_releases``; a router takes its template's.
     scheduled = False
@@ -253,8 +246,6 @@ class Node:
 class OriginatorNode(Node):
     """Entry node: pulls a deposit and streams it along its single output."""
 
-    kind = NodeKind.ORIGINATOR
-
     def deposit(self, from_account: str, amount: int, metadata: dict) -> None:
         if amount <= 0:
             raise ZeroAmount("deposits must be positive")
@@ -272,8 +263,6 @@ class OriginatorNode(Node):
 
 class EndpointNode(Node):
     """Terminal node: pays the recipient directly or holds funds for claiming."""
-
-    kind = NodeKind.ENDPOINT
 
     def __init__(self, node_id, recipient: str, mode: str = "direct",
                  error_policy=None):
@@ -309,8 +298,6 @@ class EndpointNode(Node):
 
 class RouterNode(Node):
     """Intermediate node whose behavior is supplied by a template instance."""
-
-    kind = NodeKind.ROUTER
 
     def __init__(self, node_id, template, outputs=None, error_policy=None):
         super().__init__(node_id, outputs=outputs, error_policy=error_policy)

@@ -12,8 +12,7 @@ from paypipe.engine import (
     EventRecord,
     format_event,
 )
-from paypipe.nodes import (EndpointNode, Node, NodeKind, OriginatorNode,
-                           StreamMessage)
+from paypipe.nodes import EndpointNode, Node, OriginatorNode, StreamMessage
 from paypipe.pipeline import instantiate, parse_pipeline
 
 from support import apply_action, random_actions, random_pipeline_text
@@ -416,8 +415,6 @@ class TestConservationCheck:
     def test_self_check_catches_a_leaky_node(self):
         class LeakyNode(Node):
             # test double: corrupts balances outside mint/transfer
-            kind = NodeKind.ENDPOINT
-
             def on_receive(self, msg):
                 bal = self.engine.ledger.balances
                 bal["thief"] = bal.get("thief", 0) + 5

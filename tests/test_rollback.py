@@ -21,7 +21,6 @@ from paypipe.nodes import (
     EndpointNode,
     ErrorSeverity,
     Node,
-    NodeKind,
     OriginatorNode,
     RouterNode,
     StreamError,
@@ -533,8 +532,6 @@ class TestDueIndex:
         class Alarm(Node):
             # test double: each deposit schedules one release 5 ticks later,
             # so its schedule changes outside any crank
-            kind = NodeKind.ORIGINATOR
-
             def __init__(self, node_id):
                 super().__init__(node_id)
                 self.state = {"due": []}
