@@ -589,15 +589,6 @@ class Engine:
 
     # -- reports ------------------------------------------------------------
 
-    def gas_report(self) -> dict:
-        """Per-transaction gas plus the running total, as plain data."""
-        per_tx = [
-            {"tx": r.tx.id, "trigger": r.tx.trigger, "status": r.tx.status,
-             "gas": r.gas}
-            for r in self.transactions
-        ]
-        return {"per_tx": per_tx, "total": sum(r.gas for r in self.transactions)}
-
     def trace_text(self) -> str:
         """``format_event`` of every committed event, one line each, each
         ending in a newline; see the module docstring for how."""

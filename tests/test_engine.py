@@ -122,9 +122,11 @@ class TestRevert:
     def test_reverted_gas_still_logged(self):
         engine = build(CHAIN)
         result = engine.submit_deposit("acme", 100)
-        report = engine.gas_report()
-        assert report["per_tx"][-1]["status"] == "Reverted"
-        assert report["per_tx"][-1]["gas"] == result.gas > 0
+        last = engine.transactions[-1]
+        assert last.tx.status == "Reverted"
+        assert last.gas == result.gas > 0
+        assert engine.gas_text().splitlines()[-2].endswith(
+            f"status=Reverted gas={result.gas}")
 
     def test_unknown_node_claim_reverts(self):
         engine = build(CHAIN)
@@ -432,12 +434,12 @@ class TestConservationCheck:
 class TestExports:
     def test_gas_report_shape(self):
         engine = build(CHAIN)
-        assert engine.gas_report() == {"per_tx": [], "total": 0}
+        assert engine.gas_text() == "total txs=0 gas=0\n"
         approve_entry(engine, "acme", 100)
         engine.submit_deposit("acme", 100)
-        report = engine.gas_report()
-        assert report["total"] == report["per_tx"][0]["gas"] == 65400
-        assert report["per_tx"][0]["trigger"] == "Deposit"
+        (tx,) = engine.transactions
+        assert tx.gas == 65400 and tx.tx.trigger == "Deposit"
+        assert engine.gas_text().splitlines()[-1] == "total txs=1 gas=65400"
 
     def test_gas_text_totals_line(self):
         engine = build(CHAIN)
