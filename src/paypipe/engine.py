@@ -600,9 +600,9 @@ class Engine:
             for ev in chunk:
                 tx_id, seq, emitter, kind, payload = ev
                 try:
-                    template, values = templates[kind, *payload]
+                    template, values = templates[(kind, *payload)]
                 except KeyError:
-                    template, values = templates[kind, *payload] = \
+                    template, values = templates[(kind, *payload)] = \
                         _line_template(kind, payload)
                 except TypeError:  # an unhashable kind
                     template = None
@@ -617,7 +617,7 @@ class Engine:
                 skip = set(odd)
                 for i, line in enumerate(lines):
                     if i not in skip and not _printed_as_is(line, chunk[i]):
-                        templates[chunk[i][3], *chunk[i][4]] = None, None
+                        templates[(chunk[i][3], *chunk[i][4])] = None, None
                         lines[i] = format_event(chunk[i])
                 text = "\n".join(lines)
             chunks.append(text)

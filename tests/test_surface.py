@@ -1,5 +1,6 @@
 """The package's public surface: ``paypipe.__all__`` and the README example."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -43,3 +44,18 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "300"  # emp-1 is paid all three releases by t=30
     assert out[2].startswith("tx=0 seq=0 emitter=ledger kind=Transfer")
+
+
+def test_no_module_needs_python_3_11_for_a_starred_subscript():
+    """``requires-python`` is 3.10, which has no ``t[a, *b]`` (PEP 646,
+    3.11); ``t[(a, *b)]`` means the same in both. The two parse to the
+    same tree, so a subscript's starred tuple must start at its "("."""
+    for path in sorted((ROOT / "src" / "paypipe").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            index = getattr(node, "slice", None)
+            if isinstance(index, ast.Tuple) and any(
+                    isinstance(item, ast.Starred) for item in index.elts):
+                segment = ast.get_source_segment(source, index)
+                assert segment.startswith("("), \
+                    f"{path.name}:{node.lineno}: [{segment}]"
