@@ -1,10 +1,13 @@
 """Exception hierarchy shared across the engine.
 
 Every error that can abort a transaction carries a short machine-readable
-``code``; the engine records it as the revert reason.
+``code``; the engine records it as the revert reason. ``int_word``, beside
+``SpecSyntaxError``, reads an integer word for every text format.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 
 class EngineError(Exception):
@@ -85,7 +88,7 @@ class SpecSyntaxError(Exception):
         self.column = column
 
 
-def int_word(word: str):
+def int_word(word: str) -> Optional[int]:
     """The integer a word of any text format spells, or None when it spells
     none; raises nothing. A word is an integer when it is ASCII
     ``-?[0-9]+`` and ``int`` converts it, which a word longer than the

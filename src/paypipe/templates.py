@@ -109,9 +109,10 @@ def _line_parser(row: ConfigKey, keyed: bool):
             if cap and value == "rest":
                 value = None
             elif number:
-                word, value = value, int_word(value)
+                value = int_word(tokens[2])
                 if value is None:
-                    raise ValueError(f"{what} must be an integer, got {word!r}")
+                    raise ValueError(
+                        f"{what} must be an integer, got {tokens[2]!r}")
             config[into].append((key, tokens[1], value) if keyed
                                 else (tokens[1], value))
     elif size == 2 and into is None and not many:

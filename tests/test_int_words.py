@@ -79,7 +79,7 @@ def sites(text: str):
     of a deposit's ``key=value`` metadata word whose value it is, or None."""
     found = []
     for line in token_lines(text):
-        lineno, raw, words = line
+        lineno, _, words = line
         predicate = words[:2] == ["config", "when"]
         for i, word in enumerate(words):
             start = column(line, i) - 1
