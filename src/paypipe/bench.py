@@ -52,17 +52,15 @@ def _check_shape(recipients: int, periods: int, weights) -> list[int]:
     return list(weights)
 
 
-def build_pipeline_text(recipients: int, periods: int,
-                        weights=None, deposit: Optional[int] = None) -> str:
+def build_pipeline_text(recipients: int, periods: int, weights=None) -> str:
     """Payroll pipeline source: originator, timelock, splitter, reporters,
     endpoints."""
     weights = _check_shape(recipients, periods, weights)
     pool = PAY_PER_PERIOD * recipients
-    funding = pool * periods if deposit is None else deposit
     lines = [
         "pipeline payroll",
         "",
-        f"balance {EMPLOYER} {funding}",
+        f"balance {EMPLOYER} {pool * periods}",
         "",
         "node origin",
         "  kind originator",
@@ -104,12 +102,11 @@ def build_pipeline_text(recipients: int, periods: int,
     return "\n".join(lines) + "\n"
 
 
-def build_pipeline_fixture(recipients: int, periods: int, weights=None,
-                           deposit: Optional[int] = None) -> PipelineSpec:
+def build_pipeline_fixture(recipients: int, periods: int,
+                           weights=None) -> PipelineSpec:
     """Parsed payroll topology: 1 originator, 1 timelock, 1 splitter, then
     one reporting router and one endpoint per recipient."""
-    return parse_pipeline(build_pipeline_text(recipients, periods, weights,
-                                              deposit))
+    return parse_pipeline(build_pipeline_text(recipients, periods, weights))
 
 
 class MonolithicPayroll(Node):
@@ -164,15 +161,12 @@ class MonolithicPayroll(Node):
 
 
 def build_monolith(recipients: int, periods: int, weights=None,
-                   deposit: Optional[int] = None,
                    cost_table: Optional[CostTable] = None) -> Engine:
-    funding = (PAY_PER_PERIOD * recipients * periods if deposit is None
-               else deposit)
     engine = Engine(cost_table=cost_table)
     engine.add_node(MonolithicPayroll("payroll", recipient_accounts(recipients),
                                       periods, weights))
     engine.set_entry("payroll")
-    engine.setup_balances({EMPLOYER: funding})
+    engine.setup_balances({EMPLOYER: PAY_PER_PERIOD * recipients * periods})
     return engine
 
 
@@ -258,17 +252,13 @@ class BenchReport:
 
 
 def run_comparison(recipients: int = 3, periods: int = 3,
-                   deposit: Optional[int] = None,
                    cost_table: Optional[CostTable] = None,
                    weights=None) -> BenchReport:
     """Run both fixtures, check they pay out identically, compare gas."""
-    if deposit is None:
-        deposit = PAY_PER_PERIOD * recipients * periods
-    spec = build_pipeline_fixture(recipients, periods, weights, deposit)
-    if deposit < 1:
-        raise ValueError("deposit must be >= 1")
+    spec = build_pipeline_fixture(recipients, periods, weights)
+    deposit = PAY_PER_PERIOD * recipients * periods
     pipe = instantiate(spec, cost_table=cost_table)
-    mono = build_monolith(recipients, periods, weights, deposit, cost_table)
+    mono = build_monolith(recipients, periods, weights, cost_table)
     _drive(pipe, deposit, periods)
     _drive(mono, deposit, periods)
 

@@ -43,11 +43,11 @@ def parse_cost_table(text: str) -> CostTable:
         if cost is None:
             raise SpecSyntaxError(f"cost {name!r} must be an integer",
                                   lineno, 1)
+        if cost < 0:
+            raise SpecSyntaxError(f"cost {name} must be non-negative",
+                                  lineno, 1)
         mapping[name] = cost
-    try:
-        return CostTable(**mapping)
-    except ValueError as err:
-        raise SpecSyntaxError(str(err), 1, 1) from None
+    return CostTable(**mapping)
 
 
 def _write_out(path: str, text: str, what: str) -> None:

@@ -58,8 +58,9 @@ a template line has exactly 3+n spaces and 4+n ``=`` and neither of the
 others, for n keys, unless a field needed escaping. It also checks that every
 kind and key of a template line is an exact ``str`` (an equal ``str`` subclass
 would find a template built for the plain string). A chunk with no template
-line is not checked. A chunk that fails is checked line by line; each failing
-line is printed by ``format_event``, and so are all later events of its shape.
+line is not checked. A chunk that fails is checked line by line, each line as
+a chunk of its own; each failing line is printed by ``format_event``, and so
+are all later events of its shape.
 The templates live only for one call.
 """
 
@@ -111,7 +112,6 @@ class GasMeter:
     ``Engine.transactions``."""
 
     def __init__(self, table: CostTable):
-        self.table = table
         self._costs = asdict(table)
         self.consumed = 0
 
@@ -260,17 +260,6 @@ def _line_template(kind, payload) -> tuple:
     return template, lambda payload: ()
 
 
-def _printed_as_is(line: str, ev: EventRecord) -> bool:
-    """Whether a template-built ``line`` of ``ev`` is ``format_event``'s:
-    the kind and keys are ``str`` and no field held a character to escape."""
-    kind, payload = ev[3], ev[4]
-    n = len(payload)
-    return (kind.__class__ is str
-            and all(key.__class__ is str for key in payload)
-            and line.count(" ") == 3 + n and line.count("=") == 4 + n
-            and "%" not in line and "\n" not in line)
-
-
 def _templates_as_is(text: str, chunk: list, lines: list, odd: list) -> bool:
     """Whether every template line of a chunk is ``format_event``'s, from
     counts over the chunk's ``text``: a template line has 3+n spaces and 4+n
@@ -300,8 +289,7 @@ class Engine:
     """Owns the ledger, clock, gas meter, event log, and node registry."""
 
     def __init__(self, cost_table: Optional[CostTable] = None):
-        self.cost_table = cost_table or CostTable()
-        self.meter = GasMeter(self.cost_table)
+        self.meter = GasMeter(cost_table or CostTable())
         self.now = 0
         self.ledger = TokenLedger(on_event=self.emit, on_charge=self.charge)
         self.nodes: dict[str, Node] = {}
@@ -616,7 +604,8 @@ class Engine:
                     not _templates_as_is(text, chunk, lines, odd):
                 skip = set(odd)
                 for i, line in enumerate(lines):
-                    if i not in skip and not _printed_as_is(line, chunk[i]):
+                    if i not in skip and not _templates_as_is(
+                            line, [chunk[i]], [line], []):
                         templates[(chunk[i][3], *chunk[i][4])] = None, None
                         lines[i] = format_event(chunk[i])
                 text = "\n".join(lines)

@@ -2,7 +2,8 @@
 
 Every error that can abort a transaction carries a short machine-readable
 ``code``; the engine records it as the revert reason. ``int_word``, beside
-``SpecSyntaxError``, reads an integer word for every text format.
+``SpecSyntaxError``, reads an integer word for every text format, and
+``shown_word`` quotes a word a syntax error echoes.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ def int_word(word: str) -> Optional[int]:
         except ValueError:  # past the digit limit
             pass
     return None
+
+
+def shown_word(word: str) -> str:
+    """``word`` quoted for an error message: whole up to 20 characters, else
+    its first 20 characters and its length, so one long word cannot make
+    the message unreadable."""
+    if len(word) <= 20:
+        return repr(word)
+    return f"{word[:20]!r}... ({len(word)} characters)"
 
 
 class SpecValidationError(Exception):

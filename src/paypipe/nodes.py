@@ -229,8 +229,6 @@ class Node:
         schedule is never asked. This default derives it from
         ``due_releases``; a schedule can answer it directly.
         """
-        if not self.scheduled:
-            return None
         return earliest_due(self.due_releases(math.inf))
 
     def crank(self, k: int, due: int) -> None:

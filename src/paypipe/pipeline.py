@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .engine import CostTable, Engine
-from .errors import SpecSyntaxError, SpecValidationError, int_word
+from .errors import SpecSyntaxError, SpecValidationError, int_word, shown_word
 from .ledger import MAX_AMOUNT
 from .nodes import (
     EndpointNode,
@@ -49,7 +49,7 @@ from .nodes import (
     PolicyAction,
     RouterNode,
 )
-from .templates import TEMPLATES, make_template
+from .templates import TEMPLATES
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -159,8 +159,8 @@ def parse_pipeline(text: str) -> PipelineSpec:
             account, amount = tokens[1], int_word(tokens[2])
             if amount is None:
                 raise syntax_error(
-                    f"balance amount must be an integer, got {tokens[2]!r}",
-                    line, 2)
+                    "balance amount must be an integer, "
+                    f"got {shown_word(tokens[2])}", line, 2)
             if account in spec.balances:
                 raise syntax_error(f"duplicate balance for {account!r}",
                                    line, 1)
@@ -493,7 +493,7 @@ def instantiate(spec: PipelineSpec,
                                 mode=ns.mode or "direct",
                                 error_policy=ns.policy)
         else:
-            node = RouterNode(ns.id, make_template(ns.template, ns.config),
+            node = RouterNode(ns.id, TEMPLATES[ns.template](ns.config),
                               outputs=ns.outputs, error_policy=ns.policy)
         engine.add_node(node)
     engine.setup_balances(spec.balances)

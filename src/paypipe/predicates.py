@@ -79,33 +79,24 @@ _LEXEME_RE = re.compile(
 )
 
 
-def _tokenize(text: str, line: int, col_offset: int) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
     while pos < len(text):
         m = _LEXEME_RE.match(text, pos)
         if m is None:
-            raise SpecSyntaxError(
-                f"bad character {text[pos]!r} in predicate", line, col_offset + pos + 1
-            )
+            raise SpecSyntaxError(f"bad character {text[pos]!r} in predicate")
         kind = m.lastgroup
         if kind != "ws":
-            tokens.append((kind, m.group(), col_offset + pos + 1))
+            tokens.append((kind, m.group()))
         pos = m.end()
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, line):
+    def __init__(self, tokens):
         self.tokens = tokens
-        self.line = line
         self.i = 0
-
-    def _error(self, message):
-        col = self.tokens[self.i][2] if self.i < len(self.tokens) else (
-            self.tokens[-1][2] if self.tokens else 1
-        )
-        raise SpecSyntaxError(message, self.line, col)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -113,54 +104,46 @@ class _Parser:
     def take(self):
         tok = self.peek()
         if tok is None:
-            self._error("unexpected end of predicate")
+            raise SpecSyntaxError("unexpected end of predicate")
         self.i += 1
         return tok
 
     def parse(self):
-        node = self.or_expr()
+        node = self.chain(Or)
         if self.peek() is not None:
-            self._error(f"unexpected token {self.peek()[1]!r}")
+            raise SpecSyntaxError(f"unexpected token {self.peek()[1]!r}")
         return node
 
-    def or_expr(self):
-        items = [self.and_expr()]
-        while self.peek() and self.peek()[1] == "or":
+    def chain(self, cls):
+        """A chain of ``Or`` over ``And`` chains, or of ``And`` over unary
+        terms, flattened so "(a or b) or c" and "a or b or c" share one
+        canonical form."""
+        word, term = ("or", lambda: self.chain(And)) if cls is Or \
+            else ("and", self.unary)
+        items = [term()]
+        while self.peek() and self.peek()[1] == word:
             self.take()
-            items.append(self.and_expr())
-        if len(items) == 1:
-            return items[0]
-        # Flatten so "(a or b) or c" and "a or b or c" share one canonical form.
-        flat = []
-        for item in items:
-            flat.extend(item.items if isinstance(item, Or) else (item,))
-        return Or(tuple(flat))
-
-    def and_expr(self):
-        items = [self.unary()]
-        while self.peek() and self.peek()[1] == "and":
-            self.take()
-            items.append(self.unary())
+            items.append(term())
         if len(items) == 1:
             return items[0]
         flat = []
         for item in items:
-            flat.extend(item.items if isinstance(item, And) else (item,))
-        return And(tuple(flat))
+            flat.extend(item.items if isinstance(item, cls) else (item,))
+        return cls(tuple(flat))
 
     def unary(self):
         tok = self.peek()
         if tok is None:
-            self._error("unexpected end of predicate")
+            raise SpecSyntaxError("unexpected end of predicate")
         if tok[1] == "not":
             self.take()
             return Not(self.unary())
         if tok[0] == "lpar":
             self.take()
-            node = self.or_expr()
+            node = self.chain(Or)
             closing = self.peek()
             if closing is None or closing[0] != "rpar":
-                self._error("expected ')'")
+                raise SpecSyntaxError("expected ')'")
             self.take()
             return node
         return self.comparison()
@@ -169,7 +152,7 @@ class _Parser:
         left = self.operand()
         tok = self.peek()
         if tok is None or tok[0] != "op":
-            self._error("expected a comparator")
+            raise SpecSyntaxError("expected a comparator")
         op = self.take()[1]
         if op == "==":
             op = "="
@@ -177,13 +160,12 @@ class _Parser:
         return Cmp(op, left, right)
 
     def operand(self):
-        kind, text, col = self.take()
+        kind, text = self.take()
         if kind == "int":
             value = int_word(text)
             if value is None:
                 raise SpecSyntaxError(
-                    f"integer literal of {len(text)} digits is too long",
-                    self.line, col)
+                    f"integer literal of {len(text)} digits is too long")
             return Lit(value)
         if kind == "str":
             return Lit(text[1:-1])
@@ -192,16 +174,17 @@ class _Parser:
         if kind == "word":
             if text in ("amount", "now"):
                 return Field(text)
-            self._error(f"unknown operand {text!r}")
-        self._error(f"expected an operand, got {text!r}")
+            raise SpecSyntaxError(f"unknown operand {text!r}")
+        raise SpecSyntaxError(f"expected an operand, got {text!r}")
 
 
-def parse_predicate(text: str, line: int = 0, col_offset: int = 0):
-    """Parse an expression into an AST; raises SpecSyntaxError with position."""
-    tokens = _tokenize(text, line, col_offset)
+def parse_predicate(text: str):
+    """Parse an expression into an AST; raises SpecSyntaxError, whose
+    message alone says what is wrong."""
+    tokens = _tokenize(text)
     if not tokens:
-        raise SpecSyntaxError("empty predicate", line, col_offset + 1)
-    return _Parser(tokens, line).parse()
+        raise SpecSyntaxError("empty predicate")
+    return _Parser(tokens).parse()
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import Engine, TxResult
-from .errors import SpecSyntaxError, int_word
+from .errors import SpecSyntaxError, int_word, shown_word
 from .ledger import MAX_AMOUNT
 from .nodes import node_address
 from .pipeline import syntax_error, token_lines
@@ -65,8 +65,8 @@ class ScenarioResult:
 def _int_arg(line, i, what):
     value = int_word(line[2][i])
     if value is None:
-        raise syntax_error(f"{what} must be an integer, got {line[2][i]!r}",
-                           line, i)
+        raise syntax_error(
+            f"{what} must be an integer, got {shown_word(line[2][i])}", line, i)
     return value
 
 
@@ -76,8 +76,8 @@ def _metadata(line, start):
     for i in range(start, len(line[2])):
         tok = line[2][i]
         if "=" not in tok:
-            raise syntax_error(f"metadata must be key=value, got {tok!r}",
-                               line, i)
+            raise syntax_error(
+                f"metadata must be key=value, got {shown_word(tok)}", line, i)
         key, _, value = tok.partition("=")
         if not key:
             raise syntax_error("metadata key is empty", line, i)

@@ -28,6 +28,7 @@ from .errors import (
     UntrustedOracle,
     ZeroAmount,
     int_word,
+    shown_word,
 )
 from .nodes import (
     ErrorSeverity,
@@ -74,11 +75,11 @@ class ConfigKey(NamedTuple):
     ``into`` is where the value goes. None keeps it under ``key``: one
     word, a tuple of integers, the joined TEXT, or True for a key without
     words. Otherwise it names the template's one list. A row whose words
-    begin with TAG appends the tagged entry ``(tag, value)`` to it, led by
-    the key when several rows share the list, with ``value`` None for a
-    row without a value word. Any other row appends each of its words,
-    which ``item`` names in the duplicate message. ``arity`` is the
-    message for words that do not fit, ``bound`` the lowest valid value.
+    begin with TAG appends the tagged entry ``(key, tag, value)`` to it,
+    with ``value`` None for a row without a value word. Any other row
+    appends each of its words, which ``item`` names in the duplicate
+    message. ``arity`` is the message for words that do not fit, ``bound``
+    the lowest valid value.
     """
 
     key: str
@@ -89,7 +90,7 @@ class ConfigKey(NamedTuple):
     item: str = ""
 
 
-def _line_parser(row: ConfigKey, keyed: bool):
+def _line_parser(row: ConfigKey):
     """The function that stores a config line of ``row.key`` in a config,
     given the line's tokens."""
     key, kinds, arity, into, _, item = row
@@ -112,9 +113,9 @@ def _line_parser(row: ConfigKey, keyed: bool):
                 value = int_word(tokens[2])
                 if value is None:
                     raise ValueError(
-                        f"{what} must be an integer, got {tokens[2]!r}")
-            config[into].append((key, tokens[1], value) if keyed
-                                else (tokens[1], value))
+                        f"{what} must be an integer, "
+                        f"got {shown_word(tokens[2])}")
+            config[into].append((key, tokens[1], value))
     elif size == 2 and into is None and not many:
         def parse(config, tokens):
             if len(tokens) != 2:
@@ -124,7 +125,8 @@ def _line_parser(row: ConfigKey, keyed: bool):
                 value = int_word(tokens[1])
                 if value is None:
                     raise ValueError(
-                        f"{what} must be an integer, got {tokens[1]!r}")
+                        f"{what} must be an integer, "
+                        f"got {shown_word(tokens[1])}")
             elif choices and value not in choices:
                 raise ValueError(arity)
             if key in config:
@@ -148,7 +150,7 @@ def _line_parser(row: ConfigKey, keyed: bool):
                 if None in value:
                     i = value.index(None)
                     raise ValueError(f"{key} {kinds[i]} must be an integer, "
-                                     f"got {tokens[i + 1]!r}")
+                                     f"got {shown_word(tokens[i + 1])}")
                 value = value or True
             if key in config:
                 raise ValueError(f"duplicate config key {key!r}")
@@ -166,9 +168,8 @@ def _read_table(cls) -> None:
     (name,) = {row.into for row in table if row.into} or {None}
     cls.empty_config = staticmethod(dict if name is None
                                     else lambda: {name: []})
-    tagged = [row for row in table if row.words[:1] == (TAG,)]
-    cls._tagged = tagged
-    parsers = {row.key: _line_parser(row, len(tagged) > 1) for row in table}
+    cls._tagged = [row for row in table if row.words[:1] == (TAG,)]
+    parsers = {row.key: _line_parser(row) for row in table}
 
     def parse_config_line(config: dict, tokens: list[str]) -> None:
         try:
@@ -247,17 +248,13 @@ class Template:
                 problems += cls._check(config, outputs)
             return problems
         # the tagged entries against the outputs, each way
-        item, keyed = tagged[0].item, len(tagged) > 1
+        item = tagged[0].item
         bounds = {row.key: row.bound for row in tagged}
         entry_problems = cls._entry_problems
         out_tags = {tag for tag, _ in outputs}
         seen = set()
         entries = config[tagged[0].into]
-        for i, entry in enumerate(entries):
-            if keyed:
-                key, tag, value = entry
-            else:
-                key, (tag, value) = tagged[0].key, entry
+        for i, (key, tag, value) in enumerate(entries):
             if tag in seen:
                 problems.append(f"duplicate {item} for tag {tag!r}")
             seen.add(tag)
@@ -298,8 +295,7 @@ class Template:
             elif row is cls._tagged[0]:
                 # all entries in list order, whichever row made each
                 valued = {row.key: len(row.words) > 1 for row in cls._tagged}
-                for entry in config[into]:
-                    key, tag, value = entry if len(valued) > 1 else (key, *entry)
+                for key, tag, value in config[into]:
                     if not valued[key]:
                         lines.append(f"{key} {tag}")
                     else:
@@ -329,8 +325,6 @@ class Template:
         """See ``Node.next_due``: the due index asks it only of a router whose
         template's ``scheduled`` is true. Derived from ``due_releases``
         unless a template answers it directly."""
-        if not self.scheduled:
-            return None
         return earliest_due(self.due_releases(node, math.inf))
 
     def crank(self, node, k: int, due: int) -> None:
@@ -659,12 +653,12 @@ class WaterfallTemplate(Template):
         return [f"tier {tag!r} cap must be >= 1"] if cap < 1 else []
 
     def initial_state(self):
-        return {"filled": {tag: 0 for tag, _ in self.config["tiers"]}}
+        return {"filled": {tag: 0 for _, tag, _ in self.config["tiers"]}}
 
     def receive(self, node, msg):
         filled = node.state["filled"]
         left = msg.amount
-        for tag, cap in self.config["tiers"]:
+        for _, tag, cap in self.config["tiers"]:
             if left == 0:
                 break
             room = left if cap is None else max(0, cap - filled[tag])
@@ -749,9 +743,3 @@ TEMPLATES: dict[str, type] = {
     )
 }
 
-
-def make_template(name: str, config: dict) -> Template:
-    cls = TEMPLATES.get(name)
-    if cls is None:
-        raise KeyError(f"unknown template {name!r}")
-    return cls(config)

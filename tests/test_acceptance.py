@@ -267,7 +267,7 @@ def test_criterion_5_template_oracles():
         if rng.random() < 0.5:
             caps[-1] = None
         tags = [f"t{i}" for i in range(n)]
-        tiers = list(zip(tags, caps))
+        tiers = [("tier", tag, cap) for tag, cap in zip(tags, caps)]
         engine = wire(WaterfallTemplate({"tiers": tiers}), tags,
                       router_id="falls")
         filled = [0] * n

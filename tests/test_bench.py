@@ -74,10 +74,8 @@ class TestRunComparison:
     def test_divergence_is_detected(self, monkeypatch):
         true_build = bench.build_monolith
 
-        def skewed(recipients, periods, weights=None, deposit=None,
-                   cost_table=None):
-            return true_build(recipients, periods, [2, 1, 1], deposit,
-                              cost_table)
+        def skewed(recipients, periods, weights=None, cost_table=None):
+            return true_build(recipients, periods, [2, 1, 1], cost_table)
 
         monkeypatch.setattr(bench, "build_monolith", skewed)
         with pytest.raises(ObservableMismatch):

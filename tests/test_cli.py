@@ -330,6 +330,19 @@ class TestOverlongIntegers:
         assert proc.stderr.startswith(
             f"{scn}:3:21: amount must be an integer, got '1111")
 
+    def test_syntax_error_line_stays_short(self, tmp_path, monkeypatch):
+        """The error echoes the word's first 20 characters and its length,
+        so its one stderr line stays under 120 bytes."""
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "good.pipe", GOOD_PIPE)
+        write(tmp_path, "big.scn",
+              f"scenario x\n\napprove acme origin {self.BIG}\n")
+        proc = self.child("run", "good.pipe", "big.scn")
+        assert proc.returncode == 2
+        assert proc.stderr == ("big.scn:3:21: amount must be an integer, "
+                               f"got '{'1' * 20}'... (4400 characters)\n")
+        assert len(proc.stderr.encode()) < 120
+
     def test_predicate_literal_is_bad_config(self, tmp_path):
         gate = GOOD_PIPE.replace("out main -> pay", "out main -> gate") + (
             "\nnode gate\n  kind router\n  template conditional\n"

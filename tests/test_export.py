@@ -213,11 +213,16 @@ def test_lines_needing_escaping_under_many_shapes():
 def test_lines_format_event_prints_leave_their_chunk_unchecked(monkeypatch):
     """The chunk check counts only template lines, so kinds and keys that
     need escaping, int keys and unhashable kinds, which ``format_event``
-    prints, send no chunk to the line-by-line check."""
-    def line_by_line(line, event):
-        raise AssertionError("a chunk was checked line by line")
+    prints, send no chunk to the line-by-line check: the check runs once
+    per chunk that has a template line, and never once per line."""
+    calls = []
+    as_is = engine_module._templates_as_is
 
-    monkeypatch.setattr(engine_module, "_printed_as_is", line_by_line)
+    def counted(text, chunk, lines, odd):
+        calls.append(len(lines))
+        return as_is(text, chunk, lines, odd)
+
+    monkeypatch.setattr(engine_module, "_templates_as_is", counted)
     events = []
     for i in range(1300):
         events.append(ev({"to": "b", "amount": i}, tx=i))
@@ -225,7 +230,12 @@ def test_lines_format_event_prints_leave_their_chunk_unchecked(monkeypatch):
         events.append(ev({1: "a b"}, tx=i))
         events.append((i, 0, "node:a", ["Sent"], {"to": "b=c"}))
     check(events)
+    size = engine_module._CHUNK
+    assert calls == [len(events[i:i + size])
+                     for i in range(0, len(events), size)]
+    calls.clear()
     check(events[1::4])  # chunks with no template line
+    assert calls == []
 
 
 # -- no state survives an export ------------------------------------------------

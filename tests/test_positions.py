@@ -269,6 +269,9 @@ CASES = [
     ("cost-negative", parse_cost_table,
      wide("ledger_write -1") + "\n",
      ("cost ledger_write must be non-negative", 1, 1)),
+    ("cost-negative-second-line", parse_cost_table,
+     "ledger_write 1\n" + nb("ledger_read -1") + "\n",
+     ("cost ledger_read must be non-negative", 2, 1)),
 ]
 
 
@@ -280,6 +283,26 @@ def test_error_position(parse, text, expected):
         parse(text)
     err = exc.value
     assert (err.message, err.line, err.column) == expected
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_pipeline, "pipeline p\nbalance a {}\n",
+     "balance amount must be an integer, got {}"),
+    (parse_pipeline, PIPE + "  template threshold\n  config limit {}\n",
+     "limit must be an integer, got {}"),
+    (parse_scenario, SCN + "advance {}\n", "delta must be an integer, got {}"),
+    (parse_scenario, SCN + "deposit a 5 {}\n",
+     "metadata must be key=value, got {}"),
+], ids=["balance", "config", "scenario-integer", "metadata"])
+def test_a_long_word_is_cut_short(parse, text, message):
+    """A word of up to 20 characters is echoed whole, a longer one as its
+    first 20 characters and its length."""
+    for word, shown in (("x" * 20, repr("x" * 20)),
+                        ("x" * 21, f"'{'x' * 20}'... (21 characters)"),
+                        ("x" * 5000, f"'{'x' * 20}'... (5000 characters)")):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse(text.format(word))
+        assert exc.value.message == message.format(shown)
 
 
 def test_every_bad_line_is_tab_indented_with_a_wide_separator():

@@ -61,12 +61,6 @@ class TestParsing:
         with pytest.raises(SpecSyntaxError):
             parse_predicate(bad)
 
-    def test_error_carries_position(self):
-        with pytest.raises(SpecSyntaxError) as err:
-            parse_predicate("amount $ 1", line=7, col_offset=10)
-        assert err.value.line == 7
-        assert err.value.column > 10
-
 
 class TestEvaluation:
     def test_amount_and_now_fields(self):

@@ -28,7 +28,7 @@ from paypipe.nodes import (
 )
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.scenario import load_scenario, run_scenario
-from paypipe.templates import make_template
+from paypipe.templates import TimelockTemplate
 
 from support import (USERS, apply_action, random_actions, random_pipeline_text,
                      teed)
@@ -561,7 +561,7 @@ class TestDueIndex:
     def test_node_added_after_an_advance_is_cranked(self):
         engine = self.funded()
         assert len(engine.advance_time(10)) == 3
-        lock = RouterNode("late", make_template("timelock", {
+        lock = RouterNode("late", TimelockTemplate({
             "start": 25, "period": 5, "releases": 2, "fixed": 1}),
             outputs=[("main", "pay-late")])
         engine.add_node(lock)

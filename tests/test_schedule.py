@@ -10,8 +10,8 @@ from paypipe.bench import PERIOD, START, MonolithicPayroll
 from paypipe.engine import Engine
 from paypipe.nodes import (EndpointNode, Node, OriginatorNode, RouterNode,
                            earliest_due)
-from paypipe.templates import (ReportingTemplate, Template, TimelockTemplate,
-                               make_template)
+from paypipe.templates import (TEMPLATES, ReportingTemplate, Template,
+                               TimelockTemplate)
 
 from support import reference_due_releases
 
@@ -118,10 +118,10 @@ def chain():
     and the endpoint counting ``next_due`` calls."""
     engine = Engine()
     engine.add_node(OriginatorNode("origin", outputs=[("main", "lock")]))
-    engine.add_node(CountedRouter("lock", make_template("timelock", {
+    engine.add_node(CountedRouter("lock", TimelockTemplate({
         "start": 0, "period": 10, "releases": 3, "fixed": 100}),
         outputs=[("main", "rep")]))
-    engine.add_node(CountedRouter("rep", make_template("reporting", {
+    engine.add_node(CountedRouter("rep", ReportingTemplate({
         "sink": "audit", "keys": []}), outputs=[("main", "pay")]))
     engine.add_node(CountedEndpoint("pay", recipient="bob"))
     engine.set_entry("origin")
@@ -140,6 +140,35 @@ class TestDueIndex:
         router = RouterNode("r", ReportingTemplate({"sink": "s", "keys": []}))
         assert not router.scheduled
         assert RouterNode("b", Beacon({"at": 1})).scheduled
+
+    # config lines of a router of each template without a schedule
+    UNSCHEDULED = {
+        "reporting": ["sink s"],
+        "threshold": ["limit 5"],
+        "distributing": ["weight a 1", "fixed b 2", "residual c"],
+        "conditional": ["when amount > 1"],
+        "oracle": ["oracle o"],
+        "waterfall": ["tier a 5", "tier b rest"],
+        "goalkeeper": ["mode hold", "admin x"],
+    }
+
+    def test_node_without_a_schedule_has_nothing_due(self):
+        """The default ``next_due`` derives the answer from
+        ``due_releases``, which is empty for every node without a
+        schedule, so it is None whatever ``scheduled`` says."""
+        assert set(self.UNSCHEDULED) == set(TEMPLATES) - {"timelock"}
+        nodes = [OriginatorNode("o", outputs=[("main", "r")]),
+                 EndpointNode("e", recipient="bob"),
+                 EndpointNode("c", recipient="bob", mode="claimable")]
+        for name, lines in self.UNSCHEDULED.items():
+            cls = TEMPLATES[name]
+            config = cls.empty_config()
+            for line in lines:
+                cls.parse_config_line(config, line.split())
+            nodes.append(RouterNode(name, cls(config)))
+        for node in nodes:
+            assert not node.scheduled, node.id
+            assert node.next_due() is None, node.id
 
     def test_template_subclass_with_a_schedule_is_indexed_and_cranked(self):
         engine = Engine()

@@ -47,11 +47,15 @@ def test_readme_library_example_runs(monkeypatch, capsys):
 
 
 def test_no_module_needs_python_3_11_for_a_starred_subscript():
-    """``requires-python`` is 3.10, which has no ``t[a, *b]`` (PEP 646,
-    3.11); ``t[(a, *b)]`` means the same in both. The two parse to the
-    same tree, so a subscript's starred tuple must start at its "("."""
+    """``requires-python`` is 3.10. ``ast.parse`` with ``feature_version``
+    (3, 10) rejects syntax new in 3.11 such as ``except*``, but it accepts
+    ``t[a, *b]`` (PEP 646, 3.11), so the tree is walked for that too:
+    ``t[(a, *b)]`` means the same in both and parses to the same tree, so
+    a subscript's starred tuple must start at its "(". Library calls new
+    in 3.11 are not caught."""
     for path in sorted((ROOT / "src" / "paypipe").glob("*.py")):
         source = path.read_text(encoding="utf-8")
+        ast.parse(source, path.name, feature_version=(3, 10))
         for node in ast.walk(ast.parse(source)):
             index = getattr(node, "slice", None)
             if isinstance(index, ast.Tuple) and any(
