@@ -21,7 +21,7 @@ from typing import Optional
 from .bench import format_report, run_comparison
 from .engine import CostTable
 from .errors import (ObservableMismatch, SpecSyntaxError, SpecValidationError,
-                     int_word)
+                     int_word, shown_word)
 from .pipeline import (instantiate, parse_pipeline, serialize_pipeline,
                        token_lines, validate_pipeline)
 from .scenario import parse_scenario, run_scenario
@@ -36,7 +36,7 @@ def parse_cost_table(text: str) -> CostTable:
             raise SpecSyntaxError("cost table lines are NAME VALUE", lineno, 1)
         name, value = tokens
         if name not in known:
-            raise SpecSyntaxError(f"unknown cost {name!r}", lineno, 1)
+            raise SpecSyntaxError(f"unknown cost {shown_word(name)}", lineno, 1)
         if name in mapping:
             raise SpecSyntaxError(f"duplicate cost {name!r}", lineno, 1)
         cost = int_word(value)

@@ -40,9 +40,10 @@ releases: a heap holds one ``(earliest pending due, node id)`` entry per node
 with a pending release. The due index holds only nodes with a schedule (a
 node's ``scheduled``: its class, or a router's template class, overrides
 ``due_releases``); no other node is ever asked ``next_due``. A node's
-schedule changes only inside a transaction that touched it, so the entries of
-the scheduled nodes a commit touched are recomputed before the next advance,
-and an advance with nothing stale does not reindex.
+schedule changes only inside a transaction that touched it, or before
+``add_node``, so ``add_node`` computes a scheduled node's entry, and the
+commit that touched it recomputes it. An advance with nothing due asks no
+node and returns at once.
 
 ``format_event`` defines a line of the ``--trace`` export; ``trace_text``
 prints the same lines from templates. Within one export, each event shape (the
@@ -303,14 +304,11 @@ class Engine:
         self._tx: Optional[dict] = None  # {"id", "events"} while open
         # node id -> its state before the open transaction first touched it
         self._touched: dict[str, dict] = {}
-        # Due index: heap of (earliest pending due, node id); _due_at holds
-        # each indexed node's current key, so heap entries that disagree with
-        # it are stale and skipped. Nodes in _due_stale get their key
-        # recomputed before the next advance. Only the ids in _scheduled,
-        # the nodes with a schedule, enter any of them.
+        # Due index of the nodes in _scheduled: a heap of (earliest pending
+        # due, node id), and _due_at, each indexed node's current key; heap
+        # entries that disagree with it are stale and skipped.
         self._due_heap: list[tuple[int, str]] = []
         self._due_at: dict[str, int] = {}
-        self._due_stale: set[str] = set()
         self._scheduled: set[str] = set()
 
     # -- assembly ------------------------------------------------------------
@@ -324,7 +322,7 @@ class Engine:
         self.edges.update((node.id, target) for _, target in node.outputs)
         if node.scheduled:
             self._scheduled.add(node.id)
-            self._due_stale.add(node.id)
+            self._reschedule(node.id)
         return node
 
     def set_entry(self, node_id: str) -> None:
@@ -382,7 +380,7 @@ class Engine:
         self.meter.start()
         self.meter.charge("tx_base")
         self._tx = {"id": tx.id, "events": []}
-        self._touched = {}
+        touched = self._touched = {}
         self.ledger.begin()
         reason = None
         try:
@@ -399,7 +397,6 @@ class Engine:
             raise
         else:
             self.ledger.commit()
-            self._due_stale.update(self._scheduled.intersection(self._touched))
         finally:
             events = tuple(self._tx["events"])
             self._tx = None
@@ -412,6 +409,9 @@ class Engine:
         result = TxResult(tx=tx, gas=self.meter.consumed, events=events,
                           reason=reason)
         self.transactions.append(result)
+        if result.committed:
+            for node_id in self._scheduled.intersection(touched):
+                self._reschedule(node_id)
         return result
 
     # -- triggers ------------------------------------------------------------
@@ -454,48 +454,46 @@ class Engine:
         Releases are ordered by (due time, node id) and fixed before the
         first crank runs; a crank that reverts does not stop later cranks and
         stays pending for the next advance. Only the nodes the due index
-        holds as due are asked for their releases.
+        holds as due are asked for their releases; an idle advance asks none.
         """
         _require_int("delta", delta)
         if delta < 0:
             raise ValueError("time cannot move backwards")
-        self.now += delta
-        now, heap, due_at = self.now, self._due_heap, self._due_at
-        if self._due_stale:
-            self._reindex()
-        entries = []
+        self.now = now = self.now + delta
+        heap, due_at = self._due_heap, self._due_at
+        if not heap or heap[0][0] > now:
+            return []
+        popped, entries = [], []
         while heap and heap[0][0] <= now:
             due, node_id = heapq.heappop(heap)
             if due_at.get(node_id) != due:
                 continue  # superseded by a later key
             del due_at[node_id]
-            self._due_stale.add(node_id)
+            popped.append(node_id)
             for due, k in self.nodes[node_id].due_releases(now):
                 entries.append((due, node_id, k))
         entries.sort()
-        results = []
-        for due, node_id, k in entries:
-            info = {"node": node_id, "release": k, "at": due}
-            body = partial(self._crank, node_id, k, due)
-            results.append(self._run_tx("AdvanceTime", info, body))
-        return results
+        try:
+            return [self._run_tx("AdvanceTime",
+                                 {"node": node_id, "release": k, "at": due},
+                                 partial(self._crank, node_id, k, due))
+                    for due, node_id, k in entries]
+        finally:  # index each popped node that no commit indexed again
+            for node_id in popped:
+                if node_id not in due_at:
+                    self._reschedule(node_id)
 
     def _crank(self, node_id: str, k: int, due: int) -> None:
         self._node(node_id).crank(k, due)
 
-    def _reindex(self) -> None:
-        """Recompute the due-index key of every node marked stale."""
-        heap, due_at = self._due_heap, self._due_at
-        for node_id in self._due_stale:
-            due = self.nodes[node_id].next_due()
-            if due == due_at.get(node_id):
-                continue
-            if due is None:
-                del due_at[node_id]
-            else:
-                due_at[node_id] = due
-                heapq.heappush(heap, (due, node_id))
-        self._due_stale.clear()
+    def _reschedule(self, node_id: str) -> None:
+        """Recompute the due-index key of scheduled node ``node_id``."""
+        due, due_at = self.nodes[node_id].next_due(), self._due_at
+        if due is None:
+            due_at.pop(node_id, None)
+        elif due != due_at.get(node_id):
+            due_at[node_id] = due
+            heapq.heappush(self._due_heap, (due, node_id))
 
     # -- stream dispatch -------------------------------------------------------
 

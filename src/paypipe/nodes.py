@@ -223,11 +223,11 @@ class Node:
     def next_due(self) -> Optional[int]:
         """Due time of the earliest pending release, None when none is.
 
-        The engine's due index holds only nodes whose ``scheduled`` is true.
-        It asks this after a transaction touched such a node, and asks
-        ``due_releases`` only once the clock reaches it; a node without a
-        schedule is never asked. This default derives it from
-        ``due_releases``; a schedule can answer it directly.
+        The due index asks this only of a node whose ``scheduled`` is true,
+        at ``add_node`` and in each commit that touched it, so its schedule
+        may change only before ``add_node`` or inside a transaction. An idle
+        advance asks no node; ``due_releases`` is asked once the clock
+        reaches the answer. This default derives it from ``due_releases``.
         """
         return earliest_due(self.due_releases(math.inf))
 

@@ -126,7 +126,7 @@ def syntax_error(message: str, line: _Line, i: int) -> SpecSyntaxError:
 def _check_name(what: str, line: _Line, i: int) -> str:
     token = line[2][i]
     if not _NAME_RE.match(token):
-        raise syntax_error(f"bad {what} {token!r}", line, i)
+        raise syntax_error(f"bad {what} {shown_word(token)}", line, i)
     return token
 
 
@@ -162,8 +162,8 @@ def parse_pipeline(text: str) -> PipelineSpec:
                     "balance amount must be an integer, "
                     f"got {shown_word(tokens[2])}", line, 2)
             if account in spec.balances:
-                raise syntax_error(f"duplicate balance for {account!r}",
-                                   line, 1)
+                raise syntax_error(
+                    f"duplicate balance for {shown_word(account)}", line, 1)
             spec.balances[account] = amount
             continue
 
@@ -177,7 +177,7 @@ def parse_pipeline(text: str) -> PipelineSpec:
 
         # everything else is a field line of the current node block
         if node is None:
-            raise syntax_error(f"{head!r} outside a node block", line, 0)
+            raise syntax_error(f"{shown_word(head)} outside a node block", line, 0)
 
         if head == "kind":
             if len(tokens) != 2 or tokens[1] not in _KINDS:
@@ -191,7 +191,7 @@ def parse_pipeline(text: str) -> PipelineSpec:
                 raise syntax_error("template takes a name", line, 0)
             tname = tokens[1]
             if tname not in TEMPLATES:
-                raise syntax_error(f"unknown template {tname!r}", line, 1)
+                raise syntax_error(f"unknown template {shown_word(tname)}", line, 1)
             if node.template is not None:
                 raise syntax_error("duplicate template", line, 0)
             node.template = tname
@@ -202,7 +202,8 @@ def parse_pipeline(text: str) -> PipelineSpec:
             tag = _check_name("output tag", line, 1)
             target = _check_name("target id", line, 3)
             if tag in out_tags:
-                raise syntax_error(f"duplicate output tag {tag!r}", line, 1)
+                raise syntax_error(
+                    f"duplicate output tag {shown_word(tag)}", line, 1)
             out_tags.add(tag)
             node.outputs.append((tag, target))
         elif head == "config":
@@ -254,7 +255,7 @@ def parse_pipeline(text: str) -> PipelineSpec:
                 raise syntax_error("duplicate recipient", line, 0)
             node.recipient = tokens[1]
         else:
-            raise syntax_error(f"unknown directive {head!r}", line, 0)
+            raise syntax_error(f"unknown directive {shown_word(head)}", line, 0)
 
     if spec is None:
         raise SpecSyntaxError("missing pipeline header", 1, 1)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import SpecSyntaxError, int_word
+from .errors import SpecSyntaxError, int_word, shown_word
 
 
 class PredicateEvalError(Exception):
@@ -111,7 +111,7 @@ class _Parser:
     def parse(self):
         node = self.chain(Or)
         if self.peek() is not None:
-            raise SpecSyntaxError(f"unexpected token {self.peek()[1]!r}")
+            raise SpecSyntaxError(f"unexpected token {shown_word(self.peek()[1])}")
         return node
 
     def chain(self, cls):
@@ -174,8 +174,8 @@ class _Parser:
         if kind == "word":
             if text in ("amount", "now"):
                 return Field(text)
-            raise SpecSyntaxError(f"unknown operand {text!r}")
-        raise SpecSyntaxError(f"expected an operand, got {text!r}")
+            raise SpecSyntaxError(f"unknown operand {shown_word(text)}")
+        raise SpecSyntaxError(f"expected an operand, got {shown_word(text)}")
 
 
 def parse_predicate(text: str):

@@ -82,7 +82,7 @@ def _metadata(line, start):
         if not key:
             raise syntax_error("metadata key is empty", line, i)
         if key in meta:
-            raise syntax_error(f"duplicate metadata key {key!r}", line, i)
+            raise syntax_error(f"duplicate metadata key {shown_word(key)}", line, i)
         number = int_word(value)
         meta[key] = value if number is None else number
     return meta
@@ -160,7 +160,7 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "assert":
             scenario.steps.append(_parse_assert(line))
         else:
-            raise syntax_error(f"unknown action {head!r}", line, 0)
+            raise syntax_error(f"unknown action {shown_word(head)}", line, 0)
 
         if pending is not None and head in _TX_STEPS:
             scenario.steps[-1].expect = pending[0]

@@ -140,7 +140,7 @@ def _line_parser(row: ConfigKey):
                 items = config[into]
                 for word in tokens[1:]:
                     if word in items:
-                        raise ValueError(f"duplicate {item} {word!r}")
+                        raise ValueError(f"duplicate {item} {shown_word(word)}")
                     items.append(word)
                 return
             if many:
@@ -176,8 +176,8 @@ def _read_table(cls) -> None:
             parse = parsers[tokens[0]]
         except KeyError:
             if parsers:
-                raise ValueError(
-                    f"unknown {cls.name} config key {tokens[0]!r}") from None
+                raise ValueError(f"unknown {cls.name} config key "
+                                 f"{shown_word(tokens[0])}") from None
             raise ValueError(f"{cls.name} takes no config") from None
         parse(config, tokens)
 
@@ -322,9 +322,9 @@ class Template:
         return []
 
     def next_due(self, node) -> Optional[int]:
-        """See ``Node.next_due``: the due index asks it only of a router whose
-        template's ``scheduled`` is true. Derived from ``due_releases``
-        unless a template answers it directly."""
+        """See ``Node.next_due``: asked only of a router whose template's
+        ``scheduled`` is true, at ``add_node`` and in each commit that
+        touched it. Derived from ``due_releases`` unless overridden."""
         return earliest_due(self.due_releases(node, math.inf))
 
     def crank(self, node, k: int, due: int) -> None:

@@ -192,6 +192,16 @@ class TestRun:
         assert "expected 999" in out
         assert "failed: scenario red" in out
 
+    def test_failed_events_assert_exits_one(self, tmp_path, capsys):
+        scn = write(tmp_path, "bad.scn",
+                    "scenario red\n\napprove acme origin 100\n"
+                    "deposit acme 50\nassert events Sent 3\n")
+        path = write(tmp_path, "good.pipe", GOOD_PIPE)
+        assert main(["run", path, scn]) == 1
+        assert capsys.readouterr().out == (
+            "line 5: 1 Sent events, expected 3\n"
+            "failed: scenario red, 1 problem(s)\n")
+
     def test_unexpected_revert_exits_three(self, tmp_path, capsys):
         scn = write(tmp_path, "revert.scn",
                     "scenario red\n\ndeposit acme 50\n")  # never approved
@@ -360,6 +370,73 @@ class TestOverlongIntegers:
         proc = self.child("run", pipe, scn)
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok: scenario x, 1 transactions")
+
+
+WORD = "w" * 5000
+SHOWN = f"'{'w' * 20}'... (5000 characters)"
+SCENARIO = "scenario x\n\napprove acme origin 50\n"
+# Per site that quotes a word: pipeline text, scenario text (None: validate
+# only), cost table (None: the default), exit code and the one line printed,
+# which shows the 5,000-character word as its first 20 characters and its
+# length.
+LONG_WORDS = {
+    "bad node id": (GOOD_PIPE + f"\nnode !{WORD}\n", None, None, 2,
+                    "long.pipe:13:6: bad node id '!"
+                    f"{'w' * 19}'... (5001 characters)"),
+    "duplicate balance": (
+        GOOD_PIPE.replace("balance acme 100",
+                          f"balance {WORD} 1\nbalance {WORD} 2"),
+        None, None, 2, f"long.pipe:4:9: duplicate balance for {SHOWN}"),
+    "outside a node block": (
+        GOOD_PIPE.replace("balance acme 100", f"{WORD} x"), None, None, 2,
+        f"long.pipe:3:1: {SHOWN} outside a node block"),
+    "unknown template": (router_pipeline(WORD, ["main"], []), None, None, 2,
+                         f"long.pipe:11:12: unknown template {SHOWN}"),
+    "duplicate output tag": (router_pipeline("reporting", [WORD, WORD], []),
+                             None, None, 2,
+                             f"long.pipe:13:7: duplicate output tag {SHOWN}"),
+    "unknown directive": (GOOD_PIPE + f"  {WORD} x\n", None, None, 2,
+                          f"long.pipe:12:3: unknown directive {SHOWN}"),
+    "duplicate config item": (
+        router_pipeline("oracle", ["main"], [f"oracle {WORD}"] * 2),
+        None, None, 2, f"long.pipe:14:10: duplicate oracle {SHOWN}"),
+    "unknown config key": (
+        router_pipeline("reporting", ["main"], [WORD]), None, None, 2,
+        f"long.pipe:13:10: unknown reporting config key {SHOWN}"),
+    "unexpected predicate token": (
+        router_pipeline("conditional", ["main"], [f"when amount > 1 {WORD}"]),
+        None, None, 1, f"BadConfig r: bad predicate: unexpected token {SHOWN}"),
+    "unknown predicate operand": (
+        router_pipeline("conditional", ["main"], [f"when {WORD} > 1"]),
+        None, None, 1, f"BadConfig r: bad predicate: unknown operand {SHOWN}"),
+    "duplicate metadata key": (
+        GOOD_PIPE, SCENARIO + f"deposit acme 50 {WORD}=1 {WORD}=2\n", None,
+        2, f"long.scn:4:5020: duplicate metadata key {SHOWN}"),
+    "unknown action": (GOOD_PIPE, SCENARIO + f"{WORD} 1\n", None, 2,
+                       f"long.scn:4:1: unknown action {SHOWN}"),
+    "unknown cost": (GOOD_PIPE, SCENARIO, f"{WORD} 9\n", 2,
+                     f"long.costs:1:1: unknown cost {SHOWN}"),
+}
+
+
+class TestLongWords:
+    @pytest.mark.parametrize("site", LONG_WORDS)
+    def test_every_line_stays_short(self, site, tmp_path, monkeypatch,
+                                    capsys):
+        pipe, scenario, costs, code, expected = LONG_WORDS[site]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.pipe").write_text(pipe)
+        args = ["validate", "long.pipe"]
+        if scenario is not None:
+            (tmp_path / "long.scn").write_text(scenario)
+            args = ["run", "long.pipe", "long.scn"]
+        if costs is not None:
+            (tmp_path / "long.costs").write_text(costs)
+            args += ["--cost-table", "long.costs"]
+        assert main(args) == code
+        out, err = capsys.readouterr()
+        assert out + err == expected + "\n"
+        assert len(expected.encode()) < 120
 
 
 class TestBench:

@@ -174,14 +174,13 @@ class TestDueIndex:
         engine = Engine()
         engine.add_node(RouterNode("beacon", Beacon({"at": 5})))
         engine.add_node(EndpointNode("pay", recipient="bob"))
-        assert engine._due_stale == {"beacon"}
-        assert engine.advance_time(4) == []
         assert engine._due_at == {"beacon": 5}
+        assert engine.advance_time(4) == []
         (fired,) = engine.advance_time(1)
         assert fired.committed and fired.tx.info == {
             "node": "beacon", "release": 0, "at": 5}
+        assert engine._due_at == {}
         assert engine.advance_time(10) == []
-        assert engine._due_at == {} and engine._due_stale == set()
 
     def test_node_subclass_with_a_schedule_is_indexed_and_cranked(self):
         engine = Engine()
@@ -189,43 +188,56 @@ class TestDueIndex:
         engine.set_entry("payroll")
         engine.setup_balances({"acme": 200})
         engine.ledger.approve("acme", "node:payroll", 200)
+        assert engine._due_at == {"payroll": START}
         assert engine.submit_deposit("acme", 200).committed
-        assert engine._due_stale == {"payroll"}
         results = engine.advance_time(20)
         assert [r.tx.info["at"] for r in results] == [START, START + PERIOD]
         assert all(r.committed for r in results)
         assert engine.ledger.balances["emp-1"] == 200
+        assert engine._due_at == {}
 
     def test_node_without_a_schedule_is_never_asked(self):
         engine = chain()
-        assert engine._due_stale == {"lock"}
+        assert engine._due_at == {"lock": 0}
         assert engine.submit_deposit("acme", 300).committed
         results = engine.advance_time(25)
         assert len(results) == 3 and all(r.committed for r in results)
         assert engine.ledger.balances["bob"] == 300
         assert engine.nodes["lock"].asked > 0
         assert engine.nodes["rep"].asked == engine.nodes["pay"].asked == 0
-        assert engine._due_at == {} and engine._due_stale == {"lock"}
+        assert engine._due_at == {}
 
-    def test_advance_with_nothing_stale_does_not_reindex(self, monkeypatch):
+    def test_only_a_commit_that_touched_the_lock_asks_it(self):
         engine = chain()
-        reindex = engine._reindex
-        calls = []
-
-        def counted():
-            calls.append(set(engine._due_stale))
-            reindex()
-        monkeypatch.setattr(engine, "_reindex", counted)
+        lock = engine.nodes["lock"]
+        assert lock.asked == 1  # by add_node
         assert engine.submit_deposit("acme", 200).committed
+        assert lock.asked == 2
         (crank,) = engine.advance_time(1)  # release 0, due at 0
-        assert crank.committed and calls == [{"lock"}]
+        assert crank.committed and lock.asked == 3
+        assert engine._due_at == {"lock": 10}
         assert engine.advance_time(1) == []
-        assert len(calls) == 2  # the crank left the lock stale
+        assert engine.submit_claim("lock", "bob").reason.startswith(
+            "NotClaimable")  # reverted, though it touched the lock
         assert engine.advance_time(1) == []
-        assert engine.submit_claim("pay", "bob").reason.startswith(
-            "NotClaimable")
-        assert engine.advance_time(1) == []
-        assert len(calls) == 2
+        assert lock.asked == 3
         assert engine.submit_deposit("acme", 100).committed
         assert engine.advance_time(1) == []
-        assert calls[2:] == [{"lock"}]
+        assert lock.asked == 4
+        assert engine.nodes["rep"].asked == engine.nodes["pay"].asked == 0
+
+    def test_fault_in_a_crank_leaves_its_release_indexed(self):
+        engine = Engine()
+        beacon = Beacon({"at": 5})
+        engine.add_node(RouterNode("beacon", beacon))
+
+        def fault(node, k, due):
+            raise RuntimeError("template bug")
+        beacon.crank = fault
+        with pytest.raises(RuntimeError, match="template bug"):
+            engine.advance_time(5)
+        assert engine.transactions == [] and engine._due_at == {"beacon": 5}
+        del beacon.crank
+        (fired,) = engine.advance_time(0)
+        assert fired.committed and fired.tx.id == 1
+        assert engine._due_at == {}

@@ -215,8 +215,7 @@ class EngineMachine(RuleBasedStateMachine):
         for node_id, node in engine.nodes.items():
             if not node.scheduled:
                 assert node_id not in engine._due_at
-                assert node_id not in engine._due_stale
-            elif node_id not in engine._due_stale:
+            else:
                 due = node.next_due()
                 assert engine._due_at.get(node_id) == due
                 if due is not None:

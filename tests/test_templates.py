@@ -432,6 +432,15 @@ class TestOracle:
         assert result.reason.startswith("InsufficientHeld:")
         assert engine.nodes["orc"].held == 100
 
+    def test_amount_below_one_reverted(self):
+        engine = build(ORACLE)
+        deposit(engine, 100)
+        for amount in (0, -5):
+            result = engine.submit_oracle_instruct("orc", "alice", "a", amount)
+            assert result.reason == (
+                "ZeroAmount: instructed amount must be positive")
+        assert engine.nodes["orc"].held == 100
+
     def test_unknown_tag_reverted(self):
         engine = build(ORACLE)
         deposit(engine, 100)
@@ -593,6 +602,16 @@ class TestGoalkeeper:
         again = engine.submit_claim("keeper", "root")
         assert not again.committed
         assert again.reason.startswith("NothingToClaim:")
+
+    def test_claim_outside_hold_mode_reverted(self):
+        for block in ("config mode refund",
+                      "out main -> pay\n  config mode forward"):
+            engine = build(gated_pipeline(
+                "node keeper\n  kind router\n  template goalkeeper\n  "
+                + block))
+            result = engine.submit_claim("keeper", "root")
+            assert result.reason == (
+                "NotClaimable: keeper does not hold for claiming")
 
     def test_forward_strategy(self):
         engine = build(gated_pipeline(
