@@ -22,7 +22,12 @@ synchronous within the transaction; nodes that hold funds (timelock,
 threshold, oracle-directed, claimable endpoints) end the propagation, and
 the next trigger resumes it.
 
-Gas is an accounting metric only; no limit is enforced. Charge points:
+Gas is an accounting metric only; no limit is enforced. Every charge is a
+call of the meter's ``charge``, looked up on ``Engine.meter`` as each
+transaction opens, so a wrapper installed there later sees every charge.
+While a transaction is open, the ledger's ``on_charge`` hook is that method,
+and a ledger write or a dispatch hop charges in one call; outside one the
+hook charges nothing, so set-up writes cost no gas. Charge points:
 
     tx_base         once per transaction
     node_call       per dispatch across an edge (error redirects included)
@@ -42,8 +47,10 @@ node's ``scheduled``: its class, or a router's template class, overrides
 ``due_releases``); no other node is ever asked ``next_due``. A node's
 schedule changes only inside a transaction that touched it, or before
 ``add_node``, so ``add_node`` computes a scheduled node's entry, and the
-commit that touched it recomputes it. An advance with nothing due asks no
-node and returns at once.
+commit that touched it recomputes it, except for the nodes the running
+advance popped from the heap: the advance recomputes each of those once,
+when its cranks are done. An advance with nothing due asks no node and
+returns at once.
 
 ``format_event`` defines a line of the ``--trace`` export; ``trace_text``
 prints the same lines from templates. Within one export, each event shape (the
@@ -292,7 +299,9 @@ class Engine:
     def __init__(self, cost_table: Optional[CostTable] = None):
         self.meter = GasMeter(cost_table or CostTable())
         self.now = 0
-        self.ledger = TokenLedger(on_event=self.emit, on_charge=self.charge)
+        # on_charge is the meter's charge while a transaction is open and
+        # charges nothing outside one: see _run_tx
+        self.ledger = TokenLedger(on_event=self._record)
         self.nodes: dict[str, Node] = {}
         self.edges: set[tuple[str, str]] = set()
         self.entry: Optional[str] = None
@@ -310,6 +319,9 @@ class Engine:
         self._due_heap: list[tuple[int, str]] = []
         self._due_at: dict[str, int] = {}
         self._scheduled: set[str] = set()
+        # Nodes the running advance popped from the heap; its finally, not
+        # each commit, re-indexes them.
+        self._popped: list[str] = []
 
     # -- assembly ------------------------------------------------------------
 
@@ -339,25 +351,37 @@ class Engine:
             self.meter.charge(kind)
 
     def emit(self, kind: str, emitter: str, payload: dict) -> None:
+        """Record an event with a copy of ``payload``, so the caller may
+        reuse or change its dict. The engine's own events (the ledger's,
+        ``Sent`` and ``StreamError``) go to ``_record`` with a dict that
+        nothing else holds."""
+        self._record(kind, emitter, dict(payload))
+
+    def _record(self, kind: str, emitter: str, payload: dict) -> None:
+        """``emit`` that keeps ``payload`` itself."""
         # tuple.__new__ is what EventRecord(...) runs, minus one Python call
         tx = self._tx
         if tx is not None:
             events = tx["events"]
             events.append(tuple.__new__(EventRecord, (
-                tx["id"], len(events), emitter, kind, dict(payload))))
+                tx["id"], len(events), emitter, kind, payload)))
             self.meter.charge("event_emit")
         else:
             self.events.append(tuple.__new__(EventRecord, (
-                SETUP_TX, self._setup_seq, emitter, kind, dict(payload))))
+                SETUP_TX, self._setup_seq, emitter, kind, payload)))
             self._setup_seq += 1
 
     # -- transaction machinery ---------------------------------------------
 
     def _touch(self, node: Node) -> Node:
         """Copy ``node``'s state the first time the open transaction reaches
-        it, so a revert can put it back."""
-        if node.id not in self._touched:
-            self._touched[node.id] = _copy_state(node.state)
+        it, so a revert can put it back. An empty ``dict`` needs no copy
+        pass: a new one is kept."""
+        touched = self._touched
+        if node.id not in touched:
+            state = node.state
+            touched[node.id] = {} if not state and state.__class__ is dict \
+                else _copy_state(state)
         return node
 
     def _undo(self) -> None:
@@ -377,11 +401,14 @@ class Engine:
     def _run_tx(self, trigger: str, info: dict, body: Callable[[], None]) -> TxResult:
         tx = Transaction(self._next_tx_id, trigger, info=dict(info))
         self._next_tx_id += 1
-        self.meter.start()
-        self.meter.charge("tx_base")
+        meter, ledger = self.meter, self.ledger
+        meter.start()
+        charge = meter.charge  # the instance's, so a wrapper sees it
+        charge("tx_base")
         self._tx = {"id": tx.id, "events": []}
         touched = self._touched = {}
-        self.ledger.begin()
+        ledger.begin()
+        outside, ledger.on_charge = ledger.on_charge, charge
         reason = None
         try:
             body()
@@ -396,8 +423,9 @@ class Engine:
             self._next_tx_id = tx.id
             raise
         else:
-            self.ledger.commit()
+            ledger.commit()
         finally:
+            ledger.on_charge = outside
             events = tuple(self._tx["events"])
             self._tx = None
             self._touched = {}
@@ -406,11 +434,12 @@ class Engine:
             self._check_conservation()
         else:
             self.revert_traces[tx.id] = events
-        result = TxResult(tx=tx, gas=self.meter.consumed, events=events,
+        result = TxResult(tx=tx, gas=meter.consumed, events=events,
                           reason=reason)
         self.transactions.append(result)
         if result.committed:
-            for node_id in self._scheduled.intersection(touched):
+            for node_id in self._scheduled.intersection(touched).difference(
+                    self._popped):
                 self._reschedule(node_id)
         return result
 
@@ -424,7 +453,8 @@ class Engine:
 
     def submit_deposit(self, from_account: str, amount: int,
                        metadata: Optional[dict] = None) -> TxResult:
-        _require_int("amount", amount)
+        if amount.__class__ is not int:
+            _require_int("amount", amount)
         info = {"from": from_account, "amount": amount}
         return self._run_tx(
             "Deposit", info,
@@ -434,7 +464,8 @@ class Engine:
 
     def submit_oracle_instruct(self, node_id: str, oracle: str, dest_tag: str,
                                amount: int) -> TxResult:
-        _require_int("amount", amount)
+        if amount.__class__ is not int:
+            _require_int("amount", amount)
         info = {"node": node_id, "oracle": oracle, "dest": dest_tag,
                 "amount": amount}
         return self._run_tx(
@@ -456,14 +487,20 @@ class Engine:
         stays pending for the next advance. Only the nodes the due index
         holds as due are asked for their releases; an idle advance asks none.
         """
-        _require_int("delta", delta)
+        if delta.__class__ is not int:
+            _require_int("delta", delta)
         if delta < 0:
             raise ValueError("time cannot move backwards")
         self.now = now = self.now + delta
-        heap, due_at = self._due_heap, self._due_at
+        heap = self._due_heap
         if not heap or heap[0][0] > now:
             return []
-        popped, entries = [], []
+        return self._crank_due(now)
+
+    def _crank_due(self, now: int) -> list[TxResult]:
+        """The rest of ``advance_time`` once a release is due, kept apart
+        so that an idle advance, the common case, runs only the checks."""
+        heap, due_at, popped, entries = self._due_heap, self._due_at, [], []
         while heap and heap[0][0] <= now:
             due, node_id = heapq.heappop(heap)
             if due_at.get(node_id) != due:
@@ -473,15 +510,16 @@ class Engine:
             for due, k in self.nodes[node_id].due_releases(now):
                 entries.append((due, node_id, k))
         entries.sort()
+        self._popped = popped
         try:
             return [self._run_tx("AdvanceTime",
                                  {"node": node_id, "release": k, "at": due},
                                  partial(self._crank, node_id, k, due))
                     for due, node_id, k in entries]
-        finally:  # index each popped node that no commit indexed again
+        finally:  # index each popped node once, whatever its cranks did
+            self._popped = []
             for node_id in popped:
-                if node_id not in due_at:
-                    self._reschedule(node_id)
+                self._reschedule(node_id)
 
     def _crank(self, node_id: str, k: int, due: int) -> None:
         self._node(node_id).crank(k, due)
@@ -514,13 +552,14 @@ class Engine:
             raise EdgeMissing(f"{sender.id} dispatched to unknown node {to_id!r}")
         if not via_error and (sender.id, to_id) not in self.edges:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
-        self.charge("node_call")
+        ledger = self.ledger
+        ledger.on_charge("node_call")  # the meter's charge: see _run_tx
         self._touch(recipient)
         amount, spender = msg.amount, recipient.address
-        self.ledger.approve(sender.address, spender, amount)
-        self.ledger.transfer_from(spender, sender.address, spender, amount)
-        self.emit("Sent", sender.address, {"to": to_id, "amount": amount})
-        self.charge("config_read")
+        ledger.approve(sender.address, spender, amount)
+        ledger.transfer_from(spender, sender.address, spender, amount)
+        self._record("Sent", sender.address, {"to": to_id, "amount": amount})
+        ledger.on_charge("config_read")
         try:
             recipient.on_receive(msg)
         except StreamError as err:
@@ -542,7 +581,7 @@ class Engine:
         entry = (err.action_override, None) if err.action_override else \
             node.resolve_policy(err.severity)
         action_label = entry[0].value if entry else "revert"
-        self.emit(
+        self._record(
             "StreamError", node.address,
             {"severity": err.severity.label, "reason": err.reason,
              "amount": amount, "action": action_label},

@@ -44,6 +44,9 @@ def _ignore(*args) -> None:
 
 
 def _check_amount(amount: Amount) -> None:
+    """Reject an amount that is not a non-negative ``int`` (``bool`` is
+    not one; an ``int`` subclass is). Each write tests the common case, an
+    exact non-negative ``int``, itself and calls this only otherwise."""
     if not isinstance(amount, int) or isinstance(amount, bool):
         raise TypeError(f"amount must be an int, got {type(amount).__name__}")
     if amount < 0:
@@ -55,7 +58,10 @@ class TokenLedger:
 
     ``on_event(kind, emitter, payload)`` and ``on_charge(kind)`` are hooks
     the engine installs to record Transfer/Approval events and meter gas;
-    both default to a no-op, so a bare ledger works without them.
+    both default to a no-op, so a bare ledger works without them. Each
+    write hands ``on_event`` a new payload dict, and the engine keeps it as
+    is. The engine sets ``on_charge`` to its meter's ``charge`` only while
+    a transaction is open.
     """
 
     def __init__(self, on_event: EventHook = _ignore,
@@ -83,7 +89,8 @@ class TokenLedger:
     # -- mutations ---------------------------------------------------------
 
     def mint(self, to: Address, amount: Amount) -> None:
-        _check_amount(amount)
+        if amount.__class__ is not int or amount < 0:
+            _check_amount(amount)
         if self.total_supply + amount > MAX_AMOUNT:
             raise AmountOverflow(f"minting {amount} exceeds the amount domain")
         self.on_charge("ledger_write")
@@ -97,7 +104,8 @@ class TokenLedger:
                       {"from": NULL_ADDRESS, "to": to, "amount": amount})
 
     def transfer(self, from_: Address, to: Address, amount: Amount) -> None:
-        _check_amount(amount)
+        if amount.__class__ is not int or amount < 0:
+            _check_amount(amount)
         balances = self.balances
         if balances.get(from_, 0) < amount:
             raise InsufficientBalance(
@@ -116,7 +124,8 @@ class TokenLedger:
                       {"from": from_, "to": to, "amount": amount})
 
     def approve(self, owner: Address, spender: Address, amount: Amount) -> None:
-        _check_amount(amount)
+        if amount.__class__ is not int or amount < 0:
+            _check_amount(amount)
         if amount > MAX_AMOUNT:
             raise AmountOverflow(f"allowance {amount} exceeds the amount domain")
         self.on_charge("ledger_write")
@@ -135,7 +144,8 @@ class TokenLedger:
 
         Allowance is checked before balance; both checks precede any mutation.
         """
-        _check_amount(amount)
+        if amount.__class__ is not int or amount < 0:
+            _check_amount(amount)
         key = (owner, spender)
         allowances, balances = self.allowances, self.balances
         allowed = allowances.get(key, 0)

@@ -224,8 +224,10 @@ class Node:
         """Due time of the earliest pending release, None when none is.
 
         The due index asks this only of a node whose ``scheduled`` is true,
-        at ``add_node`` and in each commit that touched it, so its schedule
-        may change only before ``add_node`` or inside a transaction. An idle
+        at ``add_node`` and in each commit that touched it (a node an
+        advance cranks is asked once, when the advance ends), so its
+        schedule may change only before ``add_node`` or inside a
+        transaction. An idle
         advance asks no node; ``due_releases`` is asked once the clock
         reaches the answer. This default derives it from ``due_releases``.
         """

@@ -1,6 +1,8 @@
 """Engine semantics: transactions, rollback, gas, ordering, exports."""
 
 import random
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,10 @@ from paypipe.engine import (
 )
 from paypipe.nodes import EndpointNode, Node, OriginatorNode, StreamMessage
 from paypipe.pipeline import instantiate, parse_pipeline
+from paypipe.scenario import load_scenario, run_scenario
 
 from support import apply_action, random_actions, random_pipeline_text
+from test_golden import FIXTURES, PAIRS
 
 TB = CostTable()  # default costs, used in hand-derived gas sums
 
@@ -309,6 +313,116 @@ class TestAdvanceTime:
         engine = build(CHAIN)
         with pytest.raises(ValueError):
             engine.advance_time(-1)
+
+
+class IntSubclass(int):
+    """An ``int`` subclass: a trigger argument the checks accept."""
+
+
+class TestTriggerArguments:
+    @pytest.mark.parametrize("value, type_name", [
+        (True, "bool"), (1.0, "float"), ("5", "str"), (None, "NoneType")])
+    def test_non_int_is_rejected_before_a_transaction(self, value, type_name):
+        engine = build(CHAIN)
+        approve_entry(engine, "acme", 100)
+        before, events = engine.state_fingerprint(), list(engine.events)
+        with pytest.raises(TypeError) as info:
+            engine.submit_deposit("acme", value)
+        assert str(info.value) == f"amount must be an int, got {type_name}"
+        with pytest.raises(TypeError) as info:
+            engine.submit_oracle_instruct("rep", "ora", "main", value)
+        assert str(info.value) == f"amount must be an int, got {type_name}"
+        with pytest.raises(TypeError) as info:
+            engine.advance_time(value)
+        assert str(info.value) == f"delta must be an int, got {type_name}"
+        assert engine.state_fingerprint() == before
+        assert engine.events == events and engine.transactions == []
+
+    def test_int_subclass_is_accepted(self):
+        engine = build(CHAIN)
+        approve_entry(engine, "acme", 100)
+        assert engine.submit_deposit("acme", IntSubclass(100)).committed
+        assert engine.ledger.balances["bob"] == 100
+        result = engine.submit_oracle_instruct("rep", "ora", "main",
+                                               IntSubclass(5))
+        assert result.tx.info["amount"] == 5
+        assert engine.advance_time(IntSubclass(5)) == []
+        assert engine.now == 5
+
+
+def wrap_from_outside(engine):
+    """Wrap the meter's ``charge`` and the ledger's four writes as instance
+    attributes of a built engine, as a tracer does from outside. Returns
+    the log of charge kinds and, per write that returned, the kinds it
+    charged."""
+    charges, writes = [], []
+    charge = engine.meter.charge
+
+    def counted(kind):
+        charges.append(kind)
+        charge(kind)
+    engine.meter.charge = counted
+    ledger = engine.ledger
+    for name in ("mint", "transfer", "approve", "transfer_from"):
+        def traced(*args, write=getattr(ledger, name)):
+            start = len(charges)
+            write(*args)
+            writes.append(charges[start:])
+        setattr(ledger, name, traced)
+    return charges, writes
+
+
+class TestOutsideWrappers:
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_counted_charges_price_each_transaction(self, name):
+        engine = build((FIXTURES / f"{name}.pipe").read_text())
+        scenario = load_scenario(str(FIXTURES / f"{name}.scn"))
+        charges, writes = wrap_from_outside(engine)
+        engine.ledger.mint("outsider", 7)
+        engine.ledger.approve("outsider", "anyone", 7)
+        assert charges == [] and writes == [[], []]
+        assert run_scenario(engine, scenario).ok
+        per_tx = []  # every transaction charges tx_base first, once
+        for kind in charges:
+            if kind == "tx_base":
+                per_tx.append([])
+            per_tx[-1].append(kind)
+        costs = asdict(CostTable())
+        assert [sum(map(costs.__getitem__, kinds)) for kinds in per_tx] == \
+            [r.gas for r in engine.transactions]
+        # set-up writes charge nothing, a write in a transaction charges
+        # itself and its event
+        approvals = [step for step in scenario.steps if step.kind == "approve"]
+        assert writes.count([]) == 2 + len(approvals)
+        inside = [w for w in writes if w]
+        assert inside == [["ledger_write", "event_emit"]] * len(inside)
+        assert charges.count("ledger_write") == len(inside)
+
+
+class TestEmit:
+    def test_recorded_payload_is_a_copy(self):
+        class Mutating(Node):
+            # test double: reuses its payload dict after emitting it
+            def on_receive(self, msg):
+                payload = {"amount": msg.amount}
+                self.engine.emit("Seen", self.address, payload)
+                payload["amount"] = -1
+                payload["extra"] = True
+                self.engine.ledger.transfer(self.address, "bob", msg.amount)
+
+        engine = Engine()
+        engine.add_node(OriginatorNode("o", outputs=[("main", "m")]))
+        engine.add_node(Mutating("m"))
+        engine.set_entry("o")
+        engine.setup_balances({"alice": 100})
+        engine.ledger.approve("alice", "node:o", 100)
+        setup = {"note": "set-up"}
+        engine.emit("Note", "admin", setup)
+        setup["note"] = "changed"
+        assert engine.submit_deposit("alice", 40).committed
+        seen = [ev for ev in engine.events if ev.kind in ("Seen", "Note")]
+        assert [(ev.kind, ev.payload) for ev in seen] == [
+            ("Note", {"note": "set-up"}), ("Seen", {"amount": 40})]
 
 
 class TestDeterminism:

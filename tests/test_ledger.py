@@ -137,6 +137,67 @@ class TestTransferFrom:
                                            "amount": 10, "spender": "r1"})
 
 
+class IntSubclass(int):
+    """An ``int`` subclass: an amount the checks accept."""
+
+
+# Each write, on a book where alice holds 100 and allows bob 50.
+WRITES = {
+    "mint": lambda ledger, amount: ledger.mint("bob", amount),
+    "transfer": lambda ledger, amount: ledger.transfer("alice", "bob", amount),
+    "approve": lambda ledger, amount: ledger.approve("alice", "bob", amount),
+    "transfer_from": lambda ledger, amount:
+        ledger.transfer_from("bob", "alice", "carol", amount),
+}
+
+
+def funded():
+    """A ledger with hooks that record events and charges, both emptied
+    after alice is given 100 and allows bob 50."""
+    events, charges = [], []
+    ledger = TokenLedger(on_event=lambda kind, emitter, payload:
+                         events.append((kind, payload)),
+                         on_charge=charges.append)
+    ledger.mint("alice", 100)
+    ledger.approve("alice", "bob", 50)
+    events.clear()
+    charges.clear()
+    return ledger, events, charges
+
+
+def book(ledger):
+    return dict(ledger.balances), dict(ledger.allowances), ledger.total_supply
+
+
+class TestAmountChecks:
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    @pytest.mark.parametrize("amount, error, message", [
+        (True, TypeError, "amount must be an int, got bool"),
+        (1.0, TypeError, "amount must be an int, got float"),
+        ("5", TypeError, "amount must be an int, got str"),
+        (None, TypeError, "amount must be an int, got NoneType"),
+        (-1, ValueError, "amount must be non-negative, got -1"),
+    ])
+    def test_rejected_amount_changes_nothing(self, write, amount, error,
+                                             message):
+        ledger, events, charges = funded()
+        before = book(ledger)
+        with pytest.raises(error) as info:
+            WRITES[write](ledger, amount)
+        assert str(info.value) == message
+        assert book(ledger) == before
+        assert events == [] and charges == []
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_int_subclass_is_accepted(self, write):
+        ledger, events, charges = funded()
+        WRITES[write](ledger, IntSubclass(5))
+        assert charges == ["ledger_write"]
+        ((_, payload),) = events
+        assert payload["amount"] == 5
+        assert book(ledger) != book(funded()[0])
+
+
 class TestReads:
     def test_unknown_account_balance(self):
         assert TokenLedger().balance_of("ghost") == 0

@@ -226,6 +226,25 @@ class TestDueIndex:
         assert lock.asked == 4
         assert engine.nodes["rep"].asked == engine.nodes["pay"].asked == 0
 
+    def test_catch_up_advance_asks_the_lock_once_and_leaves_no_keys(self):
+        engine = chain()
+        lock = engine.nodes["lock"]
+        assert engine.submit_deposit("acme", 300).committed
+        assert lock.asked == 2
+        results = engine.advance_time(25)  # releases at 0, 10 and 20
+        assert len(results) == 3 and all(r.committed for r in results)
+        assert lock.asked == 3
+        assert engine._due_heap == [] and engine._due_at == {}
+
+    def test_catch_up_advance_indexes_a_lock_with_releases_left(self):
+        engine = chain()
+        lock = engine.nodes["lock"]
+        assert engine.submit_deposit("acme", 300).committed
+        assert len(engine.advance_time(15)) == 2  # releases at 0 and 10
+        assert lock.asked == 3
+        assert engine._due_heap == [(20, "lock")]
+        assert engine._due_at == {"lock": 20}
+
     def test_fault_in_a_crank_leaves_its_release_indexed(self):
         engine = Engine()
         beacon = Beacon({"at": 5})
