@@ -23,11 +23,12 @@ threshold, oracle-directed, claimable endpoints) end the propagation, and
 the next trigger resumes it.
 
 Gas is an accounting metric only; no limit is enforced. Every charge is a
-call of the meter's ``charge``, looked up on ``Engine.meter`` as each
-transaction opens, so a wrapper installed there later sees every charge.
-While a transaction is open, the ledger's ``on_charge`` hook is that method,
-and a ledger write or a dispatch hop charges in one call; outside one the
-hook charges nothing, so set-up writes cost no gas. Charge points:
+call of the meter's ``charge``, read on the ``Engine.meter`` instance, so a
+wrapper installed there after construction sees every charge. A dispatch
+hop charges the meter directly. While a transaction is open, the ledger's
+``on_charge`` hook is the meter's ``charge``, read as the transaction
+opens, so a ledger write charges in one call; outside one the hook charges
+nothing, so set-up writes cost no gas. Charge points:
 
     tx_base         once per transaction
     node_call       per dispatch across an edge (error redirects included)
@@ -301,7 +302,7 @@ class Engine:
         self.now = 0
         # on_charge is the meter's charge while a transaction is open and
         # charges nothing outside one: see _run_tx
-        self.ledger = TokenLedger(on_event=self._record)
+        self.ledger = TokenLedger(on_event=self.emit)
         self.nodes: dict[str, Node] = {}
         self.edges: set[tuple[str, str]] = set()
         self.entry: Optional[str] = None
@@ -352,36 +353,26 @@ class Engine:
 
     def emit(self, kind: str, emitter: str, payload: dict) -> None:
         """Record an event with a copy of ``payload``, so the caller may
-        reuse or change its dict. The engine's own events (the ledger's,
-        ``Sent`` and ``StreamError``) go to ``_record`` with a dict that
-        nothing else holds."""
-        self._record(kind, emitter, dict(payload))
-
-    def _record(self, kind: str, emitter: str, payload: dict) -> None:
-        """``emit`` that keeps ``payload`` itself."""
+        reuse or change its dict."""
         # tuple.__new__ is what EventRecord(...) runs, minus one Python call
         tx = self._tx
         if tx is not None:
             events = tx["events"]
             events.append(tuple.__new__(EventRecord, (
-                tx["id"], len(events), emitter, kind, payload)))
+                tx["id"], len(events), emitter, kind, dict(payload))))
             self.meter.charge("event_emit")
         else:
             self.events.append(tuple.__new__(EventRecord, (
-                SETUP_TX, self._setup_seq, emitter, kind, payload)))
+                SETUP_TX, self._setup_seq, emitter, kind, dict(payload))))
             self._setup_seq += 1
 
     # -- transaction machinery ---------------------------------------------
 
     def _touch(self, node: Node) -> Node:
         """Copy ``node``'s state the first time the open transaction reaches
-        it, so a revert can put it back. An empty ``dict`` needs no copy
-        pass: a new one is kept."""
-        touched = self._touched
-        if node.id not in touched:
-            state = node.state
-            touched[node.id] = {} if not state and state.__class__ is dict \
-                else _copy_state(state)
+        it, so a revert can put it back."""
+        if node.id not in self._touched:
+            self._touched[node.id] = _copy_state(node.state)
         return node
 
     def _undo(self) -> None:
@@ -552,14 +543,14 @@ class Engine:
             raise EdgeMissing(f"{sender.id} dispatched to unknown node {to_id!r}")
         if not via_error and (sender.id, to_id) not in self.edges:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
-        ledger = self.ledger
-        ledger.on_charge("node_call")  # the meter's charge: see _run_tx
+        ledger, charge = self.ledger, self.meter.charge
+        charge("node_call")
         self._touch(recipient)
         amount, spender = msg.amount, recipient.address
         ledger.approve(sender.address, spender, amount)
         ledger.transfer_from(spender, sender.address, spender, amount)
-        self._record("Sent", sender.address, {"to": to_id, "amount": amount})
-        ledger.on_charge("config_read")
+        self.emit("Sent", sender.address, {"to": to_id, "amount": amount})
+        charge("config_read")
         try:
             recipient.on_receive(msg)
         except StreamError as err:
@@ -581,7 +572,7 @@ class Engine:
         entry = (err.action_override, None) if err.action_override else \
             node.resolve_policy(err.severity)
         action_label = entry[0].value if entry else "revert"
-        self._record(
+        self.emit(
             "StreamError", node.address,
             {"severity": err.severity.label, "reason": err.reason,
              "amount": amount, "action": action_label},

@@ -58,10 +58,9 @@ class TokenLedger:
 
     ``on_event(kind, emitter, payload)`` and ``on_charge(kind)`` are hooks
     the engine installs to record Transfer/Approval events and meter gas;
-    both default to a no-op, so a bare ledger works without them. Each
-    write hands ``on_event`` a new payload dict, and the engine keeps it as
-    is. The engine sets ``on_charge`` to its meter's ``charge`` only while
-    a transaction is open.
+    both default to a no-op, so a bare ledger works without them. The
+    engine sets ``on_charge`` to its meter's ``charge`` only while a
+    transaction is open.
     """
 
     def __init__(self, on_event: EventHook = _ignore,
