@@ -14,7 +14,9 @@ aliasing inside a state (two entries sharing one list get one each), so a
 node state should not share a mutable object between entries; none of this
 package's nodes does. An exception that is not an engine error, in a
 template or in an error-policy action, also undoes the transaction, records
-nothing and propagates.
+nothing and propagates. A trigger called while a transaction is open (from
+a node's ``on_receive``, say) raises ``RuntimeError`` before it changes
+anything.
 
 ``dispatch`` performs each hop of a stream from one node to the next:
 approve, pull, ``Sent``, then the recipient's ``on_receive``. Propagation is
@@ -22,13 +24,12 @@ synchronous within the transaction; nodes that hold funds (timelock,
 threshold, oracle-directed, claimable endpoints) end the propagation, and
 the next trigger resumes it.
 
-Gas is an accounting metric only; no limit is enforced. Every charge is a
-call of the meter's ``charge``, read on the ``Engine.meter`` instance, so a
-wrapper installed there after construction sees every charge. A dispatch
-hop charges the meter directly. While a transaction is open, the ledger's
-``on_charge`` hook is the meter's ``charge``, read as the transaction
-opens, so a ledger write charges in one call; outside one the hook charges
-nothing, so set-up writes cost no gas. Charge points:
+Gas is an accounting metric only; no limit is enforced. As a transaction
+opens, ``_run_tx`` binds the meter's ``charge``, read on the ``Engine.meter``
+instance, to ``engine.charge`` and the ledger's ``on_charge``, so a wrapper
+installed on the meter before a trigger sees every charge. As it closes,
+both go back to the ledger's no-op, so ``engine.charge(kind)`` and ledger
+writes charge nothing outside a transaction. Charge points:
 
     tx_base         once per transaction
     node_call       per dispatch across an edge (error redirects included)
@@ -84,12 +85,14 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import EdgeMissing, EngineError, FatalStreamError, UnknownNode
-from .ledger import TokenLedger
+from .ledger import TokenLedger, _ignore, _require_int
 from .nodes import Node, PolicyAction, StreamError, StreamMessage
 
 # Setup-time events (minting, scenario approvals) live under this pseudo-id;
 # real transactions start at 1.
 SETUP_TX = 0
+
+_NESTED = "a trigger cannot run inside an open transaction"
 
 
 class ConservationBreach(RuntimeError):
@@ -229,12 +232,6 @@ def _copy_state(state: dict) -> dict:
         return copy.deepcopy(state)
 
 
-def _require_int(name: str, value) -> None:
-    """Reject a non-integer trigger argument before a transaction opens."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def format_event(ev: EventRecord) -> str:
     tx_id, seq, emitter, kind, payload = ev
     parts = [f"tx={tx_id} seq={seq} emitter={_esc(emitter)} "
@@ -300,9 +297,8 @@ class Engine:
     def __init__(self, cost_table: Optional[CostTable] = None):
         self.meter = GasMeter(cost_table or CostTable())
         self.now = 0
-        # on_charge is the meter's charge while a transaction is open and
-        # charges nothing outside one: see _run_tx
         self.ledger = TokenLedger(on_event=self.emit)
+        self.charge = _ignore  # the meter's charge in a transaction: _run_tx
         self.nodes: dict[str, Node] = {}
         self.edges: set[tuple[str, str]] = set()
         self.entry: Optional[str] = None
@@ -347,10 +343,6 @@ class Engine:
 
     # -- gas and events --------------------------------------------------------
 
-    def charge(self, kind: str) -> None:
-        if self._tx is not None:
-            self.meter.charge(kind)
-
     def emit(self, kind: str, emitter: str, payload: dict) -> None:
         """Record an event with a copy of ``payload``, so the caller may
         reuse or change its dict."""
@@ -360,7 +352,7 @@ class Engine:
             events = tx["events"]
             events.append(tuple.__new__(EventRecord, (
                 tx["id"], len(events), emitter, kind, dict(payload))))
-            self.meter.charge("event_emit")
+            self.charge("event_emit")
         else:
             self.events.append(tuple.__new__(EventRecord, (
                 SETUP_TX, self._setup_seq, emitter, kind, dict(payload))))
@@ -390,18 +382,19 @@ class Engine:
             )
 
     def _run_tx(self, trigger: str, info: dict, body: Callable[[], None]) -> TxResult:
+        if self._tx is not None:
+            raise RuntimeError(_NESTED)
+        meter, ledger = self.meter, self.ledger
+        ledger.begin()  # raises, changing nothing, if a log is open
         tx = Transaction(self._next_tx_id, trigger, info=dict(info))
         self._next_tx_id += 1
-        meter, ledger = self.meter, self.ledger
         meter.start()
-        charge = meter.charge  # the instance's, so a wrapper sees it
-        charge("tx_base")
+        self.charge = ledger.on_charge = meter.charge  # the instance's
         self._tx = {"id": tx.id, "events": []}
         touched = self._touched = {}
-        ledger.begin()
-        outside, ledger.on_charge = ledger.on_charge, charge
         reason = None
         try:
+            self.charge("tx_base")
             body()
         except EngineError as err:
             self._undo()
@@ -416,7 +409,7 @@ class Engine:
         else:
             ledger.commit()
         finally:
-            ledger.on_charge = outside
+            self.charge = ledger.on_charge = _ignore
             events = tuple(self._tx["events"])
             self._tx = None
             self._touched = {}
@@ -482,6 +475,8 @@ class Engine:
             _require_int("delta", delta)
         if delta < 0:
             raise ValueError("time cannot move backwards")
+        if self._tx is not None:
+            raise RuntimeError(_NESTED)
         self.now = now = self.now + delta
         heap = self._due_heap
         if not heap or heap[0][0] > now:
@@ -543,7 +538,7 @@ class Engine:
             raise EdgeMissing(f"{sender.id} dispatched to unknown node {to_id!r}")
         if not via_error and (sender.id, to_id) not in self.edges:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
-        ledger, charge = self.ledger, self.meter.charge
+        ledger, charge = self.ledger, self.charge
         charge("node_call")
         self._touch(recipient)
         amount, spender = msg.amount, recipient.address

@@ -43,12 +43,17 @@ def _ignore(*args) -> None:
     """The default hook: does nothing."""
 
 
+def _require_int(name: str, value) -> None:
+    """Reject a ledger amount or trigger argument that is not an ``int``
+    (``bool`` is not one; an ``int`` subclass is). Each caller tests the
+    common case, an exact ``int``, itself and calls this only otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def _check_amount(amount: Amount) -> None:
-    """Reject an amount that is not a non-negative ``int`` (``bool`` is
-    not one; an ``int`` subclass is). Each write tests the common case, an
-    exact non-negative ``int``, itself and calls this only otherwise."""
-    if not isinstance(amount, int) or isinstance(amount, bool):
-        raise TypeError(f"amount must be an int, got {type(amount).__name__}")
+    """Reject a ledger amount that is not a non-negative ``int``."""
+    _require_int("amount", amount)
     if amount < 0:
         raise ValueError(f"amount must be non-negative, got {amount}")
 
@@ -59,8 +64,8 @@ class TokenLedger:
     ``on_event(kind, emitter, payload)`` and ``on_charge(kind)`` are hooks
     the engine installs to record Transfer/Approval events and meter gas;
     both default to a no-op, so a bare ledger works without them. The
-    engine sets ``on_charge`` to its meter's ``charge`` only while a
-    transaction is open.
+    engine's ``_run_tx`` binds ``on_charge`` to the meter's ``charge`` as a
+    transaction opens and puts the no-op back as it closes.
     """
 
     def __init__(self, on_event: EventHook = _ignore,

@@ -372,6 +372,17 @@ def wrap_from_outside(engine):
     return charges, writes
 
 
+def per_transaction(charges):
+    """A ``wrap_from_outside`` charge log cut into one list per
+    transaction: each charges ``tx_base`` first, once."""
+    per_tx = []
+    for kind in charges:
+        if kind == "tx_base":
+            per_tx.append([])
+        per_tx[-1].append(kind)
+    return per_tx
+
+
 class TestOutsideWrappers:
     @pytest.mark.parametrize("name", PAIRS)
     def test_counted_charges_price_each_transaction(self, name):
@@ -382,13 +393,9 @@ class TestOutsideWrappers:
         engine.ledger.approve("outsider", "anyone", 7)
         assert charges == [] and writes == [[], []]
         assert run_scenario(engine, scenario).ok
-        per_tx = []  # every transaction charges tx_base first, once
-        for kind in charges:
-            if kind == "tx_base":
-                per_tx.append([])
-            per_tx[-1].append(kind)
         costs = asdict(CostTable())
-        assert [sum(map(costs.__getitem__, kinds)) for kinds in per_tx] == \
+        assert [sum(map(costs.__getitem__, kinds))
+                for kinds in per_transaction(charges)] == \
             [r.gas for r in engine.transactions]
         # set-up writes charge nothing, a write in a transaction charges
         # itself and its event
@@ -397,6 +404,125 @@ class TestOutsideWrappers:
         inside = [w for w in writes if w]
         assert inside == [["ledger_write", "event_emit"]] * len(inside)
         assert charges.count("ledger_write") == len(inside)
+
+
+# A trigger each, called from inside a node's on_receive.
+NESTED = {
+    "deposit": lambda engine: engine.submit_deposit("alice", 5),
+    "instruct": lambda engine: engine.submit_oracle_instruct(
+        "p", "ora", "main", 5),
+    "claim": lambda engine: engine.submit_claim("p", "bob"),
+    "advance": lambda engine: engine.advance_time(7),
+}
+
+
+def nesting_engine(nested=None, catch=False):
+    """An originator paying a claimable endpoint whose ``on_receive`` holds
+    the funds and emits ``Held``, then calls ``nested(engine)`` (catching
+    ``RuntimeError`` when ``catch``), then pays bob 1 and emits ``After``.
+    Returns the engine and the list of the errors caught."""
+    caught = []
+
+    class Nesting(EndpointNode):
+        # test double: starts a trigger from inside a transaction
+        def on_receive(self, msg):
+            super().on_receive(msg)
+            if self.nested is not None:
+                try:
+                    self.nested(self.engine)
+                except RuntimeError as err:
+                    if not catch:
+                        raise
+                    caught.append(err)
+            self.engine.ledger.transfer(self.address, "bob", 1)
+            self.engine.emit("After", self.address, {"amount": msg.amount})
+
+    engine = Engine()
+    engine.add_node(OriginatorNode("o", outputs=[("main", "p")]))
+    node = engine.add_node(Nesting("p", recipient="bob", mode="claimable"))
+    node.nested = nested
+    engine.set_entry("o")
+    engine.setup_balances({"alice": 100})
+    engine.ledger.approve("alice", "node:o", 100)
+    return engine, caught
+
+
+class TestNestedTriggers:
+    @pytest.mark.parametrize("name", NESTED)
+    def test_propagated_refusal_undoes_the_outer_transaction(self, name):
+        engine, _ = nesting_engine()
+        assert engine.submit_deposit("alice", 10).committed
+        before, events = engine.state_fingerprint(), list(engine.events)
+        transactions = list(engine.transactions)
+        engine.nodes["p"].nested = NESTED[name]
+        with pytest.raises(RuntimeError, match="inside an open transaction"):
+            engine.submit_deposit("alice", 20)
+        assert engine.state_fingerprint() == before
+        assert engine.events == events and engine.transactions == transactions
+        assert engine.revert_traces == {} and engine.now == 0
+        engine.nodes["p"].nested = None
+        assert engine.submit_deposit("alice", 20).tx.id == 2
+
+    @pytest.mark.parametrize("name", NESTED)
+    def test_caught_refusal_changes_nothing(self, name):
+        engine, caught = nesting_engine(NESTED[name], catch=True)
+        twin, _ = nesting_engine()
+        for amount in (10, 20):
+            result = engine.submit_deposit("alice", amount)
+            expected = twin.submit_deposit("alice", amount)
+            assert result.committed and result.tx.id == expected.tx.id
+            assert result.gas == expected.gas
+            assert result.events == expected.events
+        assert len(caught) == 2
+        assert all("inside an open transaction" in str(err) for err in caught)
+        assert engine.state_fingerprint() == twin.state_fingerprint()
+        assert engine.trace_text() == twin.trace_text()
+        assert engine.gas_text() == twin.gas_text()
+        assert engine._next_tx_id == twin._next_tx_id == 3
+        assert engine.submit_claim("p", "bob").gas == \
+            twin.submit_claim("p", "bob").gas
+
+    def test_ledger_log_opened_outside_refuses_a_trigger_unchanged(self):
+        engine, _ = nesting_engine()
+        engine.ledger.begin()
+        before = engine.state_fingerprint()
+        with pytest.raises(RuntimeError, match="undo log is already open"):
+            engine.submit_deposit("alice", 10)
+        assert engine.state_fingerprint() == before
+        assert engine._tx is None and engine._next_tx_id == 1
+        engine.charge("config_read")
+        assert engine.meter.consumed == 0
+        engine.ledger.commit()
+        assert engine.submit_deposit("alice", 10).tx.id == 1
+
+    def test_charges_reach_the_meter_only_inside_a_transaction(self):
+        """Under an outside wrapper, a trigger's counted charges include the
+        nodes' ``config_read`` and the conditional's ``predicate_eval``: as
+        many of each kind as a dearer cost for it adds to the transaction's
+        gas. Outside a transaction nothing is counted or billed."""
+        text = (FIXTURES / "flows.pipe").read_text()
+        scenario = load_scenario(str(FIXTURES / "flows.scn"))
+        engine = build(text)
+        charges, writes = wrap_from_outside(engine)
+        assert run_scenario(engine, scenario).ok
+        per_tx = per_transaction(charges)
+        for kind in ("config_read", "predicate_eval"):
+            dearer = build(text, CostTable(**{kind: getattr(TB, kind) + 1}))
+            assert run_scenario(dearer, scenario).ok
+            counts = [r2.gas - r1.gas for r1, r2 in
+                      zip(engine.transactions, dearer.transactions)]
+            assert [kinds.count(kind) for kinds in per_tx] == counts
+            assert sum(counts) > 0
+        consumed, counted = engine.meter.consumed, len(charges)
+        engine.charge("config_read")
+        engine.charge("predicate_eval")
+        engine.ledger.mint("outsider", 7)
+        engine.ledger.approve("outsider", "anyone", 7)
+        engine.ledger.transfer("outsider", "anyone", 3)
+        engine.ledger.transfer_from("anyone", "outsider", "zed", 3)
+        engine.ledger.balance_of("outsider")
+        assert len(charges) == counted and engine.meter.consumed == consumed
+        assert writes[-4:] == [[]] * 4
 
 
 class TestEmit:
