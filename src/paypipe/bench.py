@@ -181,7 +181,7 @@ def observables(engine: Engine) -> dict:
     for result in engine.transactions:
         if not result.committed:
             continue
-        at = result.tx.info.get("at")
+        at = result.info.get("at")
         for ev in result.events:
             if ev.kind != "Transfer":
                 continue
@@ -211,7 +211,7 @@ def _drive(engine: Engine, deposit: int, periods: int) -> None:
 
 
 def _per_tx(engine: Engine) -> tuple:
-    return tuple((r.tx.id, r.tx.trigger, r.tx.status, r.gas)
+    return tuple((r.id, r.trigger, r.status, r.gas)
                  for r in engine.transactions)
 
 

@@ -78,7 +78,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -146,23 +146,25 @@ class EventRecord(NamedTuple):
 
 
 @dataclass
-class Transaction:
+class TxResult:
+    """The one record of a transaction, ``id`` its position in
+    ``Engine.transactions`` plus 1. A revert sets ``reason`` to ``"CODE:
+    message"`` and keeps the ``events`` it would have emitted."""
+
     id: int
     trigger: str  # Deposit | AdvanceTime | OracleInstruct | Claim
-    status: str = "Committed"
-    info: dict = dc_field(default_factory=dict)
-
-
-@dataclass
-class TxResult:
-    tx: Transaction
-    gas: int
+    info: dict
     events: tuple
+    gas: int = 0
     reason: Optional[str] = None
 
     @property
     def committed(self) -> bool:
-        return self.tx.status == "Committed"
+        return self.reason is None
+
+    @property
+    def status(self) -> str:
+        return "Committed" if self.reason is None else "Reverted"
 
 
 def _esc(value) -> str:
@@ -303,11 +305,9 @@ class Engine:
         self.edges: set[tuple[str, str]] = set()
         self.entry: Optional[str] = None
         self.events: list[EventRecord] = []
-        self.revert_traces: dict[int, tuple] = {}
         self.transactions: list[TxResult] = []
-        self._next_tx_id = 1
         self._setup_seq = 0
-        self._tx: Optional[dict] = None  # {"id", "events"} while open
+        self._tx: Optional[TxResult] = None  # the open transaction's record
         # node id -> its state before the open transaction first touched it
         self._touched: dict[str, dict] = {}
         # Due index of the nodes in _scheduled: a heap of (earliest pending
@@ -349,9 +349,9 @@ class Engine:
         # tuple.__new__ is what EventRecord(...) runs, minus one Python call
         tx = self._tx
         if tx is not None:
-            events = tx["events"]
+            events = tx.events
             events.append(tuple.__new__(EventRecord, (
-                tx["id"], len(events), emitter, kind, dict(payload))))
+                tx.id, len(events), emitter, kind, dict(payload))))
             self.charge("event_emit")
         else:
             self.events.append(tuple.__new__(EventRecord, (
@@ -386,46 +386,38 @@ class Engine:
             raise RuntimeError(_NESTED)
         meter, ledger = self.meter, self.ledger
         ledger.begin()  # raises, changing nothing, if a log is open
-        tx = Transaction(self._next_tx_id, trigger, info=dict(info))
-        self._next_tx_id += 1
+        tx = self._tx = TxResult(len(self.transactions) + 1, trigger, info, [])
         meter.start()
         self.charge = ledger.on_charge = meter.charge  # the instance's
-        self._tx = {"id": tx.id, "events": []}
         touched = self._touched = {}
-        reason = None
         try:
             self.charge("tx_base")
             body()
         except EngineError as err:
             self._undo()
-            tx.status = "Reverted"
-            reason = f"{err.code}: {err.message}"
+            tx.reason = f"{err.code}: {err.message}"
         except BaseException:
-            # A fault, not a revert: undo the writes, record nothing and hand
-            # the id back to the next transaction, then let it propagate.
+            # A fault, not a revert: undo the writes and record nothing, then
+            # let it propagate.
             self._undo()
-            self._next_tx_id = tx.id
             raise
         else:
             ledger.commit()
         finally:
             self.charge = ledger.on_charge = _ignore
-            events = tuple(self._tx["events"])
+            tx.events = tuple(tx.events)
+            tx.gas = meter.consumed
             self._tx = None
             self._touched = {}
-        if tx.status == "Committed":
-            self.events.extend(events)
+        if tx.reason is None:
+            self.events.extend(tx.events)
             self._check_conservation()
-        else:
-            self.revert_traces[tx.id] = events
-        result = TxResult(tx=tx, gas=meter.consumed, events=events,
-                          reason=reason)
-        self.transactions.append(result)
-        if result.committed:
+        self.transactions.append(tx)
+        if tx.reason is None:
             for node_id in self._scheduled.intersection(touched).difference(
                     self._popped):
                 self._reschedule(node_id)
-        return result
+        return tx
 
     # -- triggers ------------------------------------------------------------
 
@@ -638,7 +630,7 @@ class Engine:
 
     def gas_text(self) -> str:
         lines = [
-            f"tx={r.tx.id} trigger={r.tx.trigger} status={r.tx.status} gas={r.gas}"
+            f"tx={r.id} trigger={r.trigger} status={r.status} gas={r.gas}"
             for r in self.transactions
         ]
         total = sum(r.gas for r in self.transactions)

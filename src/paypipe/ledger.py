@@ -206,11 +206,15 @@ class TokenLedger:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> tuple:
+        """A copy of the whole book. The engine no longer calls it: a
+        transaction rolls back through the undo log. It stays only for the
+        benchmark's traced-run wrappers, which count and time it."""
         return (dict(self.balances), dict(self.allowances), self.total_supply)
 
     def restore(self, snap: tuple) -> None:
         """Replace the whole book with a ``snapshot()``; not while the undo
-        log is open."""
+        log is open. Like ``snapshot``, the engine no longer calls it; it
+        stays only for the benchmark's traced-run wrappers."""
         balances, allowances, supply = snap
         self.balances = dict(balances)
         self.allowances = dict(allowances)

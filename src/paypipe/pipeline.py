@@ -28,9 +28,9 @@ ID`` blocks whose field lines describe the node:
 
 Parsing rejects malformed lines with a position; validation collects every
 structural problem (duplicate ids, unknown targets, originator count, arity,
-cycles, bad template config, unreachable nodes) instead of stopping at the
-first. Serialization is canonical: parse, serialize, parse again yields the
-same structure byte for byte.
+cycles, a path longer than ``MAX_HOPS``, bad template config, unreachable
+nodes) instead of stopping at the first. Serialization is canonical: parse,
+serialize, parse again yields the same structure byte for byte.
 """
 
 from __future__ import annotations
@@ -55,6 +55,13 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 # A line of text as ``token_lines`` yields it: (lineno, raw text, words).
 _Line = tuple[int, str, list[str]]
+
+# The most hops any stream path may take. Each hop nests three or four
+# Python frames (four through a conditional), so a trigger at the limit
+# stays inside the default recursion limit of 1,000 when called from 200
+# frames deep. Cranks, claims and instructions start mid-graph, so the
+# longest path from any node bounds them all.
+MAX_HOPS = 128
 
 _KINDS = ("originator", "router", "endpoint")
 _MODES = ("direct", "claimable")
@@ -277,29 +284,39 @@ def _policy_targets(node: NodeSpec) -> list[str]:
             if policy[sev][0] is PolicyAction.REDIRECT]
 
 
-def _find_cycle(successors: dict) -> Optional[tuple[str, str]]:
-    """First back edge found by depth-first search, or None if acyclic;
-    ``successors`` maps each node id to the ids its edges lead to."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in successors}
+def _cycle_and_depth(successors: dict) -> tuple[Optional[tuple], int, str]:
+    """Depth-first search over ``successors``, which maps each node id to the
+    ids its edges lead to: the first back edge found, or None if the graph
+    is acyclic, and then the hops of its longest path and the node that path
+    starts from."""
+    GRAY = -1  # on the stack; a finished node maps to its longest path
+    hops: dict[str, int] = {}
+    deepest, start = 0, ""
     for root in successors:
-        if color[root] != WHITE:
+        if root in hops:
             continue
-        color[root] = GRAY
+        hops[root] = GRAY
         stack = [(root, iter(successors[root]))]
         while stack:
             nid, it = stack[-1]
             nxt = next(it, None)
             if nxt is None:
-                color[nid] = BLACK
+                longest = 0  # every successor is finished
+                for succ in successors[nid]:
+                    if hops[succ] >= longest:
+                        longest = hops[succ] + 1
+                hops[nid] = longest
+                if longest > deepest:
+                    deepest, start = longest, nid
                 stack.pop()
                 continue
-            if color[nxt] == GRAY:
-                return (nid, nxt)
-            if color[nxt] == WHITE:
-                color[nxt] = GRAY
+            seen = hops.get(nxt)
+            if seen == GRAY:
+                return (nid, nxt), 0, ""
+            if seen is None:
+                hops[nxt] = GRAY
                 stack.append((nxt, iter(successors[nxt])))
-    return None
+    return None, deepest, start
 
 
 def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
@@ -405,10 +422,13 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
         if redirects[nid]:
             targets = list(dict.fromkeys(targets + redirects[nid]))
         successors[nid] = [target for target in targets if target in nodes]
-    back_edge = _find_cycle(successors)
+    back_edge, hops, start = _cycle_and_depth(successors)
     if back_edge is not None:
         frm, to = back_edge
         err("CycleDetected", frm, f"cycle via edge {frm} -> {to}")
+    elif hops > MAX_HOPS:
+        err("DepthExceeded", start,
+            f"a path of {hops} hops starts here, over the limit of {MAX_HOPS}")
 
     # template config
     for node in nodes.values():

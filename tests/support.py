@@ -467,6 +467,16 @@ def random_actions(rng: random.Random, info: dict, teed: bool = False):
     return actions
 
 
+def revert_traces(engine):
+    """The events each reverted transaction would have emitted, by id."""
+    return {r.id: r.events for r in engine.transactions if not r.committed}
+
+
+def next_tx_id(engine):
+    """The id the engine's next transaction takes."""
+    return len(engine.transactions) + 1
+
+
 def apply_action(engine, action):
     """Run one action tuple; returns the TxResults it produced."""
     kind, a = action

@@ -18,7 +18,8 @@ from paypipe.nodes import EndpointNode, Node, OriginatorNode, StreamMessage
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.scenario import load_scenario, run_scenario
 
-from support import apply_action, random_actions, random_pipeline_text
+from support import (apply_action, next_tx_id, random_actions,
+                     random_pipeline_text, revert_traces)
 from test_golden import FIXTURES, PAIRS
 
 TB = CostTable()  # default costs, used in hand-derived gas sums
@@ -119,7 +120,7 @@ class TestRevert:
         result = engine.submit_deposit("acme", 100)  # no approval
         assert engine.events == [ev for ev in engine.events
                                  if ev.tx_id == SETUP_TX]
-        assert result.tx.id in engine.revert_traces
+        assert result.id in revert_traces(engine)
         # the pull is the first thing the tx does, so nothing got emitted
         assert result.events == ()
 
@@ -127,7 +128,7 @@ class TestRevert:
         engine = build(CHAIN)
         result = engine.submit_deposit("acme", 100)
         last = engine.transactions[-1]
-        assert last.tx.status == "Reverted"
+        assert last.status == "Reverted"
         assert last.gas == result.gas > 0
         assert engine.gas_text().splitlines()[-2].endswith(
             f"status=Reverted gas={result.gas}")
@@ -197,7 +198,7 @@ class TestRollback:
         assert engine.state_fingerprint() == before
         assert engine.events == events_before
         # the failed attempt still shows its partial work in the revert trace
-        kinds = [ev.kind for ev in engine.revert_traces[result.tx.id]]
+        kinds = [ev.kind for ev in revert_traces(engine)[result.id]]
         assert "StreamError" in kinds
 
     def test_rollback_restores_node_state(self):
@@ -300,14 +301,14 @@ class TestAdvanceTime:
         assert engine.advance_time(49) == []
         results = engine.advance_time(1)
         assert len(results) == 2
-        assert all(r.tx.info["at"] == 50 for r in results)
+        assert all(r.info["at"] == 50 for r in results)
 
     def test_same_instant_cranks_in_node_id_order(self):
         engine = build(SPLIT_LOCKS)
         approve_entry(engine, "acme", 100)
         engine.submit_deposit("acme", 100)
         results = engine.advance_time(10)
-        assert [r.tx.info["node"] for r in results] == ["r1", "r2"]
+        assert [r.info["node"] for r in results] == ["r1", "r2"]
 
     def test_negative_delta_rejected(self):
         engine = build(CHAIN)
@@ -345,7 +346,7 @@ class TestTriggerArguments:
         assert engine.ledger.balances["bob"] == 100
         result = engine.submit_oracle_instruct("rep", "ora", "main",
                                                IntSubclass(5))
-        assert result.tx.info["amount"] == 5
+        assert result.info["amount"] == 5
         assert engine.advance_time(IntSubclass(5)) == []
         assert engine.now == 5
 
@@ -459,9 +460,9 @@ class TestNestedTriggers:
             engine.submit_deposit("alice", 20)
         assert engine.state_fingerprint() == before
         assert engine.events == events and engine.transactions == transactions
-        assert engine.revert_traces == {} and engine.now == 0
+        assert revert_traces(engine) == {} and engine.now == 0
         engine.nodes["p"].nested = None
-        assert engine.submit_deposit("alice", 20).tx.id == 2
+        assert engine.submit_deposit("alice", 20).id == 2
 
     @pytest.mark.parametrize("name", NESTED)
     def test_caught_refusal_changes_nothing(self, name):
@@ -470,7 +471,7 @@ class TestNestedTriggers:
         for amount in (10, 20):
             result = engine.submit_deposit("alice", amount)
             expected = twin.submit_deposit("alice", amount)
-            assert result.committed and result.tx.id == expected.tx.id
+            assert result.committed and result.id == expected.id
             assert result.gas == expected.gas
             assert result.events == expected.events
         assert len(caught) == 2
@@ -478,7 +479,7 @@ class TestNestedTriggers:
         assert engine.state_fingerprint() == twin.state_fingerprint()
         assert engine.trace_text() == twin.trace_text()
         assert engine.gas_text() == twin.gas_text()
-        assert engine._next_tx_id == twin._next_tx_id == 3
+        assert next_tx_id(engine) == next_tx_id(twin) == 3
         assert engine.submit_claim("p", "bob").gas == \
             twin.submit_claim("p", "bob").gas
 
@@ -489,11 +490,11 @@ class TestNestedTriggers:
         with pytest.raises(RuntimeError, match="undo log is already open"):
             engine.submit_deposit("alice", 10)
         assert engine.state_fingerprint() == before
-        assert engine._tx is None and engine._next_tx_id == 1
+        assert engine._tx is None and next_tx_id(engine) == 1
         engine.charge("config_read")
         assert engine.meter.consumed == 0
         engine.ledger.commit()
-        assert engine.submit_deposit("alice", 10).tx.id == 1
+        assert engine.submit_deposit("alice", 10).id == 1
 
     def test_charges_reach_the_meter_only_inside_a_transaction(self):
         """Under an outside wrapper, a trigger's counted charges include the
@@ -604,7 +605,7 @@ class TestEventRecord:
                     apply_action(engine, action)
             first, second = engines
             assert first.events == second.events
-            assert first.revert_traces == second.revert_traces
+            assert revert_traces(first) == revert_traces(second)
             for result in first.transactions:
                 assert [ev.seq for ev in result.events] == \
                     list(range(len(result.events)))
@@ -678,7 +679,7 @@ class TestExports:
         approve_entry(engine, "acme", 100)
         engine.submit_deposit("acme", 100)
         (tx,) = engine.transactions
-        assert tx.gas == 65400 and tx.tx.trigger == "Deposit"
+        assert tx.gas == 65400 and tx.trigger == "Deposit"
         assert engine.gas_text().splitlines()[-1] == "total txs=1 gas=65400"
 
     def test_gas_text_totals_line(self):

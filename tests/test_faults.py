@@ -1,28 +1,35 @@
 """Fault and revert injection at every charge point.
 
-Each action of the random corpus, behind the reverting tee, is run once for
-every charge it makes: the k-th charge raises, once a plain exception (a
-fault) and once an ``EngineError`` (a revert). Afterwards the engine must be
-whole: no open transaction, no touched copies, an empty undo log, nothing
-charging outside a transaction, conservation, contiguous ids and a current
-due index. Its state, events and transactions must equal those of a twin
-engine whose same transaction failed at its first step (for an advance, the
-same crank), before and after the rest of the actions run.
+Each action of the random corpus, behind the reverting tee, and of the
+``flows`` fixture's scenario, whose oracle instructions and claim commit,
+is run once for every charge it makes: the k-th charge raises, once a plain
+exception (a fault) and once an ``EngineError`` (a revert). Afterwards the
+engine must be whole: no open transaction, no touched copies, an empty undo
+log, nothing charging outside a transaction, conservation, contiguous ids
+and a current due index. Its state, events and transactions must equal
+those of a twin engine whose same transaction failed at its first step (for
+an advance, the same crank), before and after the rest of the actions run.
 """
 
 import functools
 import random
+from pathlib import Path
 
 import pytest
 
 from paypipe.errors import EngineError
 from paypipe.pipeline import instantiate, parse_pipeline
+from paypipe.scenario import parse_scenario
 
 from support import apply_action, random_actions, random_pipeline_text, teed
 
 # Seeds 0-3 of the corpus, and four of 0-119 whose advances (17, 88, 118) or
 # oracle instructions (38) make the most charges: 1,011 charges in all.
 SEEDS = (*range(4), 17, 38, 88, 118)
+FIXTURES = Path(__file__).parent / "fixtures"
+# The corpora: the seeds, and the flows fixture's pipeline and scenario
+# (373 charges more).
+CORPORA = (*SEEDS, "flows")
 
 
 class Injected(Exception):
@@ -40,7 +47,13 @@ def build(text):
 @functools.lru_cache(maxsize=None)
 def corpus(seed):
     """The pipeline text behind the tee and the actions of one seed, with a
-    final advance."""
+    final advance; for "flows", the fixture's pipeline and its scenario's
+    approve, deposit, instruct and claim steps."""
+    if seed == "flows":
+        steps = parse_scenario((FIXTURES / "flows.scn").read_text()).steps
+        return (FIXTURES / "flows.pipe").read_text(), tuple(
+            (step.kind, step.args) for step in steps
+            if step.kind in ("approve", "deposit", "instruct", "claim"))
     rng = random.Random(seed)
     text, info = random_pipeline_text(rng)
     actions = random_actions(rng, info, teed=True)
@@ -96,9 +109,8 @@ def check_whole(engine):
     ledger.on_charge("ledger_write")
     assert engine.meter.consumed == consumed
     assert sum(ledger.balances.values()) == ledger.total_supply
-    ids = [r.tx.id for r in engine.transactions]
+    ids = [r.id for r in engine.transactions]
     assert ids == list(range(1, len(ids) + 1))
-    assert engine._next_tx_id == len(ids) + 1
     heap = set(engine._due_heap)
     for node_id, node in engine.nodes.items():
         due = node.next_due() if node.scheduled else None
@@ -109,14 +121,12 @@ def check_whole(engine):
 
 def view(engine, failed):
     """What the injected engine and its twin must share: every field but the
-    gas and revert trace of the transaction that failed, which differ by
-    where it failed."""
+    gas and events of the transaction that failed, which differ by where it
+    failed."""
     return (engine.state_fingerprint(), list(engine.events),
-            [(r.tx.id, r.tx.trigger, r.tx.status, r.tx.info,
-              None if r.tx.id == failed else (r.gas, r.events, r.reason))
-             for r in engine.transactions],
-            {tx: events for tx, events in engine.revert_traces.items()
-             if tx != failed})
+            [(r.id, r.trigger, r.status, r.info,
+              None if r.id == failed else (r.gas, r.events, r.reason))
+             for r in engine.transactions])
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,8 +176,8 @@ def inject(seed, i, k, error):
 
 
 def cases():
-    """(seed, action index, k) of every charge of the corpus's actions."""
-    for seed in SEEDS:
+    """(seed, action index, k) of every charge of the corpora's actions."""
+    for seed in CORPORA:
         text, actions = corpus(seed)
         engine = build(text)
         for i, action in enumerate(actions):
@@ -189,3 +199,17 @@ def test_injection_at_every_charge_leaves_the_engine_whole(error):
     kinds = {corpus(seed)[1][i][0] for seed, i, _ in CASES}
     assert kinds == {"deposit", "advance", "instruct", "claim"}
     assert len(CASES) >= 1000
+
+
+def test_flows_corpus_commits_instructions_and_a_claim():
+    text, actions = corpus("flows")
+    engine = build(text)
+    committed = [(action[0], *action[1].values())
+                 for action in actions
+                 for result in apply_action(engine, action)
+                 if result.committed and action[0] in ("instruct", "claim")]
+    assert committed == [("instruct", "desk", "ora", "pay", 25),
+                         ("instruct", "desk", "ora", "hold", 30),
+                         ("claim", "vault", "carol")]
+    assert {actions[i][0] for seed, i, _ in CASES if seed == "flows"} == \
+        {"deposit", "instruct", "claim"}

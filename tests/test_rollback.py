@@ -31,7 +31,7 @@ from paypipe.scenario import load_scenario, run_scenario
 from paypipe.templates import TimelockTemplate
 
 from support import (USERS, apply_action, random_actions, random_pipeline_text,
-                     teed)
+                     revert_traces, teed)
 from test_golden import PAIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,7 +42,7 @@ def build(text):
 
 
 def tx_ids(engine):
-    return [r.tx.id for r in engine.transactions]
+    return [r.id for r in engine.transactions]
 
 
 def check_reverts_restore(engine):
@@ -55,7 +55,7 @@ def check_reverts_restore(engine):
         result = run_tx(trigger, info, body)
         if not result.committed:
             assert engine.state_fingerprint() == before, result.reason
-            reverted.append(result.tx.id)
+            reverted.append(result.id)
         return result
     engine._run_tx = checked
     return reverted
@@ -175,13 +175,13 @@ class TestFaultsCloseTheTransaction:
         with pytest.raises(ZeroDivisionError):
             engine.submit_deposit("alice", 60)
         assert engine.state_fingerprint() == before
-        assert engine.transactions == [] and engine.revert_traces == {}
+        assert engine.transactions == [] and revert_traces(engine) == {}
         # the transaction is closed: a setup write is a setup event again
         engine.ledger.approve("alice", "node:o", 7)
         assert engine.events[-1].tx_id == SETUP_TX
         # and the next transaction takes the id the fault handed back
         engine.nodes["bug"].on_receive = lambda msg: None
-        assert engine.submit_deposit("alice", 7).tx.id == 1
+        assert engine.submit_deposit("alice", 7).id == 1
 
     @staticmethod
     def warning_with(continuation):
@@ -208,9 +208,9 @@ class TestFaultsCloseTheTransaction:
         with pytest.raises(ZeroDivisionError):
             engine.submit_deposit("alice", 60)
         assert engine.state_fingerprint() == before
-        assert engine.transactions == [] and engine.revert_traces == {}
+        assert engine.transactions == [] and revert_traces(engine) == {}
         engine.nodes["b"].on_receive = lambda msg: None
-        assert engine.submit_deposit("alice", 7).tx.id == 1
+        assert engine.submit_deposit("alice", 7).id == 1
 
     def test_engine_error_inside_a_policy_action_reverts(self):
         def overdraw():
@@ -395,7 +395,7 @@ class TestRandomPipelines:
         for engine, reverted in drive_corpus(tee=True):
             reverts += len(reverted)
             payouts_undone += sum(
-                1 for tx in reverted for ev in engine.revert_traces[tx]
+                1 for tx in reverted for ev in revert_traces(engine)[tx]
                 if ev.kind == "Transfer" and ev.payload["to"] in USERS)
         assert reverts >= 30
         assert payouts_undone >= 80  # reverts really undid payouts
@@ -503,16 +503,16 @@ class TestDueIndex:
     def test_reverted_crank_beside_committed_ones_is_retried(self):
         engine = self.funded()
         first = engine.advance_time(10)
-        assert [(r.tx.info["at"], r.tx.info["node"], r.committed)
+        assert [(r.info["at"], r.info["node"], r.committed)
                 for r in first] == [(5, "b", True), (10, "a", False),
                                     (10, "c", True)]
         assert engine.nodes["a"].state["released"] == [False]
         assert engine.ledger.balances["bob"] == 300
         assert engine.ledger.balances["carol"] == 300
         (retry,) = engine.advance_time(0)
-        assert (retry.tx.info["node"], retry.committed) == ("a", False)
+        assert (retry.info["node"], retry.committed) == ("a", False)
         (last,) = engine.advance_time(10)
-        assert (last.tx.info["node"], last.committed) == ("a", True)
+        assert (last.info["node"], last.committed) == ("a", True)
         assert engine.ledger.balances["alice"] == 300
         assert engine.advance_time(100) == []
         assert tx_ids(engine) == list(range(1, 7))
@@ -555,7 +555,7 @@ class TestDueIndex:
         assert engine.submit_deposit("x", 1).committed
         assert engine.advance_time(4) == []
         (fired,) = engine.advance_time(1)
-        assert fired.committed and fired.tx.info["at"] == 8
+        assert fired.committed and fired.info["at"] == 8
         assert engine.advance_time(10) == []
 
     def test_node_added_after_an_advance_is_cranked(self):
@@ -567,7 +567,7 @@ class TestDueIndex:
         engine.add_node(lock)
         engine.add_node(EndpointNode("pay-late", recipient="dave"))
         results = engine.advance_time(20)
-        assert [(r.tx.info["node"], r.tx.info["release"]) for r in results] \
+        assert [(r.info["node"], r.info["release"]) for r in results] \
             == [("a", 0), ("late", 0), ("late", 1)]
         assert all(r.committed for r in results)
         assert engine.nodes["late"].state["released"] == [True, True]

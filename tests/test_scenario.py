@@ -230,7 +230,7 @@ assert held lock 50
 assert balance alice 0
 """))
         assert result.ok
-        statuses = [r.tx.status for r in result.transactions]
+        statuses = [r.status for r in result.transactions]
         assert "Reverted" in statuses
 
     def test_approve_unknown_node_fails(self):

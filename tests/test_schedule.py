@@ -177,7 +177,7 @@ class TestDueIndex:
         assert engine._due_at == {"beacon": 5}
         assert engine.advance_time(4) == []
         (fired,) = engine.advance_time(1)
-        assert fired.committed and fired.tx.info == {
+        assert fired.committed and fired.info == {
             "node": "beacon", "release": 0, "at": 5}
         assert engine._due_at == {}
         assert engine.advance_time(10) == []
@@ -191,7 +191,7 @@ class TestDueIndex:
         assert engine._due_at == {"payroll": START}
         assert engine.submit_deposit("acme", 200).committed
         results = engine.advance_time(20)
-        assert [r.tx.info["at"] for r in results] == [START, START + PERIOD]
+        assert [r.info["at"] for r in results] == [START, START + PERIOD]
         assert all(r.committed for r in results)
         assert engine.ledger.balances["emp-1"] == 200
         assert engine._due_at == {}
@@ -258,5 +258,5 @@ class TestDueIndex:
         assert engine.transactions == [] and engine._due_at == {"beacon": 5}
         del beacon.crank
         (fired,) = engine.advance_time(0)
-        assert fired.committed and fired.tx.id == 1
+        assert fired.committed and fired.id == 1
         assert engine._due_at == {}

@@ -28,7 +28,7 @@ from paypipe.ledger import NULL_ADDRESS
 from paypipe.pipeline import instantiate, parse_pipeline
 
 from support import (DEPOSITOR, META_KEY, USERS, NaiveLedger, random_pipeline_text,
-                     teed)
+                     revert_traces, teed)
 
 FUNDING = 1_000_000  # the depositor's balance in every random pipeline
 BAD_AMOUNTS = (1.5, True, "7", None)
@@ -62,7 +62,7 @@ def replay(naive, event):
 
 
 def outcome(results):
-    return [(r.tx.id, r.tx.trigger, r.tx.status, r.gas, r.reason)
+    return [(r.id, r.trigger, r.status, r.gas, r.reason)
             for r in results]
 
 
@@ -96,12 +96,12 @@ class EngineMachine(RuleBasedStateMachine):
         for engine in (self.engine, self.twin):
             before = engine.state_fingerprint()
             counts = (len(engine.transactions), len(engine.events),
-                      len(engine.revert_traces))
+                      len(revert_traces(engine)))
             with pytest.raises(error):
                 action(engine)
             assert engine.state_fingerprint() == before
             assert (len(engine.transactions), len(engine.events),
-                    len(engine.revert_traces)) == counts
+                    len(revert_traces(engine))) == counts
 
     # -- setup -----------------------------------------------------------
 
@@ -200,13 +200,10 @@ class EngineMachine(RuleBasedStateMachine):
     @invariant()
     def ids_contiguous_and_nothing_open(self):
         engine = self.engine
-        ids = [r.tx.id for r in engine.transactions]
+        ids = [r.id for r in engine.transactions]
         assert ids == list(range(1, len(ids) + 1))
-        assert engine._next_tx_id == len(ids) + 1
         assert engine._tx is None and engine._touched == {}
         assert engine.ledger._old_balances is None
-        assert set(engine.revert_traces) == {
-            r.tx.id for r in engine.transactions if not r.committed}
 
     @invariant()
     def due_index_is_current(self):
@@ -224,7 +221,7 @@ class EngineMachine(RuleBasedStateMachine):
     @invariant()
     def twin_agrees(self):
         assert self.engine.events == self.twin.events
-        assert self.engine.revert_traces == self.twin.revert_traces
+        assert revert_traces(self.engine) == revert_traces(self.twin)
         assert self.engine.state_fingerprint() == self.twin.state_fingerprint()
 
 

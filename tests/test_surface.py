@@ -1,10 +1,12 @@
-"""The package's public surface: ``paypipe.__all__`` and the README example."""
+"""The package's public surface: ``paypipe.__all__``, the README example and
+the engine attributes the docs name."""
 
 import ast
 import re
 from pathlib import Path
 
 import paypipe
+from paypipe import instantiate, parse_pipeline
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,6 +46,25 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "300"  # emp-1 is paid all three releases by t=30
     assert out[2].startswith("tx=0 seq=0 emitter=ledger kind=Transfer")
+
+
+def test_every_engine_and_result_attribute_the_docs_name_exists():
+    """Each backticked ``engine.NAME`` or ``Engine.NAME`` in the README and
+    the format reference is an attribute of a live engine, and each
+    ``TxResult.NAME`` one of a live result."""
+    engine = instantiate(parse_pipeline(
+        (FIXTURES / "flows.pipe").read_text(encoding="utf-8")))
+    engine.ledger.approve("acme", "node:origin", 40)
+    live = {"engine": engine, "Engine": engine,
+            "TxResult": engine.submit_deposit("acme", 40)}
+    named = set()
+    for doc in ("README.md", "docs/formats.md"):
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        named.update(re.findall(r"`(engine|Engine|TxResult)\.(\w+)", text))
+    assert ("TxResult", "reason") in named
+    missing = sorted(f"{owner}.{name}" for owner, name in named
+                     if not hasattr(live[owner], name))
+    assert missing == []
 
 
 def test_no_module_needs_python_3_11_for_a_starred_subscript():

@@ -174,7 +174,7 @@ class TestTimelock:
         deposit(engine, 300)
         assert bal(engine, "bob") == 0  # receive holds, never forwards
         results = engine.advance_time(25)
-        assert [r.tx.info["at"] for r in results] == [0, 10, 20]
+        assert [r.info["at"] for r in results] == [0, 10, 20]
         assert all(r.committed for r in results)
         assert bal(engine, "bob") == 300
         assert engine.nodes["lock"].held == 0
@@ -190,6 +190,17 @@ class TestTimelock:
                     for ev in r.events if ev.kind == "Sent"]
         assert released == [50, 50]  # half, then the final flush
         assert engine.nodes["lock"].held == 0
+
+    def test_fraction_release_rounds_down(self):
+        text = (TIMELOCK.replace("config releases 3", "config releases 2")
+                        .replace("config fixed 100", "config fraction 1 3"))
+        engine = build(text)
+        deposit(engine, 100)
+        (first,) = engine.advance_time(5)
+        (released,) = events_of(first, "Released")
+        assert released.payload["amount"] == 33  # 100 // 3, not 34
+        assert bal(engine, "bob") == 33
+        assert engine.nodes["lock"].held == 67
 
     def test_nothing_due_before_start(self):
         text = TIMELOCK.replace("config start 0", "config start 10")
@@ -583,6 +594,18 @@ class TestGoalkeeper:
         assert report.payload == {"amount": 40, "origin": "acme",
                                   "reason": "predicate false",
                                   "failed_node": "check"}
+
+    def test_refund_returns_only_the_stream_amount(self):
+        """A keeper that already holds funds refunds the redirected
+        stream's amount, not its whole holding."""
+        text = gated_pipeline(
+            "node keeper\n  kind router\n  template goalkeeper\n"
+            "  config mode refund")
+        engine = build(text.replace("balance acme 1000",
+                                    "balance acme 1000\nbalance node:keeper 50"))
+        deposit(engine, 40)
+        assert bal(engine, "acme") == 1000
+        assert engine.nodes["keeper"].held == 50
 
     def test_hold_strategy_until_admin_claims(self):
         engine = build(gated_pipeline(
