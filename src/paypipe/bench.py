@@ -25,7 +25,8 @@ from typing import Optional
 from .engine import CostTable, Engine
 from .errors import EngineError, ObservableMismatch, ZeroAmount
 from .ledger import NULL_ADDRESS
-from .nodes import Node, schedule_due, schedule_next_due
+from .nodes import (Node, schedule_due, schedule_next_due, schedule_release,
+                    schedule_state)
 from .pipeline import PipelineSpec, instantiate, parse_pipeline
 from .templates import apportion
 
@@ -118,7 +119,8 @@ class MonolithicPayroll(Node):
         self.recipients = list(recipients)
         self.weights = _check_shape(len(self.recipients), releases, weights)
         self.per_release = PAY_PER_PERIOD * len(self.recipients)
-        self.state = {"released": [False] * releases, "origin": None}
+        self.releases = releases
+        self.state = schedule_state(origin=None)
 
     def deposit(self, from_account, amount, metadata):
         if amount <= 0:
@@ -132,19 +134,16 @@ class MonolithicPayroll(Node):
         raise EngineError("monolithic payroll takes no streams")
 
     def due_releases(self, now):
-        return schedule_due(self.state["released"], START, PERIOD, now)
+        return schedule_due(self.state, self.releases, START, PERIOD, now)
 
     def next_due(self):
-        return schedule_next_due(self.state["released"], START, PERIOD)
+        return schedule_next_due(self.state, self.releases, START, PERIOD)
 
     def crank(self, k, due):
         self.engine.charge("config_read")
-        released = self.state["released"]
-        if released[k]:
-            raise EngineError(f"release {k} already executed")
+        schedule_release(self.state, k, self.id)
         held = self.held
-        amount = held if k == len(released) - 1 else min(self.per_release, held)
-        released[k] = True
+        amount = held if k == self.releases - 1 else min(self.per_release, held)
         self.engine.emit("Released", self.address,
                          {"release": k, "at": due, "amount": amount})
         if amount == 0:

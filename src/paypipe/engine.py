@@ -181,9 +181,8 @@ def _esc(value) -> str:
     )
 
 
-# Values a copy of a node state may share with the original.
+# Values a copy of a node state may share; lists and dicts are rebuilt.
 _IMMUTABLE = (int, str, bool, type(None))
-_IMMUTABLE_SET = frozenset(_IMMUTABLE)
 
 
 class _NotPlain(Exception):
@@ -196,12 +195,7 @@ def _copy_value(value):
     if cls in _IMMUTABLE:
         return value
     if cls is list:
-        # a list of shareable items only, checked at C speed up to the first
-        # other item, is copied whole
-        if _IMMUTABLE_SET.issuperset(map(type, value)):
-            return value.copy()
-        return [item if item.__class__ in _IMMUTABLE else _copy_value(item)
-                for item in value]
+        return [_copy_value(item) for item in value]
     if cls is dict:
         copied = {}
         for key, item in value.items():

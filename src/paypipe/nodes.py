@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from itertools import chain
 from typing import Optional
 
 from .errors import (
@@ -33,34 +34,44 @@ def earliest_due(releases: list[tuple[int, int]]) -> Optional[int]:
     return min(due for due, _ in releases) if releases else None
 
 
-def schedule_due(released: list[bool], start: int, period: int,
-                 now) -> list[tuple[int, int]]:
-    """``(due, k)`` of every pending release of a schedule whose release k
-    falls due at ``start + k * period``, for the releases due by ``now``.
+def schedule_state(**fields) -> dict:
+    """A fresh schedule's state, plus ``fields``: see ``schedule_release``."""
+    return {"next": 0, "holes": [], **fields}
 
-    Due times rise with k because ``period >= 1``, so the scan starts at the
-    first pending flag and stops at the first release not yet due."""
-    try:
-        k = released.index(False)
-    except ValueError:
-        return []
-    due, n, found = start + k * period, len(released), []
-    while k < n and due <= now:
-        if not released[k]:
-            found.append((due, k))
-        k += 1
-        due += period
+
+def schedule_due(state: dict, releases: int, start: int, period: int,
+                 now) -> list[tuple[int, int]]:
+    """``(due, k)`` of every pending release k due by ``now``, at ``start +
+    k * period``: the holes, then from ``next`` on, to the first not due."""
+    found = []
+    for k in chain(state["holes"], range(state["next"], releases)):
+        due = start + k * period  # rises with k, as period >= 1
+        if due > now:
+            break
+        found.append((due, k))
     return found
 
 
-def schedule_next_due(released: list[bool], start: int,
+def schedule_next_due(state: dict, releases: int, start: int,
                       period: int) -> Optional[int]:
-    """Due time of a schedule's first pending release, None when none is;
-    the earliest, as due times rise with k."""
-    try:
-        return start + released.index(False) * period
-    except ValueError:
-        return None
+    """Due time of the first hole, else of ``next``; None when none is left."""
+    k = state["holes"][0] if state["holes"] else state["next"]
+    return start + k * period if k < releases else None
+
+
+def schedule_release(state: dict, k: int, node_id: str) -> None:
+    """Mark release k executed. Only these helpers read a schedule's state:
+    ``next``, the first release never executed, and ``holes``, the pending
+    releases below it, ascending, left by a crank that reverted before a
+    later one committed; neither grows with the release count. A release
+    already executed raises a coded ``EngineError`` and changes nothing."""
+    if k >= state["next"]:
+        state["holes"].extend(range(state["next"], k))
+        state["next"] = k + 1
+    elif k in state["holes"]:
+        state["holes"].remove(k)
+    else:
+        raise EngineError(f"release {k} of {node_id} already executed")
 
 
 def node_address(node_id: str) -> str:

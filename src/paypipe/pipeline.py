@@ -56,11 +56,10 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # A line of text as ``token_lines`` yields it: (lineno, raw text, words).
 _Line = tuple[int, str, list[str]]
 
-# The most hops any stream path may take. Each hop nests three or four
-# Python frames (four through a conditional), so a trigger at the limit
-# stays inside the default recursion limit of 1,000 when called from 200
-# frames deep. Cranks, claims and instructions start mid-graph, so the
-# longest path from any node bounds them all.
+# The most hops any stream path may take. Each hop nests three Python
+# frames, so a trigger at the limit stays inside the default recursion
+# limit of 1,000 from 200 frames deep. Cranks, claims and instructions
+# start mid-graph, so the longest path from any node bounds them all.
 MAX_HOPS = 128
 
 _KINDS = ("originator", "router", "endpoint")

@@ -16,6 +16,7 @@ intermediate node.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -38,6 +39,8 @@ from .nodes import (
     earliest_due,
     schedule_due,
     schedule_next_due,
+    schedule_release,
+    schedule_state,
 )
 from .predicates import PredicateEvalError, evaluate, parse_predicate, predicate_text
 
@@ -322,9 +325,7 @@ class Template:
         return []
 
     def next_due(self, node) -> Optional[int]:
-        """See ``Node.next_due``: asked only of a router whose template's
-        ``scheduled`` is true, at ``add_node`` and in each commit that
-        touched it. Derived from ``due_releases`` unless overridden."""
+        """See ``Node.next_due``; a template with a long schedule overrides it."""
         return earliest_due(self.due_releases(node, math.inf))
 
     def crank(self, node, k: int, due: int) -> None:
@@ -399,11 +400,11 @@ class TimelockTemplate(Template):
         return problems
 
     def initial_state(self):
-        return {"released": [False] * self.config["releases"], "last": None}
+        return schedule_state(last=None)
 
     def receive(self, node, msg):
         node.state["last"] = msg
-        if all(node.state["released"]):
+        if self.next_due(node) is None:
             raise StreamError(
                 ErrorSeverity.RECOVERABLE, "schedule exhausted",
                 action_override=PolicyAction.HOLD,
@@ -412,26 +413,23 @@ class TimelockTemplate(Template):
 
     def due_releases(self, node, now):
         config = self.config
-        return schedule_due(node.state["released"], config["start"],
+        return schedule_due(node.state, config["releases"], config["start"],
                             config["period"], now)
 
     def next_due(self, node):
-        return schedule_next_due(node.state["released"], self.config["start"],
-                                 self.config["period"])
+        return schedule_next_due(node.state, self.config["releases"],
+                                 self.config["start"], self.config["period"])
 
     def crank(self, node, k, due):
-        released = node.state["released"]
-        if released[k]:
-            raise EngineError(f"release {k} of {node.id} already executed")
+        schedule_release(node.state, k, node.id)
         held = node.held
-        if k == len(released) - 1:
+        if k == self.config["releases"] - 1:
             amount = held  # final release flushes everything
         elif "fixed" in self.config:
             amount = min(self.config["fixed"], held)
         else:
             p, q = self.config["fraction"]
             amount = held * p // q
-        released[k] = True
         node.engine.emit("Released", node.address,
                          {"release": k, "at": due, "amount": amount})
         if amount == 0:
@@ -581,20 +579,19 @@ class ConditionalTemplate(Template):
     def receive(self, node, msg):
         engine = node.engine
         _, to = node.outputs[0]
-        forward = lambda: engine.dispatch(node, to, msg)
         engine.charge("predicate_eval")
         try:
             result = evaluate(self.predicate, msg.amount, engine.now, msg.metadata)
         except PredicateEvalError as err:
             raise StreamError(
                 ErrorSeverity.RECOVERABLE, f"predicate failed: {err}",
-                continuation=forward,
+                continuation=partial(engine.dispatch, node, to, msg),
             ) from None
         if result:
-            forward()
+            engine.dispatch(node, to, msg)
         else:
             raise StreamError(self.on_false, "predicate false",
-                              continuation=forward)
+                              continuation=partial(engine.dispatch, node, to, msg))
 
 
 class OracleTemplate(Template):

@@ -118,6 +118,20 @@ def reference_due_releases(released, start, period, now):
     ]
 
 
+def schedule_of_flags(released):
+    """The ``next`` and ``holes`` fields of a schedule whose releases are
+    executed where ``released`` is true: ``next`` is one past the last
+    executed release, and the holes are the pending releases below it."""
+    first = max((k + 1 for k, done in enumerate(released) if done), default=0)
+    return {"next": first, "holes": [k for k in range(first) if not released[k]]}
+
+
+def schedule_fields(state):
+    """The schedule fields of a node state, to compare with
+    ``schedule_of_flags``."""
+    return {"next": state["next"], "holes": state["holes"]}
+
+
 # -- graph oracles -------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from test_cli import CHILD_ENV
 
 ROUTERS = {
     "reporting": "template reporting\n  out main -> {to}\n  config sink audit",
-    # a conditional hop nests the most frames: its forward is a lambda
+    # a conditional forwards from its predicate test, with no frame between
     "conditional": "template conditional\n  out main -> {to}\n"
                    "  config when amount > 0",
 }
@@ -109,3 +109,33 @@ def test_cli_exits_one_on_the_longer_chain_without_a_traceback(
     assert "Traceback" not in proc.stderr
     assert f"DepthExceeded origin: a path of {MAX_HOPS + 1} hops" \
         in proc.stdout + proc.stderr
+
+
+def test_a_conditional_hop_nests_as_many_frames_as_a_reporting_hop():
+    """Frame depth at each router's ``Sent``, on a chain that alternates
+    the two templates: every hop adds the same number of frames."""
+    kinds = ["reporting", "conditional"] * 3
+    ids = ["origin", *(f"r{i}" for i in range(1, len(kinds) + 1)), "pay"]
+    blocks = ["pipeline mixed", "balance acme 100",
+              "node origin\n  kind originator\n  out main -> r1"]
+    for i, kind in enumerate(kinds, 1):
+        body = ROUTERS[kind].format(to=ids[i + 1])
+        blocks.append(f"node {ids[i]}\n  kind router\n  {body}")
+    blocks.append("node pay\n  kind endpoint\n  recipient bob")
+    engine = instantiate(parse_pipeline("\n\n".join(blocks) + "\n"))
+    engine.ledger.approve("acme", "node:origin", 40)
+    depth, emit = {}, engine.emit
+
+    def probe(kind, emitter, payload):
+        if kind == "Sent":
+            frames, frame = 0, sys._getframe()
+            while frame is not None:
+                frames, frame = frames + 1, frame.f_back
+            depth[emitter] = frames
+        emit(kind, emitter, payload)
+    engine.emit = probe
+    assert engine.submit_deposit("acme", 40).committed
+    added = {kind: {depth[f"node:{ids[i]}"] - depth[f"node:{ids[i - 1]}"]
+                    for i in range(1, len(kinds) + 1) if kinds[i - 1] == kind}
+             for kind in ROUTERS}
+    assert added["conditional"] == added["reporting"] == {3}

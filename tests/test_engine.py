@@ -19,7 +19,8 @@ from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.scenario import load_scenario, run_scenario
 
 from support import (apply_action, next_tx_id, random_actions,
-                     random_pipeline_text, revert_traces)
+                     random_pipeline_text, revert_traces, schedule_fields,
+                     schedule_of_flags)
 from test_golden import FIXTURES, PAIRS
 
 TB = CostTable()  # default costs, used in hand-derived gas sums
@@ -236,7 +237,8 @@ node pay
         (result,) = engine.advance_time(10)
         # crank released 60 < 100, conditional went fatal, crank reverted
         assert not result.committed
-        assert engine.nodes["lock"].state["released"] == [False]
+        assert schedule_fields(engine.nodes["lock"].state) \
+            == schedule_of_flags([False])
         assert engine.nodes["lock"].held == 60
         # the schedule is still due, so the next advance retries it
         (again,) = engine.advance_time(0)

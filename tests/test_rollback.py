@@ -31,7 +31,7 @@ from paypipe.scenario import load_scenario, run_scenario
 from paypipe.templates import TimelockTemplate
 
 from support import (USERS, apply_action, random_actions, random_pipeline_text,
-                     revert_traces, teed)
+                     revert_traces, schedule_fields, schedule_of_flags, teed)
 from test_golden import PAIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -506,7 +506,8 @@ class TestDueIndex:
         assert [(r.info["at"], r.info["node"], r.committed)
                 for r in first] == [(5, "b", True), (10, "a", False),
                                     (10, "c", True)]
-        assert engine.nodes["a"].state["released"] == [False]
+        assert schedule_fields(engine.nodes["a"].state) \
+            == schedule_of_flags([False])
         assert engine.ledger.balances["bob"] == 300
         assert engine.ledger.balances["carol"] == 300
         (retry,) = engine.advance_time(0)
@@ -570,4 +571,5 @@ class TestDueIndex:
         assert [(r.info["node"], r.info["release"]) for r in results] \
             == [("a", 0), ("late", 0), ("late", 1)]
         assert all(r.committed for r in results)
-        assert engine.nodes["late"].state["released"] == [True, True]
+        assert schedule_fields(engine.nodes["late"].state) \
+            == schedule_of_flags([True, True])

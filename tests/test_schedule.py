@@ -1,19 +1,29 @@
-"""Release schedules: the due scan against a full-list oracle, and the due
-index, which holds only the nodes that have a schedule."""
+"""Release schedules: the due scan against a full-list oracle, releasing,
+schedules of any length, and the due index, which holds only the nodes that
+have a schedule."""
 
+import copy
 import math
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from paypipe.bench import PERIOD, START, MonolithicPayroll
 from paypipe.engine import Engine
+from paypipe.errors import EngineError
 from paypipe.nodes import (EndpointNode, Node, OriginatorNode, RouterNode,
-                           earliest_due)
+                           earliest_due, schedule_release, schedule_state)
+from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.templates import (TEMPLATES, ReportingTemplate, Template,
                                TimelockTemplate)
 
-from support import reference_due_releases
+from support import (reference_due_releases, schedule_fields,
+                     schedule_of_flags)
+from test_cli import CHILD_ENV
+from test_golden import FIXTURES
 
 
 def flag_patterns(rng, n):
@@ -46,13 +56,13 @@ def timelock_node(start, period, n):
 
 def check_against_reference(node, start, period, patterns):
     for released in patterns:
-        node.state["released"] = list(released)
+        node.state.update(schedule_of_flags(released))
         for now in now_values(start, period, len(released)):
             expected = reference_due_releases(released, start, period, now)
             assert node.due_releases(now) == expected, (released, now)
         assert node.next_due() == earliest_due(
             reference_due_releases(released, start, period, math.inf))
-        assert node.state["released"] == released
+        assert schedule_fields(node.state) == schedule_of_flags(released)
 
 
 class TestDueScan:
@@ -74,6 +84,92 @@ class TestDueScan:
     def test_period_one_and_start_zero(self):
         check_against_reference(timelock_node(0, 1, 8), 0, 1,
                                 flag_patterns(random.Random(99), 8))
+
+
+class TestRelease:
+    def test_moving_past_releases_leaves_holes_a_later_release_fills(self):
+        state = schedule_state(last=None)
+        schedule_release(state, 2, "lock")
+        assert state == {"next": 3, "holes": [0, 1], "last": None}
+        schedule_release(state, 1, "lock")
+        schedule_release(state, 3, "lock")
+        assert schedule_fields(state) == schedule_of_flags(
+            [False, True, True, True])
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_executed_release_raises_and_changes_nothing(self, k):
+        state = schedule_state()
+        for done in (0, 2, 4):
+            schedule_release(state, done, "lock")
+        before = copy.deepcopy(state)
+        with pytest.raises(EngineError) as caught:
+            schedule_release(state, k, "lock")
+        assert caught.value.code == "EngineError"
+        assert caught.value.message == f"release {k} of lock already executed"
+        assert state == before
+
+    def test_monolith_final_release_flushes_what_is_held(self):
+        engine = Engine()
+        engine.add_node(MonolithicPayroll("payroll", ["emp-1"], 2))
+        engine.set_entry("payroll")
+        engine.setup_balances({"acme": 250})
+        engine.ledger.approve("acme", "node:payroll", 250)
+        assert engine.submit_deposit("acme", 250).committed
+        results = engine.advance_time(START + PERIOD)
+        assert [r.events[0].payload["amount"] for r in results] == [100, 150]
+        assert engine.nodes["payroll"].held == 0
+
+
+# -- schedules of any length ---------------------------------------------------
+
+HUGE = [999_999_999_999, 2**64, 10**30]
+
+
+def holes_pipe(releases):
+    """The ``holes`` fixture's pipeline with ``releases`` releases."""
+    text = (FIXTURES / "holes.pipe").read_text()
+    assert "config releases 3\n" in text
+    return text.replace("config releases 3\n", f"config releases {releases}\n")
+
+
+def limit_memory():
+    """Cap a child's address space at 1 GiB, so that a schedule kept as one
+    entry per release fails fast instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+class TestLongSchedule:
+    @pytest.mark.parametrize("releases", HUGE)
+    def test_cli_validates_and_runs_without_a_traceback(self, tmp_path,
+                                                        releases):
+        pipe = tmp_path / "holes.pipe"
+        pipe.write_text(holes_pipe(releases))
+        scn = str(FIXTURES / "holes.scn")
+        for args, codes in ((["validate", str(pipe)], {0}),
+                            (["run", str(pipe), scn], {0, 1})):
+            proc = subprocess.run(
+                [sys.executable, "-m", "paypipe", *args], env=CHILD_ENV,
+                capture_output=True, text=True, preexec_fn=limit_memory)
+            assert proc.returncode in codes, (args, proc.stderr)
+            assert "Traceback" not in proc.stderr
+
+    def test_lock_of_10_to_the_30_instantiates_and_cranks(self):
+        engine = instantiate(parse_pipeline(holes_pipe(10**30)))
+        lock = engine.nodes["lock"]
+        engine.ledger.approve("acme", "node:origin", 1000)
+        assert engine.submit_deposit("acme", 100).committed
+        # no release is final, so each pays a quarter, 25, and the check
+        # reverts it
+        results = engine.advance_time(30)
+        assert [r.info["release"] for r in results] == [0, 1, 2]
+        assert not any(r.committed for r in results)
+        assert schedule_fields(lock.state) == {"next": 0, "holes": []}
+        assert engine.submit_deposit("acme", 400).committed
+        results = engine.advance_time(0)
+        assert [r.committed for r in results] == [True, True, True]
+        assert engine.ledger.balance_of("bob") == 125 + 93 + 70
+        assert schedule_fields(lock.state) == {"next": 3, "holes": []}
+        assert lock.next_due() == 40
 
 
 # -- due index -------------------------------------------------------------------
