@@ -20,6 +20,9 @@ ROUTERS = {
 GATE = ("template conditional\n  out main -> {after}\n"
         "  config when amount >= 1000\n  on recoverable redirect {to}")
 KEEPER = "template goalkeeper\n  out main -> {to}\n  config mode forward"
+# a lock whose one release, due at once, pays on all it holds
+LOCK = ("template timelock\n  out main -> {to}\n  config start 0\n"
+        "  config period 1\n  config releases 1\n  config fixed 40")
 
 
 def chain(hops, router="reporting", redirect=False):
@@ -42,6 +45,13 @@ def chain(hops, router="reporting", redirect=False):
         blocks.append(f"node {ids[i]}\n  kind router\n  {body}")
     blocks.append("node pay\n  kind endpoint\n  recipient bob")
     return "\n\n".join(blocks) + "\n"
+
+
+def locked_chain(hops):
+    """``chain(hops)`` whose first router is a timelock, so that a crank
+    starts the longest path one hop after the originator."""
+    return chain(hops).replace(ROUTERS["reporting"].format(to="r2"),
+                               LOCK.format(to="r2"), 1)
 
 
 def deep(frames, fn):
@@ -70,6 +80,28 @@ def test_chain_at_the_limit_commits_from_200_frames_deep(router, redirect):
 @pytest.mark.parametrize("router,redirect", CHAINS)
 def test_one_hop_longer_is_a_validation_error(router, redirect):
     spec = parse_pipeline(chain(MAX_HOPS + 1, router, redirect))
+    assert validate_pipeline(spec) == [ValidationError(
+        "DepthExceeded", "origin",
+        f"a path of {MAX_HOPS + 1} hops starts here, over the limit of "
+        f"{MAX_HOPS}")]
+
+
+def test_a_crank_at_the_limit_commits_from_200_frames_deep():
+    spec = parse_pipeline(locked_chain(MAX_HOPS))
+    assert validate_pipeline(spec) == []
+    engine = instantiate(spec)
+    engine.ledger.approve("acme", "node:origin", 40)
+    assert engine.submit_deposit("acme", 40).committed
+    assert engine.ledger.balance_of("bob") == 0
+    (result,) = deep(200, lambda: engine.advance_time(0))
+    assert result.committed, result.reason
+    assert engine.ledger.balance_of("bob") == 40
+    sent = [ev for ev in result.events if ev.kind == "Sent"]
+    assert len(sent) == MAX_HOPS - 1
+
+
+def test_a_crank_one_router_longer_is_a_validation_error():
+    spec = parse_pipeline(locked_chain(MAX_HOPS + 1))
     assert validate_pipeline(spec) == [ValidationError(
         "DepthExceeded", "origin",
         f"a path of {MAX_HOPS + 1} hops starts here, over the limit of "

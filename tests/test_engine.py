@@ -409,6 +409,29 @@ class TestOutsideWrappers:
         assert charges.count("ledger_write") == len(inside)
 
 
+class TestTriggerARouterCannotTake:
+    """A router whose template takes no instruction or claim reverts as
+    any node does. An instruction reads the router's config first and is
+    billed for it; a claim is not."""
+
+    def test_instruction_reverts_after_a_config_read(self):
+        engine = build((FIXTURES / "payroll.pipe").read_text())
+        charges, _ = wrap_from_outside(engine)
+        tx = engine.submit_oracle_instruct("lock", "acme", "main", 10)
+        assert tx.reason == ("EngineError: node lock does not take oracle "
+                             "instructions")
+        assert charges == ["tx_base", "config_read"]
+        assert tx.gas == TB.tx_base + TB.config_read == 21_100
+
+    def test_claim_reverts_before_any_charge(self):
+        engine = build((FIXTURES / "payroll.pipe").read_text())
+        charges, _ = wrap_from_outside(engine)
+        tx = engine.submit_claim("lock", "acme")
+        assert tx.reason == "NotClaimable: node lock holds nothing claimable"
+        assert charges == ["tx_base"]
+        assert tx.gas == TB.tx_base == 21_000
+
+
 # A trigger each, called from inside a node's on_receive.
 NESTED = {
     "deposit": lambda engine: engine.submit_deposit("alice", 5),
