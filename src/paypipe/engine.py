@@ -45,7 +45,7 @@ identical event logs and gas logs; the text exports below are byte-stable.
 Advancing the clock asks only the nodes that have a release due for their
 releases: a heap holds one ``(earliest pending due, node id)`` entry per node
 with a pending release. The due index holds only nodes with a schedule (a
-node's ``scheduled``: its class, or a router's template class, overrides
+node's ``scheduled``: its class, a router's being its template, overrides
 ``due_releases``); no other node is ever asked ``next_due``. A node's
 schedule changes only inside a transaction that touched it, or before
 ``add_node``, so ``add_node`` computes a scheduled node's entry, and the

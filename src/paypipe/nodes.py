@@ -1,11 +1,13 @@
 """Node classes and the stream protocols.
 
 Three node kinds form a pipeline: an originator turns plain tokens into a
-stream, routers retain or forward it, and endpoints turn it back into plain
-tokens. ``Engine.dispatch`` moves a stream from one node to the next by
-approve-then-pull: the sender approves the recipient, the recipient executes
-the delegated transfer, the sender emits a ``Sent`` event, and only then is
-the recipient's ``on_receive`` called, with the funds already in its hands.
+stream, routers (each an instance of a ``templates.Template`` subclass)
+retain or forward it, and endpoints turn it back into plain tokens.
+``Engine.dispatch`` moves a stream from one node to the next by
+approve-then-pull: the sender approves the recipient, the recipient
+executes the delegated transfer, the sender emits a ``Sent`` event, and
+only then is the recipient's ``on_receive`` called, with the funds already
+in its hands.
 
 Errors raised by ``on_receive`` are ``StreamError`` values with a severity;
 the receiving node's error policy decides whether to proceed, hold the
@@ -176,7 +178,7 @@ class Node:
     """
 
     # Whether the node has a release schedule: set per class, true when the
-    # class overrides ``due_releases``; a router takes its template's.
+    # class overrides ``due_releases``.
     scheduled = False
 
     def __init_subclass__(cls, **kwargs):
@@ -306,32 +308,3 @@ class EndpointNode(Node):
         )
         return amount
 
-
-class RouterNode(Node):
-    """Intermediate node whose behavior is supplied by a template instance."""
-
-    def __init__(self, node_id, template, outputs=None, error_policy=None):
-        super().__init__(node_id, outputs=outputs, error_policy=error_policy)
-        self.template = template
-        self.scheduled = template.scheduled
-        self.state = template.initial_state()
-
-    def on_receive(self, msg: StreamMessage) -> None:
-        self.template.receive(self, msg)
-
-    def due_releases(self, now: int) -> list[tuple[int, int]]:
-        return self.template.due_releases(self, now)
-
-    def next_due(self) -> Optional[int]:
-        return self.template.next_due(self)
-
-    def crank(self, k: int, due: int) -> None:
-        self.engine.charge("config_read")
-        self.template.crank(self, k, due)
-
-    def claim(self, account: str) -> int:
-        return self.template.claim(self, account)
-
-    def instruct(self, oracle: str, dest_tag: str, amount: int) -> None:
-        self.engine.charge("config_read")
-        self.template.instruct(self, oracle, dest_tag, amount)

@@ -47,7 +47,6 @@ from .nodes import (
     ErrorSeverity,
     OriginatorNode,
     PolicyAction,
-    RouterNode,
 )
 from .templates import TEMPLATES
 
@@ -513,8 +512,8 @@ def instantiate(spec: PipelineSpec,
                                 mode=ns.mode or "direct",
                                 error_policy=ns.policy)
         else:
-            node = RouterNode(ns.id, TEMPLATES[ns.template](ns.config),
-                              outputs=ns.outputs, error_policy=ns.policy)
+            node = TEMPLATES[ns.template](ns.id, ns.config, outputs=ns.outputs,
+                                          error_policy=ns.policy)
         engine.add_node(node)
     engine.setup_balances(spec.balances)
     return engine

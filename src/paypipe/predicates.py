@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .errors import SpecSyntaxError, int_word, shown_word
@@ -178,9 +179,12 @@ class _Parser:
         raise SpecSyntaxError(f"expected an operand, got {shown_word(text)}")
 
 
+@lru_cache
 def parse_predicate(text: str):
     """Parse an expression into an AST; raises SpecSyntaxError, whose
-    message alone says what is wrong."""
+    message alone says what is wrong. The AST is immutable, so the ASTs of
+    the last 128 texts are kept and shared: validating and instantiating a
+    pipeline parse each predicate once."""
     tokens = _tokenize(text)
     if not tokens:
         raise SpecSyntaxError("empty predicate")

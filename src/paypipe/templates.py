@@ -1,11 +1,12 @@
 """Router templates: the reusable behaviors a pipeline wires together.
 
-Each template declares its config grammar as a table, which one parser,
-one validator and one printer read, and owns its runtime logic. Mutable
+A router is an instance of its template class, a ``Node`` subclass. Each
+template declares its config grammar as a table, which one parser, one
+validator and one printer read, and owns its runtime logic. Mutable
 runtime data lives in the node's ``state`` dict, which the engine copies
 the first time a transaction touches the node, so rollback covers it. A
-template may therefore mutate only its own node's ``state`` and the
-ledger; template instances themselves hold only immutable configuration.
+template may therefore mutate only its own ``state`` and the ledger; its
+``config`` does not change once the node is built.
 
 Aggregating templates (timelock, threshold, oracle) keep the last received
 message and stamp re-dispatches with its origin and metadata, so a later
@@ -15,7 +16,6 @@ intermediate node.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -33,10 +33,10 @@ from .errors import (
 )
 from .nodes import (
     ErrorSeverity,
+    Node,
     PolicyAction,
     StreamError,
     StreamMessage,
-    earliest_due,
     schedule_due,
     schedule_next_due,
     schedule_release,
@@ -192,36 +192,35 @@ def _read_table(cls) -> None:
                    for row in table if row.into is None and row.bound is not None]
 
 
-class Template:
-    """Behavior plugged into a router node.
+class Template(Node):
+    """A router node whose behavior is its template class.
 
     The config grammar is a table. ``config_table`` holds one ``ConfigKey``
     per key, in canonical order; ``required`` maps each key or list that
     must not be missing or empty to the words its problem puts after
-    "requires"; ``outputs`` is the output-count rule, "1" for exactly one,
-    "1+" for at least one, None for none. ``empty_config`` and
+    "requires"; ``output_count`` is the output-count rule, "1" for exactly
+    one, "1+" for at least one, None for none. ``empty_config`` and
     ``parse_config_line`` are made from the table when a subclass is
     defined; ``validate`` and ``config_lines`` read it. What the table
     cannot state, such as a rule across fields, is written out in the
-    optional hooks below ``config_lines``. Instance methods run at
-    execution time with the owning node passed in.
+    optional hooks below ``config_lines``. An instance is the router node
+    itself, built from its parsed ``config``.
     """
 
     name = ""
     config_table: tuple = ()
     required: dict = {}
-    outputs: Optional[str] = None
-    # Whether the template has a release schedule: set per class, true when
-    # the class overrides ``due_releases``.
-    scheduled = False
+    output_count: Optional[str] = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.scheduled = cls.due_releases is not Template.due_releases
         _read_table(cls)
 
-    def __init__(self, config: dict):
+    def __init__(self, node_id: str, config: dict, outputs=None,
+                 error_policy=None):
+        super().__init__(node_id, outputs=outputs, error_policy=error_policy)
         self.config = config
+        self.state = self.initial_state()
 
     # -- config grammar -----------------------------------------------------
 
@@ -229,10 +228,10 @@ class Template:
     def validate(cls, config: dict, outputs: list[tuple[str, str]]) -> list[str]:
         """Config-level problems as human-readable strings; empty if fine."""
         count = len(outputs)
-        if cls.outputs == "1":
+        if cls.output_count == "1":
             problems = [] if count == 1 else [
                 f"{cls.name} requires exactly 1 output, has {count}"]
-        elif cls.outputs == "1+":
+        elif cls.output_count == "1+":
             problems = [] if count else [
                 f"{cls.name} requires at least 1 output"]
         elif cls._output_problems is not None:
@@ -308,34 +307,39 @@ class Template:
 
     # The rules the table cannot state, each a classmethod returning a list
     # of problems, or None where a template has no such rule:
-    # _output_problems(config, count) when ``outputs`` is None,
+    # _output_problems(config, count) when ``output_count`` is None,
     # _entry_problems(tag, value, last) for each tagged entry, after its
     # own checks, and _check(config, outputs) after all entries.
     _output_problems = _entry_problems = _check = None
 
     # -- runtime -------------------------------------------------------------
 
+    # The node itself, for a tool that wraps ``node.template.receive``, as
+    # perfbench's tracer does; so a hop still runs ``receive`` in a frame
+    # of its own, below ``on_receive``.
+    template = property(lambda self: self)
+
     def initial_state(self) -> dict:
         return {}
 
-    def receive(self, node, msg: StreamMessage) -> None:
+    def on_receive(self, msg: StreamMessage) -> None:
+        self.receive(msg)
+
+    def receive(self, msg: StreamMessage) -> None:
         raise NotImplementedError
 
-    def due_releases(self, node, now: int) -> list[tuple[int, int]]:
-        return []
+    # A crank or an instruction reads the router's config before the
+    # template's own ``on_crank`` or ``on_instruct`` runs, as a hop does
+    # before ``on_receive``; by default these refuse as any node does.
+    def crank(self, k: int, due: int) -> None:
+        self.engine.charge("config_read")
+        self.on_crank(k, due)
 
-    def next_due(self, node) -> Optional[int]:
-        """See ``Node.next_due``; a template with a long schedule overrides it."""
-        return earliest_due(self.due_releases(node, math.inf))
+    def instruct(self, oracle: str, dest_tag: str, amount: int) -> None:
+        self.engine.charge("config_read")
+        self.on_instruct(oracle, dest_tag, amount)
 
-    def crank(self, node, k: int, due: int) -> None:
-        raise EngineError(f"node {node.id} has no schedule to crank")
-
-    def claim(self, node, account: str) -> int:
-        raise NotClaimable(f"node {node.id} holds nothing claimable")
-
-    def instruct(self, node, oracle: str, dest_tag: str, amount: int) -> None:
-        raise EngineError(f"node {node.id} does not take oracle instructions")
+    on_crank, on_instruct = Node.crank, Node.instruct
 
 
 class ReportingTemplate(Template):
@@ -352,17 +356,17 @@ class ReportingTemplate(Template):
                   into="keys", item="report key"),
     )
     required = {"sink": "a sink label"}
-    outputs = "1"
+    output_count = "1"
 
-    def receive(self, node, msg):
+    def receive(self, msg):
         payload = {"sink": self.config["sink"], "amount": msg.amount,
                    "origin": msg.origin}
         for key in self.config["keys"]:
             if key in msg.metadata:
                 payload.setdefault(key, msg.metadata[key])
-        node.engine.emit("Report", node.address, payload)
-        _, to = node.outputs[0]
-        node.engine.dispatch(node, to, msg)
+        self.engine.emit("Report", self.address, payload)
+        _, to = self.outputs[0]
+        self.engine.dispatch(self, to, msg)
 
 
 class TimelockTemplate(Template):
@@ -384,7 +388,7 @@ class TimelockTemplate(Template):
                   "fraction takes two integers: numerator denominator"),
     )
     required = {"start": "start", "period": "period", "releases": "releases"}
-    outputs = "1"
+    output_count = "1"
 
     @classmethod
     def _check(cls, config, outputs):
@@ -402,27 +406,27 @@ class TimelockTemplate(Template):
     def initial_state(self):
         return schedule_state(last=None)
 
-    def receive(self, node, msg):
-        node.state["last"] = msg
-        if self.next_due(node) is None:
+    def receive(self, msg):
+        self.state["last"] = msg
+        if self.next_due() is None:
             raise StreamError(
                 ErrorSeverity.RECOVERABLE, "schedule exhausted",
                 action_override=PolicyAction.HOLD,
             )
         # otherwise accumulate silently; cranks move the funds
 
-    def due_releases(self, node, now):
+    def due_releases(self, now):
         config = self.config
-        return schedule_due(node.state, config["releases"], config["start"],
+        return schedule_due(self.state, config["releases"], config["start"],
                             config["period"], now)
 
-    def next_due(self, node):
-        return schedule_next_due(node.state, self.config["releases"],
+    def next_due(self):
+        return schedule_next_due(self.state, self.config["releases"],
                                  self.config["start"], self.config["period"])
 
-    def crank(self, node, k, due):
-        schedule_release(node.state, k, node.id)
-        held = node.held
+    def on_crank(self, k, due):
+        schedule_release(self.state, k, self.id)
+        held = self.held
         if k == self.config["releases"] - 1:
             amount = held  # final release flushes everything
         elif "fixed" in self.config:
@@ -430,15 +434,15 @@ class TimelockTemplate(Template):
         else:
             p, q = self.config["fraction"]
             amount = held * p // q
-        node.engine.emit("Released", node.address,
+        self.engine.emit("Released", self.address,
                          {"release": k, "at": due, "amount": amount})
         if amount == 0:
             return
-        last = node.state["last"]
+        last = self.state["last"]
         if last is None:
-            raise EngineError(f"{node.id} holds funds with no recorded stream")
-        _, to = node.outputs[0]
-        node.engine.dispatch(node, to, last.child(amount=amount))
+            raise EngineError(f"{self.id} holds funds with no recorded stream")
+        _, to = self.outputs[0]
+        self.engine.dispatch(self, to, last.child(amount=amount))
 
 
 class ThresholdTemplate(Template):
@@ -450,18 +454,18 @@ class ThresholdTemplate(Template):
         ConfigKey("limit", (INT,), "limit takes one integer", bound=1),
     )
     required = {"limit": "limit"}
-    outputs = "1"
+    output_count = "1"
 
     def initial_state(self):
         return {"last": None}
 
-    def receive(self, node, msg):
-        node.state["last"] = msg
-        held = node.held
+    def receive(self, msg):
+        self.state["last"] = msg
+        held = self.held
         if held < self.config["limit"]:
             return
-        _, to = node.outputs[0]
-        node.engine.dispatch(node, to, msg.child(amount=held))
+        _, to = self.outputs[0]
+        self.engine.dispatch(self, to, msg.child(amount=held))
 
 
 class DistributingTemplate(Template):
@@ -495,7 +499,7 @@ class DistributingTemplate(Template):
         kinds = [kind for kind, _, _ in config["shares"]]
         return ["at most one residual share"] if kinds.count("residual") > 1 else []
 
-    def receive(self, node, msg):
+    def receive(self, msg):
         shares = self.config["shares"]
         fixed_total = sum(v for kind, _, v in shares if kind == "fixed")
         if msg.amount < fixed_total:
@@ -528,7 +532,7 @@ class DistributingTemplate(Template):
         for _, tag, _ in shares:
             share = amounts.get(tag, 0)
             if share > 0:
-                node.engine.dispatch(node, node.target(tag), msg.child(amount=share))
+                self.engine.dispatch(self, self.target(tag), msg.child(amount=share))
         if remaining > 0:
             raise StreamError(
                 ErrorSeverity.RECOVERABLE, "undistributed surplus", amount=remaining
@@ -550,10 +554,10 @@ class ConditionalTemplate(Template):
                   "on_false must be warning, recoverable, or fatal"),
     )
     required = {"when": "when"}
-    outputs = "1"
+    output_count = "1"
 
-    def __init__(self, config):
-        super().__init__(config)
+    def __init__(self, node_id, config, **wiring):
+        super().__init__(node_id, config, **wiring)
         self.predicate = parse_predicate(config["when"])
         self.on_false = ErrorSeverity.from_label(
             config.get("on_false", "recoverable")
@@ -576,22 +580,22 @@ class ConditionalTemplate(Template):
             when = config["when"]
         return super().config_lines({**config, "when": when})
 
-    def receive(self, node, msg):
-        engine = node.engine
-        _, to = node.outputs[0]
+    def receive(self, msg):
+        engine = self.engine
+        _, to = self.outputs[0]
         engine.charge("predicate_eval")
         try:
             result = evaluate(self.predicate, msg.amount, engine.now, msg.metadata)
         except PredicateEvalError as err:
             raise StreamError(
                 ErrorSeverity.RECOVERABLE, f"predicate failed: {err}",
-                continuation=partial(engine.dispatch, node, to, msg),
+                continuation=partial(engine.dispatch, self, to, msg),
             ) from None
         if result:
-            engine.dispatch(node, to, msg)
+            engine.dispatch(self, to, msg)
         else:
             raise StreamError(self.on_false, "predicate false",
-                              continuation=partial(engine.dispatch, node, to, msg))
+                              continuation=partial(engine.dispatch, self, to, msg))
 
 
 class OracleTemplate(Template):
@@ -604,30 +608,30 @@ class OracleTemplate(Template):
                   into="oracles", item="oracle"),
     )
     required = {"oracles": "at least one trusted account"}
-    outputs = "1+"
+    output_count = "1+"
 
     def initial_state(self):
         return {"available": 0, "last": None}
 
-    def receive(self, node, msg):
-        node.state["available"] += msg.amount
-        node.state["last"] = msg
+    def receive(self, msg):
+        self.state["available"] += msg.amount
+        self.state["last"] = msg
 
-    def instruct(self, node, oracle, dest_tag, amount):
+    def on_instruct(self, oracle, dest_tag, amount):
         if oracle not in self.config["oracles"]:
-            raise UntrustedOracle(f"{oracle} may not instruct {node.id}")
-        if dest_tag not in node.out_by_tag:
-            raise UnknownEdge(f"{node.id} has no output tagged {dest_tag!r}")
+            raise UntrustedOracle(f"{oracle} may not instruct {self.id}")
+        if dest_tag not in self.out_by_tag:
+            raise UnknownEdge(f"{self.id} has no output tagged {dest_tag!r}")
         if amount <= 0:
             raise ZeroAmount("instructed amount must be positive")
-        available = node.state["available"]
+        available = self.state["available"]
         if amount > available:
             raise InsufficientHeld(
-                f"{node.id} holds {available}, instructed {amount}"
+                f"{self.id} holds {available}, instructed {amount}"
             )
-        node.state["available"] = available - amount
-        last = node.state["last"]
-        node.engine.dispatch(node, node.target(dest_tag), last.child(amount=amount))
+        self.state["available"] = available - amount
+        last = self.state["last"]
+        self.engine.dispatch(self, self.target(dest_tag), last.child(amount=amount))
 
 
 class WaterfallTemplate(Template):
@@ -641,7 +645,7 @@ class WaterfallTemplate(Template):
                   into="tiers", item="tier"),
     )
     required = {"tiers": "at least one tier"}
-    outputs = "1+"
+    output_count = "1+"
 
     @classmethod
     def _entry_problems(cls, tag, cap, last):
@@ -652,8 +656,8 @@ class WaterfallTemplate(Template):
     def initial_state(self):
         return {"filled": {tag: 0 for _, tag, _ in self.config["tiers"]}}
 
-    def receive(self, node, msg):
-        filled = node.state["filled"]
+    def receive(self, msg):
+        filled = self.state["filled"]
         left = msg.amount
         for _, tag, cap in self.config["tiers"]:
             if left == 0:
@@ -664,7 +668,7 @@ class WaterfallTemplate(Template):
                 continue
             filled[tag] += take
             left -= take
-            node.engine.dispatch(node, node.target(tag), msg.child(amount=take))
+            self.engine.dispatch(self, self.target(tag), msg.child(amount=take))
         if left > 0:
             raise StreamError(
                 ErrorSeverity.RECOVERABLE, "all tiers at capacity", amount=left
@@ -697,7 +701,7 @@ class GoalkeeperTemplate(Template):
             problems.append(f"goalkeeper {mode} mode takes no outputs")
         return problems
 
-    def receive(self, node, msg):
+    def receive(self, msg):
         info = msg.error or {}
         payload = {
             "amount": msg.amount,
@@ -706,25 +710,25 @@ class GoalkeeperTemplate(Template):
         }
         if "failed_node" in info:
             payload["failed_node"] = info["failed_node"]
-        node.engine.emit("Report", node.address, payload)
+        self.engine.emit("Report", self.address, payload)
         mode = self.config["mode"]
         if mode == "refund":
-            node.engine.ledger.transfer(node.address, msg.origin, msg.amount)
+            self.engine.ledger.transfer(self.address, msg.origin, msg.amount)
         elif mode == "forward":
-            _, to = node.outputs[0]
-            node.engine.dispatch(node, to, msg)
+            _, to = self.outputs[0]
+            self.engine.dispatch(self, to, msg)
         # hold mode keeps the funds until the admin claims them
 
-    def claim(self, node, account):
+    def claim(self, account):
         if self.config["mode"] != "hold":
-            raise NotClaimable(f"{node.id} does not hold for claiming")
+            raise NotClaimable(f"{self.id} does not hold for claiming")
         if account != self.config["admin"]:
-            raise NotClaimable(f"only {self.config['admin']} may claim from {node.id}")
-        amount = node.held
+            raise NotClaimable(f"only {self.config['admin']} may claim from {self.id}")
+        amount = self.held
         if amount == 0:
-            raise NothingToClaim(f"nothing held at {node.id}")
-        node.engine.ledger.transfer(node.address, account, amount)
-        node.engine.emit("Claimed", node.address,
+            raise NothingToClaim(f"nothing held at {self.id}")
+        self.engine.ledger.transfer(self.address, account, amount)
+        self.engine.emit("Claimed", self.address,
                          {"account": account, "amount": amount})
         return amount
 

@@ -17,7 +17,7 @@ from paypipe.bench import (
 )
 from paypipe.cli import main
 from paypipe.engine import Engine
-from paypipe.nodes import EndpointNode, OriginatorNode, RouterNode
+from paypipe.nodes import EndpointNode, OriginatorNode
 from paypipe.pipeline import (
     instantiate,
     parse_pipeline,
@@ -54,12 +54,13 @@ def conserved(engine):
             and all(v >= 0 for v in balances.values()))
 
 
-def wire(template, tags, router_id="router"):
-    """Engine with origin -> one templated router -> one endpoint per tag."""
+def wire(template, config, tags, router_id="router"):
+    """Engine with origin -> one router of class ``template`` -> one
+    endpoint per tag."""
     engine = Engine()
     outputs = [(tag, f"end_{tag}") for tag in tags]
     engine.add_node(OriginatorNode("origin", outputs=[("main", router_id)]))
-    engine.add_node(RouterNode(router_id, template, outputs=outputs))
+    engine.add_node(template(router_id, config, outputs=outputs))
     for tag, endpoint_id in outputs:
         engine.add_node(EndpointNode(endpoint_id, recipient=f"acct_{tag}"))
     engine.set_entry("origin")
@@ -235,7 +236,7 @@ def test_criterion_5_template_oracles():
                                                or fixed_total else 1, 400)
             amount = max(amount, 1)
 
-        engine = wire(DistributingTemplate({"shares": shares}), tags,
+        engine = wire(DistributingTemplate, {"shares": shares}, tags,
                       router_id="split")
         result = engine.submit_deposit("acme", amount)
         assert result.committed and conserved(engine)
@@ -271,7 +272,7 @@ def test_criterion_5_template_oracles():
             caps[-1] = None
         tags = [f"t{i}" for i in range(n)]
         tiers = [("tier", tag, cap) for tag, cap in zip(tags, caps)]
-        engine = wire(WaterfallTemplate({"tiers": tiers}), tags,
+        engine = wire(WaterfallTemplate, {"tiers": tiers}, tags,
                       router_id="falls")
         filled = [0] * n
         refunded = 0
@@ -296,7 +297,7 @@ def test_criterion_5_template_oracles():
     rng = random.Random(53)
     for _ in range(300):
         limit = rng.randint(1, 400)
-        engine = wire(ThresholdTemplate({"limit": limit}), ["out"],
+        engine = wire(ThresholdTemplate, {"limit": limit}, ["out"],
                       router_id="gate")
         pending = 0
         delivered = 0
@@ -326,7 +327,7 @@ def test_criterion_5_template_oracles():
         else:
             q = rng.randint(1, 6)
             config["fraction"] = (rng.randint(1, q), q)
-        engine = wire(TimelockTemplate(config), ["out"], router_id="lock")
+        engine = wire(TimelockTemplate, config, ["out"], router_id="lock")
         deposited = rng.randint(1, 400)
         assert engine.submit_deposit("acme", deposited).committed
 

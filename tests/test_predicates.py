@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from paypipe import predicates
+from paypipe.cli import main
 from paypipe.errors import SpecSyntaxError
 from paypipe.predicates import (
     And,
@@ -18,6 +20,8 @@ from paypipe.predicates import (
     parse_predicate,
     predicate_text,
 )
+
+from test_golden import FIXTURES
 
 
 def ev(text, amount=0, now=0, metadata=None):
@@ -134,3 +138,19 @@ def test_canonical_text_is_fixpoint():
         node = random_ast(random.Random(seed))
         once = predicate_text(node)
         assert predicate_text(parse_predicate(once)) == once
+
+
+def test_run_parses_each_predicate_text_once(monkeypatch):
+    """Validation and instantiation both read a conditional's ``when``;
+    ``paypipe run`` on the flows fixture tokenizes each of its two
+    predicates once."""
+    texts, tokenize = [], predicates._tokenize
+
+    def counted(text):
+        texts.append(text)
+        return tokenize(text)
+    monkeypatch.setattr(predicates, "_tokenize", counted)
+    parse_predicate.cache_clear()
+    assert main(["run", str(FIXTURES / "flows.pipe"),
+                 str(FIXTURES / "flows.scn")]) == 0
+    assert sorted(texts) == ["amount <= 100", "amount >= 10"]

@@ -22,7 +22,6 @@ from paypipe.nodes import (
     ErrorSeverity,
     Node,
     OriginatorNode,
-    RouterNode,
     StreamError,
     StreamMessage,
 )
@@ -562,8 +561,8 @@ class TestDueIndex:
     def test_node_added_after_an_advance_is_cranked(self):
         engine = self.funded()
         assert len(engine.advance_time(10)) == 3
-        lock = RouterNode("late", TimelockTemplate({
-            "start": 25, "period": 5, "releases": 2, "fixed": 1}),
+        lock = TimelockTemplate("late", {
+            "start": 25, "period": 5, "releases": 2, "fixed": 1},
             outputs=[("main", "pay-late")])
         engine.add_node(lock)
         engine.add_node(EndpointNode("pay-late", recipient="dave"))

@@ -14,8 +14,8 @@ import pytest
 from paypipe.bench import PERIOD, START, MonolithicPayroll
 from paypipe.engine import Engine
 from paypipe.errors import EngineError
-from paypipe.nodes import (EndpointNode, Node, OriginatorNode, RouterNode,
-                           earliest_due, schedule_release, schedule_state)
+from paypipe.nodes import (EndpointNode, Node, OriginatorNode, earliest_due,
+                           schedule_release, schedule_state)
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.templates import (TEMPLATES, ReportingTemplate, Template,
                                TimelockTemplate)
@@ -49,9 +49,9 @@ def now_values(start, period, n):
 
 
 def timelock_node(start, period, n):
-    template = TimelockTemplate({"start": start, "period": period,
-                                 "releases": n, "fixed": 1})
-    return RouterNode("lock", template, outputs=[("main", "pay")])
+    return TimelockTemplate("lock", {"start": start, "period": period,
+                                     "releases": n, "fixed": 1},
+                            outputs=[("main", "pay")])
 
 
 def check_against_reference(node, start, period, patterns):
@@ -183,13 +183,13 @@ class Beacon(Template):
     def initial_state(self):
         return {"fired": False}
 
-    def due_releases(self, node, now):
+    def due_releases(self, now):
         at = self.config["at"]
-        return [] if node.state["fired"] or at > now else [(at, 0)]
+        return [] if self.state["fired"] or at > now else [(at, 0)]
 
-    def crank(self, node, k, due):
-        node.state["fired"] = True
-        node.engine.emit("Released", node.address,
+    def on_crank(self, k, due):
+        self.state["fired"] = True
+        self.engine.emit("Released", self.address,
                          {"release": k, "at": due, "amount": 0})
 
 
@@ -201,7 +201,16 @@ class Counted:
         return super().next_due()
 
 
-class CountedRouter(Counted, RouterNode):
+class CountedLock(Counted, TimelockTemplate):
+    asked = 0
+
+    def receive(self, msg):
+        asked = self.asked
+        super().receive(msg)
+        self.asked = asked  # its own exhaustion test is not the engine asking
+
+
+class CountedReporting(Counted, ReportingTemplate):
     asked = 0
 
 
@@ -210,15 +219,15 @@ class CountedEndpoint(Counted, EndpointNode):
 
 
 def chain():
-    """origin -> lock (timelock) -> rep (reporting) -> pay, with the router
-    and the endpoint counting ``next_due`` calls."""
+    """origin -> lock (timelock) -> rep (reporting) -> pay, with the
+    routers and the endpoint counting ``next_due`` calls."""
     engine = Engine()
     engine.add_node(OriginatorNode("origin", outputs=[("main", "lock")]))
-    engine.add_node(CountedRouter("lock", TimelockTemplate({
-        "start": 0, "period": 10, "releases": 3, "fixed": 100}),
+    engine.add_node(CountedLock("lock", {
+        "start": 0, "period": 10, "releases": 3, "fixed": 100},
         outputs=[("main", "rep")]))
-    engine.add_node(CountedRouter("rep", ReportingTemplate({
-        "sink": "audit", "keys": []}), outputs=[("main", "pay")]))
+    engine.add_node(CountedReporting("rep", {
+        "sink": "audit", "keys": []}, outputs=[("main", "pay")]))
     engine.add_node(CountedEndpoint("pay", recipient="bob"))
     engine.set_entry("origin")
     engine.setup_balances({"acme": 300})
@@ -233,9 +242,9 @@ class TestDueIndex:
         assert MonolithicPayroll.scheduled
         assert not Node.scheduled and not OriginatorNode.scheduled
         assert not EndpointNode.scheduled
-        router = RouterNode("r", ReportingTemplate({"sink": "s", "keys": []}))
+        router = ReportingTemplate("r", {"sink": "s", "keys": []})
         assert not router.scheduled
-        assert RouterNode("b", Beacon({"at": 1})).scheduled
+        assert Beacon("b", {"at": 1}).scheduled
 
     # config lines of a router of each template without a schedule
     UNSCHEDULED = {
@@ -261,14 +270,14 @@ class TestDueIndex:
             config = cls.empty_config()
             for line in lines:
                 cls.parse_config_line(config, line.split())
-            nodes.append(RouterNode(name, cls(config)))
+            nodes.append(cls(name, config))
         for node in nodes:
             assert not node.scheduled, node.id
             assert node.next_due() is None, node.id
 
     def test_template_subclass_with_a_schedule_is_indexed_and_cranked(self):
         engine = Engine()
-        engine.add_node(RouterNode("beacon", Beacon({"at": 5})))
+        engine.add_node(Beacon("beacon", {"at": 5}))
         engine.add_node(EndpointNode("pay", recipient="bob"))
         assert engine._due_at == {"beacon": 5}
         assert engine.advance_time(4) == []
@@ -343,16 +352,15 @@ class TestDueIndex:
 
     def test_fault_in_a_crank_leaves_its_release_indexed(self):
         engine = Engine()
-        beacon = Beacon({"at": 5})
-        engine.add_node(RouterNode("beacon", beacon))
+        beacon = engine.add_node(Beacon("beacon", {"at": 5}))
 
-        def fault(node, k, due):
+        def fault(k, due):
             raise RuntimeError("template bug")
-        beacon.crank = fault
+        beacon.on_crank = fault
         with pytest.raises(RuntimeError, match="template bug"):
             engine.advance_time(5)
         assert engine.transactions == [] and engine._due_at == {"beacon": 5}
-        del beacon.crank
+        del beacon.on_crank
         (fired,) = engine.advance_time(0)
         assert fired.committed and fired.id == 1
         assert engine._due_at == {}
