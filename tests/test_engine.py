@@ -21,7 +21,7 @@ from paypipe.scenario import load_scenario, run_scenario
 from support import (apply_action, next_tx_id, random_actions,
                      random_pipeline_text, revert_traces, schedule_fields,
                      schedule_of_flags)
-from test_golden import FIXTURES, PAIRS
+from test_golden import FIXTURES, GOLDEN, PAIRS
 
 TB = CostTable()  # default costs, used in hand-derived gas sums
 
@@ -386,7 +386,25 @@ def per_transaction(charges):
     return per_tx
 
 
+def charge_lines(name):
+    """The ordered charge kinds of each transaction of a fixture pair's
+    run, one line per transaction: its id, then its kinds."""
+    engine = build((FIXTURES / f"{name}.pipe").read_text())
+    charges, _ = wrap_from_outside(engine)
+    assert run_scenario(engine,
+                        load_scenario(str(FIXTURES / f"{name}.scn"))).ok
+    return "".join(f"tx={r.id} {' '.join(kinds)}\n" for r, kinds in
+                   zip(engine.transactions, per_transaction(charges)))
+
+
 class TestOutsideWrappers:
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_charge_order_matches_golden(self, name):
+        """A charge that moves within its transaction changes no total, so
+        only the order, kind by kind, shows it."""
+        assert charge_lines(name) == \
+            (GOLDEN / f"{name}.charges").read_text()
+
     @pytest.mark.parametrize("name", PAIRS)
     def test_counted_charges_price_each_transaction(self, name):
         engine = build((FIXTURES / f"{name}.pipe").read_text())

@@ -1,10 +1,12 @@
 """Golden outputs: the CLI's exports must stay byte-identical.
 
 ``tests/golden`` holds, for every fixture pair, the ``--trace`` file, the
-``--gas-report`` file and the stdout of ``paypipe run``, plus the stdout of
-``paypipe bench`` at its default 3x3 shape. They are the equivalence oracle
-for changes that must not alter behaviour: regenerate them only when a
-change is meant to alter the exports, and say so in the change log.
+``--gas-report`` file, the stdout of ``paypipe run`` and the ``.charges``
+file (each transaction's charge kinds in order, checked in
+``test_engine``), plus the stdout of ``paypipe bench`` at its default 3x3
+shape. They are the equivalence oracle for changes that must not alter
+behaviour: regenerate them only when a change is meant to alter the
+exports, and say so in the change log.
 """
 
 from pathlib import Path
