@@ -130,7 +130,7 @@ class MonolithicPayroll(Node):
         )
         self.state["origin"] = from_account
 
-    def on_receive(self, msg):
+    def receive(self, msg):
         raise EngineError("monolithic payroll takes no streams")
 
     def due_releases(self, now):
@@ -140,7 +140,6 @@ class MonolithicPayroll(Node):
         return schedule_next_due(self.state, self.releases, START, PERIOD)
 
     def crank(self, k, due):
-        self.engine.charge("config_read")
         schedule_release(self.state, k, self.id)
         held = self.held
         amount = held if k == self.releases - 1 else min(self.per_release, held)

@@ -15,14 +15,15 @@ node state should not share a mutable object between entries; none of this
 package's nodes does. An exception that is not an engine error, in a
 template or in an error-policy action, also undoes the transaction, records
 nothing and propagates. A trigger called while a transaction is open (from
-a node's ``on_receive``, say) raises ``RuntimeError`` before it changes
+a node's ``receive``, say) raises ``RuntimeError`` before it changes
 anything.
 
 ``dispatch`` performs each hop of a stream from one node to the next:
-approve, pull, ``Sent``, then the recipient's ``on_receive``. Propagation is
+approve, pull, ``Sent``, then the recipient's ``receive``. Propagation is
 synchronous within the transaction; nodes that hold funds (timelock,
 threshold, oracle-directed, claimable endpoints) end the propagation, and
-the next trigger resumes it.
+the next trigger resumes it. The engine alone calls a node's ``receive``,
+``crank`` and ``instruct``, each after a ``config_read``.
 
 Gas is an accounting metric only; no limit is enforced. As a transaction
 opens, ``_run_tx`` binds the meter's ``charge``, read on the ``Engine.meter``
@@ -84,15 +85,22 @@ from itertools import chain
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .errors import EdgeMissing, EngineError, FatalStreamError, UnknownNode
+from .errors import (DepthExceeded, EdgeMissing, EngineError,
+                     FatalStreamError, UnknownNode)
 from .ledger import TokenLedger, _ignore, _require_int
-from .nodes import Node, PolicyAction, StreamError, StreamMessage
+from .nodes import (Node, PolicyAction, StreamError, StreamMessage,
+                    redirect_targets)
 
 # Setup-time events (minting, scenario approvals) live under this pseudo-id;
 # real transactions start at 1.
 SETUP_TX = 0
 
 _NESTED = "a trigger cannot run inside an open transaction"
+
+# The most hops a stream may nest, as validation and ``dispatch`` enforce.
+# A hop nests two frames, ``dispatch`` and ``receive``, so a trigger at the
+# limit stays inside the recursion limit of 1,000 from 200 frames deep.
+MAX_HOPS = 128
 
 
 class ConservationBreach(RuntimeError):
@@ -302,6 +310,7 @@ class Engine:
         self.transactions: list[TxResult] = []
         self._setup_seq = 0
         self._tx: Optional[TxResult] = None  # the open transaction's record
+        self._depth = 0  # hops the open transaction's dispatches nest
         # node id -> its state before the open transaction first touched it
         self._touched: dict[str, dict] = {}
         # Due index of the nodes in _scheduled: a heap of (earliest pending
@@ -317,12 +326,15 @@ class Engine:
     # -- assembly ------------------------------------------------------------
 
     def add_node(self, node: Node) -> Node:
-        """Register ``node`` and an edge to each target of its outputs."""
+        """Register ``node`` and an edge to each output and redirect target."""
         if node.id in self.nodes:
             raise ValueError(f"duplicate node id {node.id!r}")
         node.engine = self
         self.nodes[node.id] = node
         self.edges.update((node.id, target) for _, target in node.outputs)
+        if node.error_policy:
+            self.edges.update((node.id, target)
+                              for target in redirect_targets(node.error_policy))
         if node.scheduled:
             self._scheduled.add(node.id)
             self._reschedule(node.id)
@@ -440,7 +452,7 @@ class Engine:
                 "amount": amount}
         return self._run_tx(
             "OracleInstruct", info,
-            lambda: self._node(node_id).instruct(oracle, dest_tag, amount),
+            partial(self._call, node_id, "instruct", oracle, dest_tag, amount),
         )
 
     def submit_claim(self, node_id: str, account: str) -> TxResult:
@@ -486,15 +498,19 @@ class Engine:
         try:
             return [self._run_tx("AdvanceTime",
                                  {"node": node_id, "release": k, "at": due},
-                                 partial(self._crank, node_id, k, due))
+                                 partial(self._call, node_id, "crank", k, due))
                     for due, node_id, k in entries]
         finally:  # index each popped node once, whatever its cranks did
             self._popped = []
             for node_id in popped:
                 self._reschedule(node_id)
 
-    def _crank(self, node_id: str, k: int, due: int) -> None:
-        self._node(node_id).crank(k, due)
+    def _call(self, node_id: str, hook: str, *args) -> None:
+        """A crank's or an instruction's body: ``config_read`` once ``_node``
+        finds the node, as a hop charges it, then the node's ``hook``."""
+        node = self._node(node_id)
+        self.charge("config_read")
+        getattr(node, hook)(*args)
 
     def _reschedule(self, node_id: str) -> None:
         """Recompute the due-index key of scheduled node ``node_id``."""
@@ -507,40 +523,46 @@ class Engine:
 
     # -- stream dispatch -------------------------------------------------------
 
-    def dispatch(self, sender: Node, to_id: str, msg: StreamMessage,
-                 via_error: bool = False) -> None:
+    def dispatch(self, sender: Node, to_id: str, msg: StreamMessage) -> None:
         """Move a stream message across one edge: the whole hop.
 
-        After the edge check, the hop charges ``node_call`` and touches the
-        recipient; the sender approves the recipient, the recipient pulls
-        the funds, the sender emits ``Sent``, and after a ``config_read``
-        the recipient's ``on_receive`` runs. A ``StreamError`` it raises goes
-        to ``handle_error`` under the recipient's policy. Error-policy
-        redirects use the same mechanics but skip the declared edge check
-        (targets are validated statically instead).
+        After the edge check, a hop that would nest more than ``MAX_HOPS``
+        hops reverts ``DepthExceeded`` before it charges anything. Else it
+        charges ``node_call`` and touches the recipient; the sender approves
+        the recipient, the recipient pulls the funds, the sender emits
+        ``Sent``, and after a ``config_read`` the recipient's ``receive``
+        runs. A ``StreamError`` it raises goes to ``handle_error`` under the
+        recipient's policy, whose redirect is a hop along a redirect edge.
         """
         recipient = self.nodes.get(to_id)
         if recipient is None:
             raise EdgeMissing(f"{sender.id} dispatched to unknown node {to_id!r}")
-        if not via_error and (sender.id, to_id) not in self.edges:
+        if (sender.id, to_id) not in self.edges:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
-        ledger, charge = self.ledger, self.charge
-        charge("node_call")
-        self._touch(recipient)
-        amount, spender = msg.amount, recipient.address
-        ledger.approve(sender.address, spender, amount)
-        ledger.transfer_from(spender, sender.address, spender, amount)
-        self.emit("Sent", sender.address, {"to": to_id, "amount": amount})
-        charge("config_read")
+        depth = self._depth
+        if depth == MAX_HOPS:
+            raise DepthExceeded(f"{sender.id} -> {to_id} nests over {MAX_HOPS} hops")
+        self._depth = depth + 1
         try:
-            recipient.on_receive(msg)
-        except StreamError as err:
-            self.handle_error(recipient, err, msg)
+            ledger, charge = self.ledger, self.charge
+            charge("node_call")
+            self._touch(recipient)
+            amount, spender = msg.amount, recipient.address
+            ledger.approve(sender.address, spender, amount)
+            ledger.transfer_from(spender, sender.address, spender, amount)
+            self.emit("Sent", sender.address, {"to": to_id, "amount": amount})
+            charge("config_read")
+            try:
+                recipient.receive(msg)
+            except StreamError as err:
+                self.handle_error(recipient, err, msg)
+        finally:
+            self._depth = depth
 
     def handle_error(self, node: Node, err: StreamError, msg: StreamMessage) -> None:
         """Emit ``StreamError``, then apply the node's policy for the severity.
 
-        ``node`` is the node whose ``on_receive`` raised ``err`` while
+        ``node`` is the node whose ``receive`` raised ``err`` while
         handling ``msg``; the funds are already in its hands. Unhandled fatal
         errors abort the transaction, and so does an engine error raised by
         the chosen action, as a ``FatalStreamError``. Any other exception
@@ -576,7 +598,7 @@ class Engine:
                     "reason": err.reason,
                     "failed_node": node.id,
                 }
-                self.dispatch(node, target, redirected, via_error=True)
+                self.dispatch(node, target, redirected)
         except FatalStreamError:
             raise
         except EngineError as exc:

@@ -57,6 +57,10 @@ class EdgeMissing(EngineError):
     code = "EdgeMissing"
 
 
+class DepthExceeded(EngineError):
+    code = "DepthExceeded"
+
+
 class UntrustedOracle(EngineError):
     code = "UntrustedOracle"
 

@@ -6,10 +6,10 @@ retain or forward it, and endpoints turn it back into plain tokens.
 ``Engine.dispatch`` moves a stream from one node to the next by
 approve-then-pull: the sender approves the recipient, the recipient
 executes the delegated transfer, the sender emits a ``Sent`` event, and
-only then is the recipient's ``on_receive`` called, with the funds already
+only then is the recipient's ``receive`` called, with the funds already
 in its hands.
 
-Errors raised by ``on_receive`` are ``StreamError`` values with a severity;
+Errors raised by ``receive`` are ``StreamError`` values with a severity;
 the receiving node's error policy decides whether to proceed, hold the
 funds, refund the origin, or redirect to a designated handler. An unhandled
 fatal error reverts the whole transaction.
@@ -113,6 +113,12 @@ DEFAULT_POLICY: dict[ErrorSeverity, PolicyEntry] = {
 }
 
 
+def redirect_targets(policy: dict) -> list[str]:
+    """Redirect targets of an error policy, in ascending severity order."""
+    return [target for _, (action, target) in sorted(policy.items())
+            if action is PolicyAction.REDIRECT] if policy else []
+
+
 class StreamError(Exception):
     """Error raised by template logic while handling a received stream.
 
@@ -172,9 +178,10 @@ class Node:
     entries pointing at one list or dict; a state holding any other type is
     copied with ``copy.deepcopy``.
 
-    A node receives a stream only through ``on_receive(msg)``, called by the
+    A node receives a stream only through ``receive(msg)``, called by the
     engine after the funds have moved to the node's address; it forwards a
-    stream with ``engine.dispatch``.
+    stream with ``engine.dispatch``. The engine charges ``config_read``
+    before ``receive``, ``crank`` and ``instruct``; a node does not.
     """
 
     # Whether the node has a release schedule: set per class, true when the
@@ -220,7 +227,7 @@ class Node:
 
     # -- stream protocol ---------------------------------------------------
 
-    def on_receive(self, msg: StreamMessage) -> None:
+    def receive(self, msg: StreamMessage) -> None:
         """Handle a stream whose funds the engine has already moved here; a
         ``StreamError`` goes to this node's error policy."""
         raise NotImplementedError
@@ -240,9 +247,9 @@ class Node:
         at ``add_node`` and in each commit that touched it (a node an
         advance cranks is asked once, when the advance ends), so its
         schedule may change only before ``add_node`` or inside a
-        transaction. An idle
-        advance asks no node; ``due_releases`` is asked once the clock
-        reaches the answer. This default derives it from ``due_releases``.
+        transaction. An idle advance asks no node; ``due_releases`` is
+        asked once the clock reaches the answer. This default derives it
+        from ``due_releases``.
         """
         return earliest_due(self.due_releases(math.inf))
 
@@ -270,7 +277,7 @@ class OriginatorNode(Node):
         _, to = self.outputs[0]
         self.engine.dispatch(self, to, msg)
 
-    def on_receive(self, msg: StreamMessage) -> None:
+    def receive(self, msg: StreamMessage) -> None:
         raise EngineError("originators do not receive streams")
 
 
@@ -284,7 +291,7 @@ class EndpointNode(Node):
         self.recipient = recipient
         self.state = {"claimable": {}}
 
-    def on_receive(self, msg: StreamMessage) -> None:
+    def receive(self, msg: StreamMessage) -> None:
         if self.mode == "direct":
             self.engine.ledger.transfer(self.address, self.recipient, msg.amount)
         else:

@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .engine import CostTable, Engine
+from .engine import MAX_HOPS, CostTable, Engine
 from .errors import SpecSyntaxError, SpecValidationError, int_word, shown_word
 from .ledger import MAX_AMOUNT
 from .nodes import (
@@ -47,6 +47,7 @@ from .nodes import (
     ErrorSeverity,
     OriginatorNode,
     PolicyAction,
+    redirect_targets,
 )
 from .templates import TEMPLATES
 
@@ -54,12 +55,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 # A line of text as ``token_lines`` yields it: (lineno, raw text, words).
 _Line = tuple[int, str, list[str]]
-
-# The most hops any stream path may take. Each hop nests three Python
-# frames, so a trigger at the limit stays inside the default recursion
-# limit of 1,000 from 200 frames deep. Cranks, claims and instructions
-# start mid-graph, so the longest path from any node bounds them all.
-MAX_HOPS = 128
 
 _KINDS = ("originator", "router", "endpoint")
 _MODES = ("direct", "claimable")
@@ -273,15 +268,6 @@ def parse_pipeline(text: str) -> PipelineSpec:
 # -- validation ----------------------------------------------------------------
 
 
-def _policy_targets(node: NodeSpec) -> list[str]:
-    """Redirect targets in ascending severity order."""
-    policy = node.policy
-    if not policy:
-        return []
-    return [policy[sev][1] for sev in sorted(policy)
-            if policy[sev][0] is PolicyAction.REDIRECT]
-
-
 def _cycle_and_depth(successors: dict) -> tuple[Optional[tuple], int, str]:
     """Depth-first search over ``successors``, which maps each node id to the
     ids its edges lead to: the first back edge found, or None if the graph
@@ -342,7 +328,8 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
             err("DuplicateId", node.id, "node id declared more than once")
         else:
             nodes[node.id] = node
-    redirects = {nid: _policy_targets(node) for nid, node in nodes.items()}
+    redirects = {nid: redirect_targets(node.policy)
+                 for nid, node in nodes.items()}
 
     # unknown targets
     for node in nodes.values():
@@ -413,7 +400,8 @@ def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
                 err("BadConfig", node.id, "router requires a template")
 
     # cycles over declared and redirect edges, outputs first; a target an
-    # output names twice is met twice, which neither walk below minds
+    # output names twice is met twice, which neither walk below minds; the
+    # longest path from any node counts, as cranks start mid-graph
     successors = {}
     for nid, node in nodes.items():
         targets = [target for _, target in node.outputs]

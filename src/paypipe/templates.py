@@ -2,11 +2,12 @@
 
 A router is an instance of its template class, a ``Node`` subclass. Each
 template declares its config grammar as a table, which one parser, one
-validator and one printer read, and owns its runtime logic. Mutable
-runtime data lives in the node's ``state`` dict, which the engine copies
-the first time a transaction touches the node, so rollback covers it. A
-template may therefore mutate only its own ``state`` and the ledger; its
-``config`` does not change once the node is built.
+validator and one printer read, and owns its runtime logic: ``receive``,
+and ``crank`` and ``instruct`` where it takes them. Mutable runtime data
+lives in the node's ``state`` dict, which the engine copies the first time
+a transaction touches the node, so rollback covers it. A template may
+therefore mutate only its own ``state`` and the ledger; its ``config`` does
+not change once the node is built.
 
 Aggregating templates (timelock, threshold, oracle) keep the last received
 message and stamp re-dispatches with its origin and metadata, so a later
@@ -36,7 +37,6 @@ from .nodes import (
     Node,
     PolicyAction,
     StreamError,
-    StreamMessage,
     schedule_due,
     schedule_next_due,
     schedule_release,
@@ -315,31 +315,11 @@ class Template(Node):
     # -- runtime -------------------------------------------------------------
 
     # The node itself, for a tool that wraps ``node.template.receive``, as
-    # perfbench's tracer does; so a hop still runs ``receive`` in a frame
-    # of its own, below ``on_receive``.
+    # perfbench's tracer does: that is the method the engine calls.
     template = property(lambda self: self)
 
     def initial_state(self) -> dict:
         return {}
-
-    def on_receive(self, msg: StreamMessage) -> None:
-        self.receive(msg)
-
-    def receive(self, msg: StreamMessage) -> None:
-        raise NotImplementedError
-
-    # A crank or an instruction reads the router's config before the
-    # template's own ``on_crank`` or ``on_instruct`` runs, as a hop does
-    # before ``on_receive``; by default these refuse as any node does.
-    def crank(self, k: int, due: int) -> None:
-        self.engine.charge("config_read")
-        self.on_crank(k, due)
-
-    def instruct(self, oracle: str, dest_tag: str, amount: int) -> None:
-        self.engine.charge("config_read")
-        self.on_instruct(oracle, dest_tag, amount)
-
-    on_crank, on_instruct = Node.crank, Node.instruct
 
 
 class ReportingTemplate(Template):
@@ -424,7 +404,7 @@ class TimelockTemplate(Template):
         return schedule_next_due(self.state, self.config["releases"],
                                  self.config["start"], self.config["period"])
 
-    def on_crank(self, k, due):
+    def crank(self, k, due):
         schedule_release(self.state, k, self.id)
         held = self.held
         if k == self.config["releases"] - 1:
@@ -617,7 +597,7 @@ class OracleTemplate(Template):
         self.state["available"] += msg.amount
         self.state["last"] = msg
 
-    def on_instruct(self, oracle, dest_tag, amount):
+    def instruct(self, oracle, dest_tag, amount):
         if oracle not in self.config["oracles"]:
             raise UntrustedOracle(f"{oracle} may not instruct {self.id}")
         if dest_tag not in self.out_by_tag:

@@ -1,13 +1,21 @@
-"""The static bound on a stream's path: no valid pipeline takes more than
-``MAX_HOPS`` hops, so no trigger recurses past the interpreter's limit."""
+"""The bound on a stream's path: no valid pipeline takes more than
+``MAX_HOPS`` hops, and ``dispatch`` reverts a stream that would nest more in
+an engine built without validation, so no trigger recurses past the
+interpreter's limit."""
 
 import subprocess
 import sys
 
 import pytest
 
+from paypipe import engine as engine_module
+from paypipe.engine import Engine
+from paypipe.errors import DepthExceeded
+from paypipe.nodes import (EndpointNode, ErrorSeverity, OriginatorNode,
+                           PolicyAction)
 from paypipe.pipeline import (MAX_HOPS, ValidationError, instantiate,
                               parse_pipeline, validate_pipeline)
+from paypipe.templates import ConditionalTemplate, ReportingTemplate
 
 from test_cli import CHILD_ENV
 
@@ -170,4 +178,95 @@ def test_a_conditional_hop_nests_as_many_frames_as_a_reporting_hop():
     added = {kind: {depth[f"node:{ids[i]}"] - depth[f"node:{ids[i - 1]}"]
                     for i in range(1, len(kinds) + 1) if kinds[i - 1] == kind}
              for kind in ROUTERS}
-    assert added["conditional"] == added["reporting"] == {3}
+    assert added["conditional"] == added["reporting"] == {2}
+
+
+def unvalidated_chain(hops, first=ReportingTemplate):
+    """``chain(hops)`` assembled with ``add_node`` alone, never validated:
+    the originator, ``hops - 1`` reporting routers, the first of class
+    ``first``, then the endpoint ``pay``."""
+    ids = ["origin", *(f"r{i}" for i in range(1, hops)), "pay"]
+    engine = Engine()
+    engine.add_node(OriginatorNode("origin", outputs=[("main", ids[1])]))
+    for i in range(1, hops):
+        router = first if i == 1 else ReportingTemplate
+        engine.add_node(router(ids[i], {"sink": "audit", "keys": []},
+                               outputs=[("main", ids[i + 1])]))
+    engine.add_node(EndpointNode("pay", recipient="bob"))
+    engine.set_entry("origin")
+    engine.setup_balances({"acme": 1000})
+    engine.ledger.approve("acme", "node:origin", 1000)
+    return engine
+
+
+def test_max_hops_is_the_engines_and_still_the_pipelines():
+    assert MAX_HOPS is engine_module.MAX_HOPS == 128
+
+
+def test_an_unvalidated_chain_at_the_limit_commits():
+    engine = unvalidated_chain(MAX_HOPS)
+    result = deep(200, lambda: engine.submit_deposit("acme", 40))
+    assert result.committed, result.reason
+    assert engine.ledger.balance_of("bob") == 40
+    assert sum(ev.kind == "Sent" for ev in result.events) == MAX_HOPS
+
+
+@pytest.mark.parametrize("hops", [MAX_HOPS + 1, 400])
+def test_a_longer_unvalidated_chain_reverts_depth_exceeded(hops):
+    """From 200 frames deep, 400 hops would pass the recursion limit: the
+    bound reverts the deposit with its code before that."""
+    engine = unvalidated_chain(hops)
+    before = engine.state_fingerprint()
+    result = deep(200, lambda: engine.submit_deposit("acme", 40))
+    last, refused = f"r{MAX_HOPS}", "pay" if hops == MAX_HOPS + 1 \
+        else f"r{MAX_HOPS + 1}"
+    assert result.reason == \
+        f"DepthExceeded: {last} -> {refused} nests over {MAX_HOPS} hops"
+    assert engine.state_fingerprint() == before
+    # the refused hop charged nothing: its last event is the hop before it
+    assert result.events[-1].kind == "Report"
+    assert result.events[-1].emitter == f"node:{last}"
+    assert engine._depth == 0
+
+
+def test_a_caught_depth_error_leaves_the_count_exact():
+    """The first router catches the refusal raised 127 hops below it: it
+    sees the count at its own depth, and so does the next deposit."""
+    class Catching(ReportingTemplate):
+        # test double: swallows the refusal and records the count
+        def receive(self, msg):
+            try:
+                super().receive(msg)
+            except DepthExceeded:
+                self.engine.emit("Caught", self.address,
+                                 {"depth": self.engine._depth})
+
+    engine = unvalidated_chain(MAX_HOPS + 1, first=Catching)
+    for held in (40, 80):
+        result = engine.submit_deposit("acme", 40)
+        assert result.committed, result.reason
+        caught = [ev for ev in result.events if ev.kind == "Caught"]
+        assert [(ev.emitter, ev.payload) for ev in caught] == \
+            [("node:r1", {"depth": 1})]
+        assert engine._depth == 0
+        assert engine.ledger.balance_of(f"node:r{MAX_HOPS}") == held
+
+
+def test_a_redirect_past_the_limit_reverts_as_a_failed_policy_action():
+    """The last router's redirect would be hop 129: the refusal reaches
+    ``handle_error``, which reverts any failed action as fatal."""
+    engine = unvalidated_chain(MAX_HOPS)
+    gate = ConditionalTemplate(
+        "gate", {"when": "amount > 1000"}, outputs=[("main", "pay")],
+        error_policy={ErrorSeverity.RECOVERABLE:
+                      (PolicyAction.REDIRECT, "keep")})
+    engine.nodes[f"r{MAX_HOPS - 1}"].outputs = [("main", "gate")]
+    engine.edges.add((f"r{MAX_HOPS - 1}", "gate"))
+    engine.add_node(gate)
+    engine.add_node(EndpointNode("keep", recipient="admin"))
+    before = engine.state_fingerprint()
+    result = engine.submit_deposit("acme", 40)
+    assert result.reason == (
+        "FatalStreamError: gate: redirect failed handling 'predicate false': "
+        f"gate -> keep nests over {MAX_HOPS} hops")
+    assert engine.state_fingerprint() == before and engine._depth == 0

@@ -429,8 +429,19 @@ class TestOutsideWrappers:
 
 class TestTriggerARouterCannotTake:
     """A router whose template takes no instruction or claim reverts as
-    any node does. An instruction reads the router's config first and is
-    billed for it; a claim is not."""
+    any node does. An instruction reads the node's config first and is
+    billed for it, whatever the node; a claim is not."""
+
+    @pytest.mark.parametrize("node_id", ["origin", "pay-emp-1"])
+    def test_instruction_to_a_node_that_is_not_a_router_bills_it_too(
+            self, node_id):
+        engine = build((FIXTURES / "payroll.pipe").read_text())
+        charges, _ = wrap_from_outside(engine)
+        tx = engine.submit_oracle_instruct(node_id, "acme", "main", 10)
+        assert tx.reason == (f"EngineError: node {node_id} does not take "
+                             "oracle instructions")
+        assert charges == ["tx_base", "config_read"]
+        assert tx.gas == 21_100
 
     def test_instruction_reverts_after_a_config_read(self):
         engine = build((FIXTURES / "payroll.pipe").read_text())
@@ -450,7 +461,7 @@ class TestTriggerARouterCannotTake:
         assert tx.gas == TB.tx_base == 21_000
 
 
-# A trigger each, called from inside a node's on_receive.
+# A trigger each, called from inside a node's receive.
 NESTED = {
     "deposit": lambda engine: engine.submit_deposit("alice", 5),
     "instruct": lambda engine: engine.submit_oracle_instruct(
@@ -461,7 +472,7 @@ NESTED = {
 
 
 def nesting_engine(nested=None, catch=False):
-    """An originator paying a claimable endpoint whose ``on_receive`` holds
+    """An originator paying a claimable endpoint whose ``receive`` holds
     the funds and emits ``Held``, then calls ``nested(engine)`` (catching
     ``RuntimeError`` when ``catch``), then pays bob 1 and emits ``After``.
     Returns the engine and the list of the errors caught."""
@@ -469,8 +480,8 @@ def nesting_engine(nested=None, catch=False):
 
     class Nesting(EndpointNode):
         # test double: starts a trigger from inside a transaction
-        def on_receive(self, msg):
-            super().on_receive(msg)
+        def receive(self, msg):
+            super().receive(msg)
             if self.nested is not None:
                 try:
                     self.nested(self.engine)
@@ -573,7 +584,7 @@ class TestEmit:
     def test_recorded_payload_is_a_copy(self):
         class Mutating(Node):
             # test double: reuses its payload dict after emitting it
-            def on_receive(self, msg):
+            def receive(self, msg):
                 payload = {"amount": msg.amount}
                 self.engine.emit("Seen", self.address, payload)
                 payload["amount"] = -1
@@ -701,7 +712,7 @@ class TestConservationCheck:
     def test_self_check_catches_a_leaky_node(self):
         class LeakyNode(Node):
             # test double: corrupts balances outside mint/transfer
-            def on_receive(self, msg):
+            def receive(self, msg):
                 bal = self.engine.ledger.balances
                 bal["thief"] = bal.get("thief", 0) + 5
 

@@ -14,6 +14,7 @@ from paypipe.pipeline import (
 )
 
 from support import kahn_cyclic, random_graph_spec, random_pipeline_text
+from test_cli import router_pipeline
 
 MINIMAL = """pipeline tiny
 
@@ -765,6 +766,15 @@ class TestCanonicalForm:
         spec = parse_pipeline(KITCHEN_SINK)
         again = parse_pipeline(serialize_pipeline(spec))
         assert again == spec
+
+    def test_a_when_that_does_not_parse_prints_as_written(self):
+        """An unvalidated spec may hold a ``when`` the predicate parser
+        rejects; the printer falls back to the text as written."""
+        text = router_pipeline("conditional", ["main"],
+                               ["when amount >>= 3"])
+        spec = parse_pipeline(text)
+        assert [e.code for e in validate_pipeline(spec)] == ["BadConfig"]
+        assert "  config when amount >>= 3\n" in serialize_pipeline(spec)
 
     def test_balances_sorted(self):
         text = MINIMAL.replace("balance acme 100",

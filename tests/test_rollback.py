@@ -68,7 +68,7 @@ def scan_advance(engine, delta):
                      for due, k in node.due_releases(engine.now))
     return [engine._run_tx("AdvanceTime",
                            {"node": node_id, "release": k, "at": due},
-                           partial(engine._crank, node_id, k, due))
+                           partial(engine._call, node_id, "crank", k, due))
             for due, node_id, k in entries]
 
 
@@ -159,7 +159,7 @@ class TestFaultsCloseTheTransaction:
     def test_fault_inside_a_transaction_undoes_and_reraises(self):
         class BuggyNode(EndpointNode):
             # test double: writes to the ledger and its state, then crashes
-            def on_receive(self, msg):
+            def receive(self, msg):
                 self.state["claimable"]["bob"] = msg.amount
                 self.engine.ledger.transfer(self.address, "bob", msg.amount)
                 raise ZeroDivisionError("template bug")
@@ -179,7 +179,7 @@ class TestFaultsCloseTheTransaction:
         engine.ledger.approve("alice", "node:o", 7)
         assert engine.events[-1].tx_id == SETUP_TX
         # and the next transaction takes the id the fault handed back
-        engine.nodes["bug"].on_receive = lambda msg: None
+        engine.nodes["bug"].receive = lambda msg: None
         assert engine.submit_deposit("alice", 7).id == 1
 
     @staticmethod
@@ -188,8 +188,8 @@ class TestFaultsCloseTheTransaction:
         stream error that proceeds into ``continuation``."""
         class Warns(EndpointNode):
             # test double: the warning's continuation is the code under test
-            def on_receive(self, msg):
-                super().on_receive(msg)
+            def receive(self, msg):
+                super().receive(msg)
                 raise StreamError(ErrorSeverity.WARNING, "w",
                                   continuation=continuation)
 
@@ -208,7 +208,7 @@ class TestFaultsCloseTheTransaction:
             engine.submit_deposit("alice", 60)
         assert engine.state_fingerprint() == before
         assert engine.transactions == [] and revert_traces(engine) == {}
-        engine.nodes["b"].on_receive = lambda msg: None
+        engine.nodes["b"].receive = lambda msg: None
         assert engine.submit_deposit("alice", 7).id == 1
 
     def test_engine_error_inside_a_policy_action_reverts(self):

@@ -187,7 +187,7 @@ class Beacon(Template):
         at = self.config["at"]
         return [] if self.state["fired"] or at > now else [(at, 0)]
 
-    def on_crank(self, k, due):
+    def crank(self, k, due):
         self.state["fired"] = True
         self.engine.emit("Released", self.address,
                          {"release": k, "at": due, "amount": 0})
@@ -350,17 +350,24 @@ class TestDueIndex:
         assert engine._due_heap == [(20, "lock")]
         assert engine._due_at == {"lock": 20}
 
+    def test_the_engine_bills_a_custom_cranks_config_read(self):
+        engine = Engine()
+        engine.add_node(Beacon("beacon", {"at": 5}))
+        (fired,) = engine.advance_time(5)
+        assert fired.committed
+        assert fired.gas == 21_000 + 100 + 1_000  # tx, config, Released
+
     def test_fault_in_a_crank_leaves_its_release_indexed(self):
         engine = Engine()
         beacon = engine.add_node(Beacon("beacon", {"at": 5}))
 
         def fault(k, due):
             raise RuntimeError("template bug")
-        beacon.on_crank = fault
+        beacon.crank = fault
         with pytest.raises(RuntimeError, match="template bug"):
             engine.advance_time(5)
         assert engine.transactions == [] and engine._due_at == {"beacon": 5}
-        del beacon.on_crank
+        del beacon.crank
         (fired,) = engine.advance_time(0)
         assert fired.committed and fired.id == 1
         assert engine._due_at == {}

@@ -1,12 +1,12 @@
 """The package's public surface: ``paypipe.__all__``, the README example and
-the engine attributes the docs name."""
+the attributes the docs name."""
 
 import ast
 import re
 from pathlib import Path
 
 import paypipe
-from paypipe import instantiate, parse_pipeline
+from paypipe import Template, errors, instantiate, parse_pipeline
 
 ROOT = Path(__file__).parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -48,23 +48,41 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     assert out[2].startswith("tx=0 seq=0 emitter=ledger kind=Transfer")
 
 
-def test_every_engine_and_result_attribute_the_docs_name_exists():
+def test_every_attribute_the_docs_name_exists():
     """Each backticked ``engine.NAME`` or ``Engine.NAME`` in the README and
-    the format reference is an attribute of a live engine, and each
-    ``TxResult.NAME`` one of a live result."""
+    the format reference is an attribute of a live engine, each
+    ``TxResult.NAME`` one of a live result, and each ``Node.NAME`` or
+    ``Template.NAME`` one of a live node or router, so a hook the docs name
+    cannot be renamed away under them."""
     engine = instantiate(parse_pipeline(
         (FIXTURES / "flows.pipe").read_text(encoding="utf-8")))
     engine.ledger.approve("acme", "node:origin", 40)
     live = {"engine": engine, "Engine": engine,
-            "TxResult": engine.submit_deposit("acme", 40)}
+            "TxResult": engine.submit_deposit("acme", 40),
+            "Node": engine.nodes[engine.entry],
+            "Template": next(node for node in engine.nodes.values()
+                             if isinstance(node, Template))}
     named = set()
     for doc in ("README.md", "docs/formats.md"):
         text = (ROOT / doc).read_text(encoding="utf-8")
-        named.update(re.findall(r"`(engine|Engine|TxResult)\.(\w+)", text))
-    assert ("TxResult", "reason") in named
+        named.update(re.findall(
+            r"`(engine|Engine|TxResult|Node|Template)\.(\w+)", text))
+    assert {("TxResult", "reason"), ("Node", "receive"), ("Node", "crank"),
+            ("Node", "instruct"), ("Template", "receive")} <= named
     missing = sorted(f"{owner}.{name}" for owner, name in named
                      if not hasattr(live[owner], name))
     assert missing == []
+
+
+def test_the_revert_code_table_lists_every_engine_error():
+    """The format reference's revert codes are the codes of the engine
+    errors, less ``LedgerError``, the base no ledger call raises."""
+    text = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+    table = text.split("A revert reason is", 1)[1].split("\n\n")[1]
+    listed = re.findall(r"^\| `(\w+)` \|", table, re.M)
+    codes = {obj.code for obj in vars(errors).values()
+             if isinstance(obj, type) and issubclass(obj, errors.EngineError)}
+    assert sorted(listed) == sorted(codes - {"LedgerError"})
 
 
 def test_no_module_needs_python_3_11_for_a_starred_subscript():

@@ -1,7 +1,7 @@
 """The benchmark's tracer, run on fixture engines: it wraps each router's
-``template.receive`` and each node's ``crank`` from outside, so a router
-must keep exposing them for ``templates.receives`` and ``nodes.cranks`` to
-count what the engine did."""
+``template.receive`` and each node's ``crank`` from outside, as instance
+attributes. Those are the very methods the engine calls, so
+``templates.receives`` and ``nodes.cranks`` count what the engine did."""
 
 import importlib.util
 
