@@ -154,6 +154,67 @@ def kahn_cyclic(node_ids, edges) -> bool:
     return seen != len(node_ids)
 
 
+class _BackEdge(Exception):
+    pass
+
+
+def reference_cycle_and_depth(successors: dict):
+    """What ``pipeline._cycle_and_depth`` returns, by recursion.
+
+    A depth-first search starts at each unvisited node in dict order and
+    follows successors in list order. The first edge that reaches a node
+    still on the path is the back edge, returned as ``((frm, to), 0, "")``.
+    Otherwise every node finishes with its longest path in hops, and the
+    result is ``(None, deepest, start)``: ``start`` is the first node, in
+    finish order, whose path is strictly longer than every node's finished
+    before it ("" and 0 when no path has an edge).
+    """
+    on_path, hops, finished = set(), {}, []
+
+    def visit(nid):
+        on_path.add(nid)
+        longest = 0
+        for nxt in successors[nid]:
+            if nxt in on_path:
+                raise _BackEdge((nid, nxt))
+            if nxt not in hops:
+                visit(nxt)
+            longest = max(longest, hops[nxt] + 1)
+        on_path.remove(nid)
+        hops[nid] = longest
+        finished.append(nid)
+
+    try:
+        for root in successors:
+            if root not in hops:
+                visit(root)
+    except _BackEdge as back:
+        return back.args[0], 0, ""
+    deepest, start = 0, ""
+    for nid in finished:
+        if hops[nid] > deepest:
+            deepest, start = hops[nid], nid
+    return None, deepest, start
+
+
+def random_successors(rng: random.Random, max_nodes: int = 12) -> dict:
+    """A random successor map in a shuffled key order. Half are acyclic,
+    with edges only down a random ranking, so that paths of equal length
+    tie; the rest may hold any edge, self-loops too. Either kind may list
+    a successor twice."""
+    ids = [f"n{i}" for i in range(rng.randint(1, max_nodes))]
+    rng.shuffle(ids)
+    acyclic = rng.random() < 0.5
+    successors = {}
+    for rank, nid in enumerate(ids):
+        pool = ids[rank + 1:] if acyclic else ids
+        degree = rng.choice((0, 0, 1, 1, 2, 3, 4)) if pool else 0
+        successors[nid] = [rng.choice(pool) for _ in range(degree)]
+    keys = list(successors)
+    rng.shuffle(keys)
+    return {nid: successors[nid] for nid in keys}
+
+
 def reachable_from(start, node_ids, edges) -> set:
     succ = {nid: [] for nid in node_ids}
     for frm, to in edges:
@@ -249,6 +310,27 @@ def random_graph_spec(rng: random.Random, max_nodes: int = 12):
                                   config={"shares": shares,
                                           "allow_single": False}))
     return PipelineSpec(name="random-graph", nodes=nodes), edges
+
+
+# -- mangled text (parser totality) ----------------------------------------------
+
+MANGLE_JUNK = " \t\n->pipelinenodeconfigout#=%\"0123456789abcxyz"
+
+
+def mangled_text(rng: random.Random, corpus) -> str:
+    """One text of ``corpus`` with 1-12 characters replaced by, or with
+    inserted, ``MANGLE_JUNK`` characters, or deleted."""
+    base = list(rng.choice(corpus))
+    for _ in range(rng.randint(1, 12)):
+        pos = rng.randrange(len(base))
+        op = rng.random()
+        if op < 0.4:
+            base[pos] = rng.choice(MANGLE_JUNK)
+        elif op < 0.7:
+            base.insert(pos, rng.choice(MANGLE_JUNK))
+        else:
+            del base[pos]
+    return "".join(base)
 
 
 # -- random runnable pipelines (behaviour-level fuzzing) --------------------------

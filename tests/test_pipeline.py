@@ -1,20 +1,31 @@
 """Pipeline text: parsing, structural validation, canonical form."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from paypipe.errors import SpecSyntaxError, SpecValidationError
 from paypipe.ledger import MAX_AMOUNT
 from paypipe.pipeline import (
+    _cycle_and_depth,
     instantiate,
     parse_pipeline,
     serialize_pipeline,
     validate_pipeline,
 )
 
-from support import kahn_cyclic, random_graph_spec, random_pipeline_text
+from support import (
+    kahn_cyclic,
+    mangled_text,
+    random_graph_spec,
+    random_pipeline_text,
+    random_successors,
+    reference_cycle_and_depth,
+)
 from test_cli import router_pipeline
+
+GOLDEN = Path(__file__).parent / "golden"
 
 MINIMAL = """pipeline tiny
 
@@ -808,25 +819,60 @@ class TestAgainstGraphOracle:
                 assert found == set()
 
 
+    def test_cycle_and_depth_matches_recursive_reference(self):
+        """The iterative search returns what the recursive statement of its
+        rule returns: the same back edge, longest path and start node."""
+        seen = {"cyclic": 0, "self_loop": 0, "duplicate": 0, "tie": 0}
+        for seed in range(2000):
+            successors = random_successors(random.Random(seed))
+            expected = reference_cycle_and_depth(successors)
+            assert _cycle_and_depth(successors) == expected, (seed, successors)
+            seen["cyclic"] += expected[0] is not None
+            seen["self_loop"] += any(n in s for n, s in successors.items())
+            seen["duplicate"] += any(len(set(s)) < len(s)
+                                     for s in successors.values())
+            if expected[0] is None and expected[1] > 0:
+                seen["tie"] += sum(path_hops(successors, n) == expected[1]
+                                   for n in successors) > 1
+        assert min(seen.values()) >= 100, seen
+
+
+def path_hops(successors, nid):
+    """Hops of the longest path from ``nid`` in an acyclic successor map."""
+    return max((path_hops(successors, n) + 1 for n in successors[nid]),
+               default=0)
+
+
 class TestParserTotality:
     def test_fuzzed_text_never_crashes_unexpectedly(self):
         rng = random.Random(8)
-        corpus = [MINIMAL, KITCHEN_SINK]
-        junk = " \t\n->pipelinenodeconfigout#=%\"0123456789abcxyz"
         for _ in range(400):
-            base = list(rng.choice(corpus))
-            for _ in range(rng.randint(1, 12)):
-                pos = rng.randrange(len(base))
-                op = rng.random()
-                if op < 0.4:
-                    base[pos] = rng.choice(junk)
-                elif op < 0.7:
-                    base.insert(pos, rng.choice(junk))
-                else:
-                    del base[pos]
-            mangled = "".join(base)
             try:
-                spec = parse_pipeline(mangled)
+                spec = parse_pipeline(mangled_text(rng, [MINIMAL, KITCHEN_SINK]))
             except SpecSyntaxError:
                 continue
             validate_pipeline(spec)  # must be total on anything that parses
+
+    def test_problem_lists_match_golden(self):
+        """The ordered problem list of each of 400 mangled texts that parse
+        is byte-identical to ``tests/golden/validate.out``; regenerate it
+        only when a change means to alter validation, and say so."""
+        assert validate_golden_text() == (GOLDEN / "validate.out").read_text()
+
+
+def validate_golden_text() -> str:
+    """``case N`` (the Nth mangled text tried, seed 35) and the ``str`` of
+    each of its problems, for the first 400 texts that parse."""
+    rng = random.Random(35)
+    corpus = [MINIMAL, KITCHEN_SINK, EVERY_CHECK, TWO_ORIGINATORS]
+    out, cases, tried = [], 0, 0
+    while cases < 400:
+        tried += 1
+        try:
+            spec = parse_pipeline(mangled_text(rng, corpus))
+        except SpecSyntaxError:
+            continue
+        cases += 1
+        out.append(f"case {tried}")
+        out.extend(str(problem) for problem in validate_pipeline(spec))
+    return "\n".join(out) + "\n"
