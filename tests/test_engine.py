@@ -708,6 +708,31 @@ class TestHopAccounting:
                 assert node.held == engine.ledger.balances.get(node.address, 0)
 
 
+class TestSetUpErrors:
+    def test_duplicate_node_id_keeps_the_first(self):
+        engine = Engine()
+        first = engine.add_node(EndpointNode("pay", recipient="bob"))
+        with pytest.raises(ValueError) as err:
+            engine.add_node(EndpointNode("pay", recipient="carol"))
+        assert str(err.value) == "duplicate node id 'pay'"
+        assert engine.nodes == {"pay": first}
+
+    def test_negative_cost_built_directly(self):
+        with pytest.raises(ValueError) as err:
+            CostTable(node_call=-1)
+        assert str(err.value) == "cost node_call must be non-negative"
+
+    def test_dispatch_to_a_node_that_does_not_exist(self):
+        engine = Engine()
+        engine.add_node(OriginatorNode("o", outputs=[("main", "ghost")]))
+        engine.set_entry("o")
+        engine.setup_balances({"alice": 100})
+        engine.ledger.approve("alice", "node:o", 100)
+        result = engine.submit_deposit("alice", 100)
+        assert result.reason == "EdgeMissing: o dispatched to unknown node 'ghost'"
+        assert engine.ledger.balances == {"alice": 100}
+
+
 class TestConservationCheck:
     def test_self_check_catches_a_leaky_node(self):
         class LeakyNode(Node):

@@ -101,6 +101,15 @@ class TestApprove:
         ledger.approve("alice", "r1", 0)
         assert ledger.allowance("alice", "r1") == 0
 
+    def test_over_the_amount_domain_leaves_the_allowance(self):
+        ledger = TokenLedger()
+        ledger.approve("alice", "r1", 500)
+        with pytest.raises(AmountOverflow) as err:
+            ledger.approve("alice", "r1", MAX_AMOUNT + 1)
+        assert str(err.value) == (
+            f"allowance {MAX_AMOUNT + 1} exceeds the amount domain")
+        assert ledger.allowance("alice", "r1") == 500
+
 
 class TestTransferFrom:
     def test_full_consumption(self):

@@ -155,6 +155,24 @@ assert balance alice 999
         assert result.assert_failures[0].startswith("line 5:")
         assert "expected 999" in result.assert_failures[0]
 
+    def test_assert_on_unknown_or_unclaimable_nodes(self):
+        result = run("""scenario red
+
+approve acme origin 10000
+deposit acme 100
+assert held ghost 0
+assert claimable ghost alice 0
+assert claimable origin alice 0
+assert claimable vault alice 7
+""")
+        assert result.tx_failures == []
+        assert result.assert_failures == [
+            "line 5: unknown node 'ghost'",
+            "line 6: unknown node 'ghost'",
+            "line 7: origin tracks nothing claimable",
+            "line 8: claimable for alice at vault is 0, expected 7",
+        ]
+
     def test_unexpected_revert_is_a_tx_failure(self):
         result = run("scenario red\n\ndeposit acme 100\n")  # no approve
         assert not result.ok
