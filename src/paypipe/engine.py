@@ -331,10 +331,12 @@ class Engine:
             raise ValueError(f"duplicate node id {node.id!r}")
         node.engine = self
         self.nodes[node.id] = node
-        self.edges.update((node.id, target) for _, target in node.outputs)
+        edges = self.edges
+        for _, target in node.outputs:
+            edges.add((node.id, target))
         if node.error_policy:
-            self.edges.update((node.id, target)
-                              for target in redirect_targets(node.error_policy))
+            for target in redirect_targets(node.error_policy):
+                edges.add((node.id, target))
         if node.scheduled:
             self._scheduled.add(node.id)
             self._reschedule(node.id)

@@ -199,8 +199,10 @@ def parse_pipeline(text: str) -> PipelineSpec:
         elif head == "out":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise syntax_error("out syntax: out TAG -> TARGET", line, 0)
-            tag = _check_name("output tag", line, 1)
-            target = _check_name("target id", line, 3)
+            tag, target = tokens[1], tokens[3]
+            if not (_NAME_RE.match(tag) and _NAME_RE.match(target)):
+                _check_name("output tag", line, 1)
+                _check_name("target id", line, 3)
             if tag in out_tags:
                 raise syntax_error(
                     f"duplicate output tag {shown_word(tag)}", line, 1)
@@ -272,7 +274,7 @@ def _cycle_and_depth(successors: dict) -> tuple[Optional[tuple], int, str]:
     """Depth-first search over ``successors``, which maps each node id to the
     ids its edges lead to: the first back edge found, or None if the graph
     is acyclic, and then the hops of its longest path and the node that path
-    starts from."""
+    starts from: the first node to finish with a strictly longer path."""
     GRAY = -1  # on the stack; a finished node maps to its longest path
     hops: dict[str, int] = {}
     deepest, start = 0, ""
@@ -283,8 +285,17 @@ def _cycle_and_depth(successors: dict) -> tuple[Optional[tuple], int, str]:
         stack = [(root, iter(successors[root]))]
         while stack:
             nid, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
+            for nxt in it:
+                seen = hops.get(nxt)
+                if seen is None:
+                    if successors[nxt]:
+                        hops[nxt] = GRAY
+                        stack.append((nxt, iter(successors[nxt])))
+                        break
+                    hops[nxt] = 0  # a leaf finishes where the walk meets it
+                elif seen == GRAY:
+                    return (nid, nxt), 0, ""
+            else:
                 longest = 0  # every successor is finished
                 for succ in successors[nid]:
                     if hops[succ] >= longest:
@@ -293,152 +304,150 @@ def _cycle_and_depth(successors: dict) -> tuple[Optional[tuple], int, str]:
                 if longest > deepest:
                     deepest, start = longest, nid
                 stack.pop()
-                continue
-            seen = hops.get(nxt)
-            if seen == GRAY:
-                return (nid, nxt), 0, ""
-            if seen is None:
-                hops[nxt] = GRAY
-                stack.append((nxt, iter(successors[nxt])))
     return None, deepest, start
 
 
 def validate_pipeline(spec: PipelineSpec) -> list[ValidationError]:
-    """Collect every validation problem; empty list means instantiable."""
-    errors: list[ValidationError] = []
-    err = lambda code, nid, msg: errors.append(ValidationError(code, nid, msg))
+    """Collect every validation problem; empty list means instantiable.
+
+    Problems come check by check, in this order: each balance, then their
+    sum; duplicate ids; unknown targets (a node's outputs, then its
+    redirects); the originator count; outputs that feed an originator;
+    redirect targets that are not terminal; per-kind structure and arity; a
+    cycle or an over-long path; template config; unreachable nodes. Within
+    a check, nodes come in declaration order, and only the first node of a
+    duplicate id is checked. ``CycleDetected`` names the first back edge
+    of a depth-first search that tries nodes in declaration order and
+    edges outputs first; ``DepthExceeded`` names the first node that search
+    finishes with the longest path.
+    """
+    # one list of (code, node id, message) per check, joined in that order
+    balances, dups, unknown, count, feeds, diverts, shapes, graph, configs, \
+        unreached = checks = [[] for _ in range(10)]
 
     # balances: each, and their sum, must fit the ledger's amount domain
     supply = 0
     for account, amount in spec.balances.items():
         if amount < 0:
-            err("BadConfig", "-", f"balance for {account!r} must be >= 0")
+            balances.append(("BadConfig", "-",
+                             f"balance for {account!r} must be >= 0"))
         elif amount > MAX_AMOUNT:
-            err("BadConfig", "-",
-                f"balance for {account!r} must be <= {MAX_AMOUNT}")
+            balances.append(("BadConfig", "-",
+                             f"balance for {account!r} must be <= {MAX_AMOUNT}"))
         else:
             supply += amount
     if supply > MAX_AMOUNT:
-        err("BadConfig", "-", f"balances sum to more than {MAX_AMOUNT}")
+        balances.append(("BadConfig", "-",
+                         f"balances sum to more than {MAX_AMOUNT}"))
 
-    # duplicate ids; later stages use the first occurrence of each id
+    # duplicate ids; later checks use the first occurrence of each id
     nodes: dict[str, NodeSpec] = {}
+    originators = []
     for node in spec.nodes:
         if node.id in nodes:
-            err("DuplicateId", node.id, "node id declared more than once")
+            dups.append(("DuplicateId", node.id,
+                         "node id declared more than once"))
         else:
             nodes[node.id] = node
-    redirects = {nid: redirect_targets(node.policy)
-                 for nid, node in nodes.items()}
-
-    # unknown targets
-    for node in nodes.values():
-        for tag, target in node.outputs:
-            if target not in nodes:
-                err("UnknownTarget", node.id,
-                    f"output {tag!r} targets unknown node {target!r}")
-        for target in redirects[node.id]:
-            if target not in nodes:
-                err("UnknownTarget", node.id,
-                    f"policy redirects to unknown node {target!r}")
-
-    # exactly one originator
-    originators = [n for n in nodes.values() if n.kind == "originator"]
+            if node.kind == "originator":
+                originators.append(node.id)
     if len(originators) != 1:
-        err("MultipleOriginators", "-",
-            f"pipeline has {len(originators)} originators, needs exactly 1")
+        count.append(("MultipleOriginators", "-", f"pipeline has "
+                      f"{len(originators)} originators, needs exactly 1"))
+    originator_ids = set(originators)
 
-    # originators only feed the graph; nothing may feed them back
-    originator_ids = {n.id for n in originators}
-    for node in nodes.values():
-        for tag, target in node.outputs:
-            if target in originator_ids:
-                err("ArityViolation", node.id,
-                    f"output {tag!r} feeds originator {target!r}")
-
-    # diverted funds must land somewhere terminal, not re-enter routing
-    for node in nodes.values():
-        for target in redirects[node.id]:
-            tgt = nodes.get(target)
-            if tgt is None:
-                continue
-            terminal = (tgt.kind == "endpoint"
-                        or (tgt.kind == "router"
-                            and tgt.template == "goalkeeper"))
-            if not terminal:
-                err("BadConfig", node.id,
-                    f"redirect target {target!r} must be a goalkeeper "
-                    "router or an endpoint")
-
-    # per-kind structure and arity
-    for node in nodes.values():
-        if node.kind is None:
-            err("BadConfig", node.id, "node must declare kind")
-            continue
-        if node.kind == "originator":
-            if node.template is not None:
-                err("BadConfig", node.id, "originators take no template")
-            if node.mode is not None or node.recipient is not None:
-                err("BadConfig", node.id,
-                    "mode and recipient apply to endpoints only")
-            if len(node.outputs) != 1:
-                err("ArityViolation", node.id,
-                    f"originator requires exactly 1 output, has {len(node.outputs)}")
-        elif node.kind == "endpoint":
-            if node.template is not None:
-                err("BadConfig", node.id, "endpoints take no template")
-            if node.outputs:
-                err("ArityViolation", node.id,
-                    f"endpoint takes no outputs, has {len(node.outputs)}")
-            if node.recipient is None:
-                err("BadConfig", node.id, "endpoint requires recipient")
-        else:  # router
-            if node.mode is not None or node.recipient is not None:
-                err("BadConfig", node.id,
-                    "mode and recipient apply to endpoints only")
-            if node.template is None:
-                err("BadConfig", node.id, "router requires a template")
-
-    # cycles over declared and redirect edges, outputs first; a target an
-    # output names twice is met twice, which neither walk below minds; the
-    # longest path from any node counts, as cranks start mid-graph
+    # The successors are the declared and redirect edges, outputs first; a
+    # target an output names twice is met twice, which neither walk below
+    # minds; the longest path from any node counts, as cranks start
+    # mid-graph.
     successors = {}
     for nid, node in nodes.items():
-        targets = [target for _, target in node.outputs]
-        if redirects[nid]:
-            targets = list(dict.fromkeys(targets + redirects[nid]))
-        successors[nid] = [target for target in targets if target in nodes]
+        outputs = node.outputs
+        targets = []
+        for tag, target in outputs:
+            if target not in nodes:
+                unknown.append(("UnknownTarget", nid, f"output {tag!r} "
+                                f"targets unknown node {target!r}"))
+                continue
+            targets.append(target)
+            if target in originator_ids:  # nothing may feed them back
+                feeds.append(("ArityViolation", nid,
+                              f"output {tag!r} feeds originator {target!r}"))
+        if node.policy:
+            redirects = []
+            for target in redirect_targets(node.policy):
+                tgt = nodes.get(target)
+                if tgt is None:
+                    unknown.append(("UnknownTarget", nid, "policy redirects "
+                                    f"to unknown node {target!r}"))
+                    continue
+                redirects.append(target)
+                # diverted funds must land somewhere terminal
+                if tgt.kind != "endpoint" and (tgt.kind != "router"
+                                               or tgt.template != "goalkeeper"):
+                    diverts.append(("BadConfig", nid, f"redirect target "
+                                    f"{target!r} must be a goalkeeper router "
+                                    "or an endpoint"))
+            if redirects:
+                targets = list(dict.fromkeys(targets + redirects))
+        successors[nid] = targets
+
+        # per-kind structure and arity, and a router's template config
+        kind = node.kind
+        if kind is None:
+            shapes.append(("BadConfig", nid, "node must declare kind"))
+        elif kind == "originator":
+            if node.template is not None:
+                shapes.append(("BadConfig", nid, "originators take no template"))
+            if node.mode is not None or node.recipient is not None:
+                shapes.append(("BadConfig", nid,
+                               "mode and recipient apply to endpoints only"))
+            if len(outputs) != 1:
+                shapes.append(("ArityViolation", nid, "originator requires "
+                               f"exactly 1 output, has {len(outputs)}"))
+        elif kind == "endpoint":
+            if node.template is not None:
+                shapes.append(("BadConfig", nid, "endpoints take no template"))
+            if outputs:
+                shapes.append(("ArityViolation", nid,
+                               f"endpoint takes no outputs, has {len(outputs)}"))
+            if node.recipient is None:
+                shapes.append(("BadConfig", nid, "endpoint requires recipient"))
+        else:  # router
+            if node.mode is not None or node.recipient is not None:
+                shapes.append(("BadConfig", nid,
+                               "mode and recipient apply to endpoints only"))
+            if node.template is None:
+                shapes.append(("BadConfig", nid, "router requires a template"))
+            elif kind == "router":
+                for problem in TEMPLATES[node.template].validate(node.config,
+                                                                 outputs):
+                    configs.append(("BadConfig", nid, problem))
+
     back_edge, hops, start = _cycle_and_depth(successors)
     if back_edge is not None:
         frm, to = back_edge
-        err("CycleDetected", frm, f"cycle via edge {frm} -> {to}")
+        graph.append(("CycleDetected", frm, f"cycle via edge {frm} -> {to}"))
     elif hops > MAX_HOPS:
-        err("DepthExceeded", start,
-            f"a path of {hops} hops starts here, over the limit of {MAX_HOPS}")
-
-    # template config
-    for node in nodes.values():
-        if node.kind == "router" and node.template is not None:
-            for problem in TEMPLATES[node.template].validate(node.config,
-                                                             node.outputs):
-                err("BadConfig", node.id, problem)
+        graph.append(("DepthExceeded", start, f"a path of {hops} hops starts "
+                      f"here, over the limit of {MAX_HOPS}"))
 
     # reachability from the originator
     if len(originators) == 1:
-        reached = {originators[0].id}
-        frontier = [originators[0].id]
+        reached = {originators[0]}
+        frontier = [originators[0]]
         while frontier:
             nid = frontier.pop()
             for nxt in successors[nid]:
                 if nxt not in reached:
                     reached.add(nxt)
                     frontier.append(nxt)
-        for node in nodes.values():
-            if node.id not in reached:
-                err("UnreachableNode", node.id,
-                    "no path from the originator reaches this node")
+        for nid in nodes:
+            if nid not in reached:
+                unreached.append(("UnreachableNode", nid,
+                                  "no path from the originator reaches this node"))
 
-    return errors
+    return [ValidationError(*problem) for check in checks for problem in check]
 
 
 # -- canonical form ----------------------------------------------------------
