@@ -1,7 +1,6 @@
 """Pipeline text: parsing, structural validation, canonical form."""
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -24,8 +23,7 @@ from support import (
     reference_cycle_and_depth,
 )
 from test_cli import router_pipeline
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_golden import GOLDEN
 
 MINIMAL = """pipeline tiny
 
@@ -818,7 +816,6 @@ class TestAgainstGraphOracle:
                 # acyclic generator output is fully valid by construction
                 assert found == set()
 
-
     def test_cycle_and_depth_matches_recursive_reference(self):
         """The iterative search returns what the recursive statement of its
         rule returns: the same back edge, longest path and start node."""
@@ -855,8 +852,9 @@ class TestParserTotality:
 
     def test_problem_lists_match_golden(self):
         """The ordered problem list of each of 400 mangled texts that parse
-        is byte-identical to ``tests/golden/validate.out``; regenerate it
-        only when a change means to alter validation, and say so."""
+        is byte-identical to ``tests/golden/validate.out``. Regenerate it
+        from ``validate_golden_text()`` only when a change means to alter
+        validation, and say so."""
         assert validate_golden_text() == (GOLDEN / "validate.out").read_text()
 
 
