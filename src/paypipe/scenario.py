@@ -1,7 +1,7 @@
 """Scenario files: scripted triggers and assertions against one pipeline.
 
 A scenario is line oriented like the pipeline format. It names itself, then
-lists actions in order:
+lists actions in order, each written as its ``STEPS`` row says:
 
     scenario payday-happy-path
 
@@ -27,7 +27,7 @@ claimable amounts, and event counts by kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import Engine, TxResult
 from .errors import SpecSyntaxError, int_word, shown_word
@@ -35,8 +35,45 @@ from .ledger import MAX_AMOUNT
 from .nodes import node_address
 from .pipeline import syntax_error, token_lines
 
-# steps that submit a transaction and may carry an expect-revert mark
-_TX_STEPS = ("deposit", "instruct", "claim")
+
+class StepKind(NamedTuple):
+    """One row of ``STEPS``, keyed by the step's words joined by ``_``: the
+    argument names, in order (``amount``, ``delta`` and ``count`` are
+    integers from ``low`` to ``high``), the message for a wrong word count,
+    whether ``key=value`` metadata follows, and a trigger's method."""
+
+    words: tuple
+    arity: str
+    meta: bool = False
+    low: Optional[int] = None
+    high: Optional[int] = None
+    method: Optional[str] = None
+
+
+STEPS = {
+    "approve": StepKind(("account", "node", "amount"),
+                        "approve syntax: approve ACCOUNT NODE AMOUNT",
+                        low=0, high=MAX_AMOUNT),
+    "deposit": StepKind(("account", "amount"),
+                        "deposit syntax: deposit ACCOUNT AMOUNT [k=v ...]",
+                        meta=True, method="submit_deposit"),
+    "advance": StepKind(("delta",), "advance takes a time delta", low=0,
+                        method="advance_time"),
+    "instruct": StepKind(("node", "oracle", "tag", "amount"),
+                         "instruct syntax: instruct NODE ORACLE TAG AMOUNT",
+                         method="submit_oracle_instruct"),
+    "claim": StepKind(("node", "account"), "claim syntax: claim NODE ACCOUNT",
+                      method="submit_claim"),
+    "assert_balance": StepKind(("account", "amount"),
+                               "assert balance ACCOUNT AMOUNT"),
+    "assert_held": StepKind(("node", "amount"), "assert held NODE AMOUNT"),
+    "assert_claimable": StepKind(("node", "account", "amount"),
+                                 "assert claimable NODE ACCOUNT AMOUNT"),
+    "assert_events": StepKind(("kind", "count"), "assert events KIND COUNT"),
+}
+_INTS = ("amount", "delta", "count")
+# the steps that submit one transaction, which an expect revert may mark
+_SUBMITS = {k for k, row in STEPS.items() if "submit" in (row.method or "")}
 
 
 @dataclass
@@ -62,14 +99,6 @@ class ScenarioResult:
     transactions: list
 
 
-def _int_arg(line, i, what):
-    value = int_word(line[2][i])
-    if value is None:
-        raise syntax_error(
-            f"{what} must be an integer, got {shown_word(line[2][i])}", line, i)
-    return value
-
-
 def _metadata(line, start):
     """The ``key=value`` words of ``line`` from word ``start`` on."""
     meta = {}
@@ -86,6 +115,39 @@ def _metadata(line, start):
         number = int_word(value)
         meta[key] = value if number is None else number
     return meta
+
+
+def _parse_step(line) -> Step:
+    """The action or assertion on ``line``, read by its ``STEPS`` row."""
+    tokens = line[2]
+    kind, start = tokens[0], 1
+    if kind == "assert":
+        if len(tokens) < 2:
+            raise syntax_error("assert takes a subject", line, 0)
+        kind, start = f"assert_{tokens[1]}", 2
+        if kind not in STEPS:
+            raise syntax_error("assert subject must be balance, held, "
+                               "claimable, or events", line, 1)
+    elif kind not in STEPS or "_" in kind:  # one word names no assertion
+        raise syntax_error(f"unknown action {shown_word(kind)}", line, 0)
+    row = STEPS[kind]
+    end = start + len(row.words)
+    if (len(tokens) < end) if row.meta else (len(tokens) != end):
+        raise syntax_error(row.arity, line, 0)
+    args = dict(zip(row.words, tokens[start:end]))
+    for i, name in enumerate(row.words, start):
+        if name in _INTS:
+            value = args[name] = int_word(tokens[i])
+            if value is None:
+                raise syntax_error(f"{name} must be an integer, got "
+                                   f"{shown_word(tokens[i])}", line, i)
+            if row.low is not None and value < row.low:
+                raise syntax_error(f"{name} must be >= {row.low}", line, i)
+            if row.high is not None and value > row.high:
+                raise syntax_error(f"{name} must be <= {row.high}", line, i)
+    if row.meta:
+        args["metadata"] = _metadata(line, end)
+    return Step(kind, line[0], args)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -106,7 +168,7 @@ def parse_scenario(text: str) -> Scenario:
         if scenario is None:
             raise syntax_error("expected a scenario header first", line, 0)
 
-        if pending is not None and head not in _TX_STEPS:
+        if pending is not None and head not in _SUBMITS:
             raise syntax_error(
                 "expect revert must precede deposit, instruct, or claim",
                 line, 0)
@@ -116,53 +178,9 @@ def parse_scenario(text: str) -> Scenario:
                 raise syntax_error("expect syntax: expect revert [CODE]",
                                    line, 0)
             pending = (tokens[2] if len(tokens) == 3 else "any", lineno)
-        elif head == "approve":
-            if len(tokens) != 4:
-                raise syntax_error(
-                    "approve syntax: approve ACCOUNT NODE AMOUNT", line, 0)
-            amount = _int_arg(line, 3, "amount")
-            if amount < 0:
-                raise syntax_error("amount must be >= 0", line, 3)
-            if amount > MAX_AMOUNT:
-                raise syntax_error(f"amount must be <= {MAX_AMOUNT}", line, 3)
-            scenario.steps.append(Step("approve", lineno, {
-                "account": tokens[1], "node": tokens[2], "amount": amount}))
-        elif head == "deposit":
-            if len(tokens) < 3:
-                raise syntax_error(
-                    "deposit syntax: deposit ACCOUNT AMOUNT [k=v ...]",
-                    line, 0)
-            step = Step("deposit", lineno, {
-                "account": tokens[1],
-                "amount": _int_arg(line, 2, "amount"),
-                "metadata": _metadata(line, 3)})
-            scenario.steps.append(step)
-        elif head == "advance":
-            if len(tokens) != 2:
-                raise syntax_error("advance takes a time delta", line, 0)
-            delta = _int_arg(line, 1, "delta")
-            if delta < 0:
-                raise syntax_error("delta must be >= 0", line, 1)
-            scenario.steps.append(Step("advance", lineno, {"delta": delta}))
-        elif head == "instruct":
-            if len(tokens) != 5:
-                raise syntax_error(
-                    "instruct syntax: instruct NODE ORACLE TAG AMOUNT",
-                    line, 0)
-            scenario.steps.append(Step("instruct", lineno, {
-                "node": tokens[1], "oracle": tokens[2], "tag": tokens[3],
-                "amount": _int_arg(line, 4, "amount")}))
-        elif head == "claim":
-            if len(tokens) != 3:
-                raise syntax_error("claim syntax: claim NODE ACCOUNT", line, 0)
-            scenario.steps.append(Step("claim", lineno, {
-                "node": tokens[1], "account": tokens[2]}))
-        elif head == "assert":
-            scenario.steps.append(_parse_assert(line))
-        else:
-            raise syntax_error(f"unknown action {shown_word(head)}", line, 0)
-
-        if pending is not None and head in _TX_STEPS:
+            continue
+        scenario.steps.append(_parse_step(line))
+        if pending is not None:
             scenario.steps[-1].expect = pending[0]
             pending = None
 
@@ -174,39 +192,58 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _parse_assert(line) -> Step:
-    lineno, _, tokens = line
-    if len(tokens) < 2:
-        raise syntax_error("assert takes a subject", line, 0)
-    what = tokens[1]
-    if what == "balance":
-        if len(tokens) != 4:
-            raise syntax_error("assert balance ACCOUNT AMOUNT", line, 0)
-        return Step("assert_balance", lineno, {
-            "account": tokens[2], "amount": _int_arg(line, 3, "amount")})
-    if what == "held":
-        if len(tokens) != 4:
-            raise syntax_error("assert held NODE AMOUNT", line, 0)
-        return Step("assert_held", lineno, {
-            "node": tokens[2], "amount": _int_arg(line, 3, "amount")})
-    if what == "claimable":
-        if len(tokens) != 5:
-            raise syntax_error("assert claimable NODE ACCOUNT AMOUNT", line, 0)
-        return Step("assert_claimable", lineno, {
-            "node": tokens[2], "account": tokens[3],
-            "amount": _int_arg(line, 4, "amount")})
-    if what == "events":
-        if len(tokens) != 4:
-            raise syntax_error("assert events KIND COUNT", line, 0)
-        return Step("assert_events", lineno, {
-            "kind": tokens[2], "count": _int_arg(line, 3, "count")})
-    raise syntax_error(
-        "assert subject must be balance, held, claimable, or events", line, 1)
-
-
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         return parse_scenario(fh.read())
+
+
+def apply_step(engine: Engine, kind: str, args: dict) -> list[TxResult]:
+    """Run an approval or a trigger step, ``args`` in its ``STEPS`` order;
+    returns the transactions it made. An unknown node raises ``KeyError``."""
+    method = STEPS[kind].method
+    if method is None:
+        node = engine.nodes[args["node"]]
+        engine.ledger.approve(args["account"], node.address, args["amount"])
+        return []
+    result = getattr(engine, method)(*args.values())
+    return [result] if kind in _SUBMITS else result
+
+
+def _assert_problem(engine: Engine, kind: str, a: dict) -> Optional[str]:
+    """Why the assertion ``kind`` with arguments ``a`` does not hold, or
+    None when it does."""
+    node = engine.nodes.get(a.get("node"))
+    if node is None and "node" in a:
+        return f"unknown node {a['node']!r}"
+    if kind == "assert_balance":
+        actual = engine.ledger.balances.get(a["account"], 0)
+        said = f"balance of {a['account']} is {actual}"
+    elif kind == "assert_held":
+        actual = engine.ledger.balances.get(node_address(a["node"]), 0)
+        said = f"{a['node']} holds {actual}"
+    elif kind == "assert_claimable":
+        claimable = node.state.get("claimable")
+        if claimable is None:
+            return f"{a['node']} tracks nothing claimable"
+        actual = claimable.get(a["account"], 0)
+        said = f"claimable for {a['account']} at {a['node']} is {actual}"
+    else:
+        actual = sum(1 for ev in engine.events if ev.kind == a["kind"])
+        said = f"{actual} {a['kind']} events"
+    expected = a[STEPS[kind].words[-1]]
+    return None if actual == expected else f"{said}, expected {expected}"
+
+
+def _tx_problem(expect: Optional[str], reason: Optional[str]) -> Optional[str]:
+    """Why a transaction that ended with ``reason`` defies ``expect``, or
+    None when it does not."""
+    if expect is None:
+        return None if reason is None else f"unexpected revert: {reason}"
+    if reason is None:
+        return "expected a revert, transaction committed"
+    if expect != "any" and not reason.startswith(expect + ":"):
+        return f"expected revert {expect}, got {reason}"
+    return None
 
 
 def run_scenario(engine: Engine, scenario: Scenario) -> ScenarioResult:
@@ -216,69 +253,23 @@ def run_scenario(engine: Engine, scenario: Scenario) -> ScenarioResult:
     tx_failures: list[str] = []
     transactions: list[TxResult] = []
 
-    def fail(step, msg, bucket=assert_failures):
-        line = f"line {step.line}: {msg}"
-        failures.append(line)
-        bucket.append(line)
-
-    def check_tx(step: Step, result: TxResult):
-        transactions.append(result)
-        if step.expect is None:
-            if not result.committed:
-                fail(step, f"unexpected revert: {result.reason}", tx_failures)
-        elif result.committed:
-            fail(step, "expected a revert, transaction committed", tx_failures)
-        elif step.expect != "any" and not result.reason.startswith(step.expect + ":"):
-            fail(step, f"expected revert {step.expect}, got {result.reason}",
-                 tx_failures)
+    def fail(step, msg, bucket):
+        if msg is not None:
+            failures.append(f"line {step.line}: {msg}")
+            bucket.append(failures[-1])
 
     for step in scenario.steps:
-        a = step.args
-        if step.kind == "approve":
-            node = engine.nodes.get(a["node"])
-            if node is None:
-                fail(step, f"unknown node {a['node']!r}", tx_failures)
-                continue
-            engine.ledger.approve(a["account"], node.address, a["amount"])
-        elif step.kind == "deposit":
-            check_tx(step, engine.submit_deposit(a["account"], a["amount"],
-                                                 a["metadata"]))
-        elif step.kind == "advance":
-            transactions.extend(engine.advance_time(a["delta"]))
-        elif step.kind == "instruct":
-            check_tx(step, engine.submit_oracle_instruct(
-                a["node"], a["oracle"], a["tag"], a["amount"]))
-        elif step.kind == "claim":
-            check_tx(step, engine.submit_claim(a["node"], a["account"]))
-        elif step.kind == "assert_balance":
-            actual = engine.ledger.balances.get(a["account"], 0)
-            if actual != a["amount"]:
-                fail(step, f"balance of {a['account']} is {actual}, "
-                           f"expected {a['amount']}")
-        elif step.kind == "assert_held":
-            if a["node"] not in engine.nodes:
-                fail(step, f"unknown node {a['node']!r}")
-                continue
-            actual = engine.ledger.balances.get(node_address(a["node"]), 0)
-            if actual != a["amount"]:
-                fail(step, f"{a['node']} holds {actual}, expected {a['amount']}")
-        elif step.kind == "assert_claimable":
-            node = engine.nodes.get(a["node"])
-            if node is None:
-                fail(step, f"unknown node {a['node']!r}")
-                continue
-            claimable = node.state.get("claimable")
-            if claimable is None:
-                fail(step, f"{a['node']} tracks nothing claimable")
-                continue
-            actual = claimable.get(a["account"], 0)
-            if actual != a["amount"]:
-                fail(step, f"claimable for {a['account']} at {a['node']} is "
-                           f"{actual}, expected {a['amount']}")
-        elif step.kind == "assert_events":
-            actual = sum(1 for ev in engine.events if ev.kind == a["kind"])
-            if actual != a["count"]:
-                fail(step, f"{actual} {a['kind']} events, expected {a['count']}")
+        kind, a = step.kind, step.args
+        if kind.startswith("assert"):
+            fail(step, _assert_problem(engine, kind, a), assert_failures)
+        elif kind == "approve" and a["node"] not in engine.nodes:
+            fail(step, f"unknown node {a['node']!r}", tx_failures)
+        else:
+            results = apply_step(engine, kind, a)
+            transactions += results
+            if kind in _SUBMITS:
+                fail(step, _tx_problem(step.expect, results[0].reason),
+                     tx_failures)
 
     return ScenarioResult(ok=not failures, failures=failures,
                           assert_failures=assert_failures,

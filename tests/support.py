@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and random fixture generators.
+"""Shared test helpers: independent oracles, random fixture generators and a
+scenario writer.
 
 Everything here is deliberately naive. Oracles recompute expected results
 with the dumbest correct algorithm available (dict bookkeeping, Kahn's
@@ -8,10 +9,13 @@ implementations they check.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
-from paypipe.pipeline import NodeSpec, PipelineSpec
+from paypipe.pipeline import (NodeSpec, PipelineSpec, instantiate,
+                              parse_pipeline, serialize_pipeline)
+from paypipe.scenario import STEPS, apply_step, load_scenario, run_scenario
 
 # -- naive ledger oracle -------------------------------------------------------
 
@@ -573,20 +577,44 @@ def next_tx_id(engine):
     return len(engine.transactions) + 1
 
 
-def apply_action(engine, action):
-    """Run one action tuple; returns the TxResults it produced."""
-    kind, a = action
-    if kind == "approve":
-        node = engine.nodes[a["node"]]
-        engine.ledger.approve(a["account"], node.address, a["amount"])
-        return []
-    if kind == "deposit":
-        return [engine.submit_deposit(a["account"], a["amount"], a["metadata"])]
-    if kind == "advance":
-        return engine.advance_time(a["delta"])
-    if kind == "instruct":
-        return [engine.submit_oracle_instruct(a["node"], a["oracle"],
-                                              a["tag"], a["amount"])]
-    if kind == "claim":
-        return [engine.submit_claim(a["node"], a["account"])]
-    raise AssertionError(f"unknown action {kind}")
+# -- scenario writer and export digest --------------------------------------------
+
+
+def scenario_text(name, steps):
+    """The scenario text of ``(kind, args, expect)`` steps, each line
+    written from its ``STEPS`` row: the kind's words, the arguments in the
+    row's order and any metadata as ``key=value``. An ``expect`` of "any"
+    or a code writes an ``expect revert`` line before its step."""
+    lines = [f"scenario {name}"]
+    for kind, args, expect in steps:
+        if expect is not None:
+            lines.append("expect revert"
+                         + ("" if expect == "any" else f" {expect}"))
+        words = [str(args[word]) for word in STEPS[kind].words]
+        words += [f"{key}={value}"
+                  for key, value in args.get("metadata", {}).items()]
+        lines.append(" ".join([kind.replace("_", " "), *words]))
+    return "\n".join(lines) + "\n"
+
+
+def export_digest(fixtures, names, seeds=range(100)):
+    """sha256 over the canonical pipeline text, trace and gas report of each
+    named fixture pair in the directory ``fixtures``, then the trace and gas
+    report of each corpus seed."""
+    digest = hashlib.sha256()
+    for name in names:
+        spec = parse_pipeline((fixtures / f"{name}.pipe").read_text())
+        engine = instantiate(spec)
+        run_scenario(engine, load_scenario(str(fixtures / f"{name}.scn")))
+        for text in (serialize_pipeline(spec), engine.trace_text(),
+                     engine.gas_text()):
+            digest.update(text.encode())
+    for seed in seeds:
+        rng = random.Random(seed)
+        text, info = random_pipeline_text(rng)
+        engine = instantiate(parse_pipeline(text))
+        for action in random_actions(rng, info):
+            apply_step(engine, *action)
+        digest.update(engine.trace_text().encode())
+        digest.update(engine.gas_text().encode())
+    return digest.hexdigest()

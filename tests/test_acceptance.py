@@ -24,7 +24,7 @@ from paypipe.pipeline import (
     serialize_pipeline,
     validate_pipeline,
 )
-from paypipe.scenario import load_scenario, run_scenario
+from paypipe.scenario import apply_step, load_scenario, run_scenario
 from paypipe.templates import (
     DistributingTemplate,
     ThresholdTemplate,
@@ -33,7 +33,6 @@ from paypipe.templates import (
 )
 
 from support import (
-    apply_action,
     kahn_cyclic,
     random_actions,
     random_graph_spec,
@@ -84,7 +83,7 @@ def test_criterion_1_conservation():
         assert len(spec.nodes) <= 10
         engine = instantiate(spec)
         for action in random_actions(rng, info):
-            for result in apply_action(engine, action):
+            for result in apply_step(engine, *action):
                 committed += result.committed
             assert conserved(engine), (seed, action)
     elapsed = time.monotonic() - started

@@ -16,11 +16,10 @@ from paypipe.engine import (
 )
 from paypipe.nodes import EndpointNode, Node, OriginatorNode, StreamMessage
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import load_scenario, run_scenario
+from paypipe.scenario import apply_step, load_scenario, run_scenario
 
-from support import (apply_action, next_tx_id, random_actions,
-                     random_pipeline_text, revert_traces, schedule_fields,
-                     schedule_of_flags)
+from support import (next_tx_id, random_actions, random_pipeline_text,
+                     revert_traces, schedule_fields, schedule_of_flags)
 from test_golden import FIXTURES, GOLDEN, PAIRS
 
 TB = CostTable()  # default costs, used in hand-derived gas sums
@@ -614,7 +613,7 @@ class TestDeterminism:
         engines = [build(text), build(text)]
         for engine in engines:
             for action in actions:
-                apply_action(engine, action)
+                apply_step(engine, *action)
         assert engines[0].trace_text() == engines[1].trace_text()
         assert engines[0].gas_text() == engines[1].gas_text()
         assert engines[0].state_fingerprint() == engines[1].state_fingerprint()
@@ -656,7 +655,7 @@ class TestEventRecord:
             engines = [build(text), build(text)]
             for engine in engines:
                 for action in actions:
-                    apply_action(engine, action)
+                    apply_step(engine, *action)
             first, second = engines
             assert first.events == second.events
             assert revert_traces(first) == revert_traces(second)
@@ -673,8 +672,8 @@ class TestHopAccounting:
         lo = build(text, CostTable(node_call=0))
         hi = build(text, CostTable(node_call=2600))
         for action in actions:
-            apply_action(lo, action)
-            apply_action(hi, action)
+            apply_step(lo, *action)
+            apply_step(hi, *action)
         paired = zip(lo.transactions, hi.transactions)
         hops_seen = 0
         for cheap, costly in paired:
@@ -690,7 +689,7 @@ class TestHopAccounting:
         text, info = random_pipeline_text(rng)
         engine = build(text)
         for action in random_actions(rng, info):
-            apply_action(engine, action)
+            apply_step(engine, *action)
         for ev in engine.events:
             if ev.kind != "Transfer":
                 continue
@@ -703,7 +702,7 @@ class TestHopAccounting:
         text, info = random_pipeline_text(rng)
         engine = build(text)
         for action in random_actions(rng, info):
-            apply_action(engine, action)
+            apply_step(engine, *action)
             for node in engine.nodes.values():
                 assert node.held == engine.ledger.balances.get(node.address, 0)
 

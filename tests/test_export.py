@@ -8,7 +8,10 @@ chunk boundaries, and in values whose ``str`` is not their plain text.
 """
 
 import enum
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,9 +21,9 @@ from paypipe.bench import (PAY_PER_PERIOD, _drive, build_monolith,
                            build_pipeline_fixture)
 from paypipe.engine import Engine, EventRecord
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import load_scenario, run_scenario
+from paypipe.scenario import apply_step, load_scenario, run_scenario
 
-from support import (apply_action, random_actions, random_pipeline_text,
+from support import (export_digest, random_actions, random_pipeline_text,
                      reference_trace_text)
 from test_golden import PAIRS
 
@@ -85,8 +88,27 @@ def test_random_pipelines():
         text, info = random_pipeline_text(rng)
         engine = instantiate(parse_pipeline(text))
         for action in random_actions(rng, info):
-            apply_action(engine, action)
+            apply_step(engine, *action)
         assert engine.trace_text() == reference_trace_text(engine.events), seed
+
+
+def test_exports_do_not_depend_on_the_hash_seed():
+    """Two child processes, under ``PYTHONHASHSEED`` 0 and 1, print the
+    digest of the fixtures' canonical text, trace and gas and of the
+    exports of corpus seeds 0-99; both match this process's digest."""
+    here = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(here.parent / "src"), str(here)])}
+    code = ("from support import export_digest; "
+            "from test_golden import FIXTURES, PAIRS; "
+            "print(export_digest(FIXTURES, PAIRS))")
+    children = [subprocess.Popen([sys.executable, "-c", code],
+                                 env={**env, "PYTHONHASHSEED": seed},
+                                 stdout=subprocess.PIPE, text=True)
+                for seed in ("0", "1")]
+    digests = [child.communicate()[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert digests == [export_digest(FIXTURES, PAIRS) + "\n"] * 2
 
 
 def test_bench_fifty_by_three():

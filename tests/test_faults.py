@@ -19,9 +19,9 @@ import pytest
 
 from paypipe.errors import EngineError
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import parse_scenario
+from paypipe.scenario import apply_step, parse_scenario
 
-from support import apply_action, random_actions, random_pipeline_text, teed
+from support import random_actions, random_pipeline_text, teed
 
 # Seeds 0-3 of the corpus, and four of 0-119 whose advances (17, 88, 118) or
 # oracle instructions (38) make the most charges: 1,011 charges in all.
@@ -91,13 +91,13 @@ def failing_tx(engine, n, error):
 
 
 def run(engine, action, error):
-    """``apply_action``, with a fault expected to propagate unless ``error``
+    """``apply_step``, with a fault expected to propagate unless ``error``
     is an ``EngineError``."""
     if issubclass(error, EngineError):
-        apply_action(engine, action)
+        apply_step(engine, *action)
     else:
         with pytest.raises(Injected):
-            apply_action(engine, action)
+            apply_step(engine, *action)
 
 
 def check_whole(engine):
@@ -136,7 +136,7 @@ def twin_views(seed, i, crank, error):
     text, actions = corpus(seed)
     twin = build(text)
     for action in actions[:i]:
-        apply_action(twin, action)
+        apply_step(twin, *action)
     failed = len(twin.transactions) + crank + 1 \
         if issubclass(error, EngineError) else None
     failing_tx(twin, crank, error)
@@ -144,7 +144,7 @@ def twin_views(seed, i, crank, error):
     del twin._run_tx
     after = view(twin, failed)
     for action in actions[i + 1:]:
-        apply_action(twin, action)
+        apply_step(twin, *action)
     return failed, after, view(twin, failed)
 
 
@@ -154,7 +154,7 @@ def inject(seed, i, k, error):
     text, actions = corpus(seed)
     engine = build(text)
     for action in actions[:i]:
-        apply_action(engine, action)
+        apply_step(engine, *action)
     before = engine.state_fingerprint(), list(engine.events), \
         list(engine.transactions)
     _, at = raising_at(engine, k, error)
@@ -170,7 +170,7 @@ def inject(seed, i, k, error):
         assert engine.transactions[:len(before[2])] == before[2]
         assert len(engine.transactions) == len(before[2]) + (failed is not None)
     for action in actions[i + 1:]:
-        apply_action(engine, action)
+        apply_step(engine, *action)
     check_whole(engine)
     assert view(engine, failed) == end
 
@@ -182,7 +182,7 @@ def cases():
         engine = build(text)
         for i, action in enumerate(actions):
             count, _ = raising_at(engine, 0, None)
-            apply_action(engine, action)
+            apply_step(engine, *action)
             del engine.meter.charge
             for k in range(1, count[0] + 1):
                 yield seed, i, k
@@ -206,7 +206,7 @@ def test_flows_corpus_commits_instructions_and_a_claim():
     engine = build(text)
     committed = [(action[0], *action[1].values())
                  for action in actions
-                 for result in apply_action(engine, action)
+                 for result in apply_step(engine, *action)
                  if result.committed and action[0] in ("instruct", "claim")]
     assert committed == [("instruct", "desk", "ora", "pay", 25),
                          ("instruct", "desk", "ora", "hold", 30),

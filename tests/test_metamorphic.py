@@ -14,9 +14,9 @@ import re
 import pytest
 
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import load_scenario, run_scenario
+from paypipe.scenario import apply_step, load_scenario, run_scenario
 
-from support import apply_action, random_actions, random_pipeline_text
+from support import random_actions, random_pipeline_text
 from test_golden import FIXTURES, PAIRS
 
 SEEDS = range(150)  # the random corpus of test_export.py
@@ -74,6 +74,6 @@ def test_block_order_leaves_random_pipeline_exports_unchanged(order):
 
         def drive(engine):
             for action in actions:
-                apply_action(engine, action)
+                apply_step(engine, *action)
         assert exports(reordered(text, order), drive) == exports(text, drive), \
             seed

@@ -26,10 +26,10 @@ from paypipe.nodes import (
     StreamMessage,
 )
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import load_scenario, run_scenario
+from paypipe.scenario import apply_step, load_scenario, run_scenario
 from paypipe.templates import TimelockTemplate
 
-from support import (USERS, apply_action, random_actions, random_pipeline_text,
+from support import (USERS, random_actions, random_pipeline_text,
                      revert_traces, schedule_fields, schedule_of_flags, teed)
 from test_golden import PAIRS
 
@@ -264,7 +264,7 @@ class TestStructuralCopy:
             text, info = random_pipeline_text(rng)
             engine = check_every_touch(build(text))
             for action in random_actions(rng, info):
-                apply_action(engine, action)
+                apply_step(engine, *action)
                 for node in engine.nodes.values():
                     check_structural_copy(node.state)
 
@@ -377,7 +377,7 @@ def drive_corpus(tee=False):
         engine = build(teed(text) if tee else text)
         reverted = check_reverts_restore(engine)
         for action in actions:
-            apply_action(engine, action)
+            apply_step(engine, *action)
         assert tx_ids(engine) == list(range(1, len(engine.transactions) + 1))
         yield engine, reverted
 
@@ -409,8 +409,8 @@ class TestRandomPipelines:
             indexed, scanned = build(text), build(text)
             scanned.advance_time = partial(scan_advance, scanned)
             for action in actions:
-                apply_action(indexed, action)
-                apply_action(scanned, action)
+                apply_step(indexed, *action)
+                apply_step(scanned, *action)
                 assert indexed.state_fingerprint() == scanned.state_fingerprint()
             assert indexed.trace_text() == scanned.trace_text()
             assert indexed.gas_text() == scanned.gas_text()

@@ -1,11 +1,18 @@
-"""Scenario files: parsing and scripted execution."""
+"""Scenario files: parsing, scripted execution, and the step table that
+the parser, the runner, the test corpus and the scenario writer share."""
+
+import random
+from pathlib import Path
 
 import pytest
 
 from paypipe.errors import SpecSyntaxError
 from paypipe.ledger import MAX_AMOUNT
-from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import parse_scenario, run_scenario
+from paypipe.pipeline import instantiate, parse_pipeline, serialize_pipeline
+from paypipe.scenario import STEPS, apply_step, parse_scenario, run_scenario
+
+from support import random_actions, random_pipeline_text, scenario_text
+from test_golden import FIXTURES, PAIRS
 
 PIPE = """pipeline vested
 
@@ -267,3 +274,59 @@ assert held lock 9
         assert result.failures == (result.assert_failures[:1]
                                    + result.tx_failures
                                    + result.assert_failures[1:])
+
+
+def steps_of(scenario):
+    return [(step.kind, step.args, step.expect) for step in scenario.steps]
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("name", [*PAIRS, "any-revert"])
+    def test_fixture_round_trips_through_the_writer(self, name):
+        # no fixture has an expect revert without a code
+        text = "scenario any\nexpect revert\nclaim vault alice\n" \
+            if name == "any-revert" else (FIXTURES / f"{name}.scn").read_text()
+        scenario = parse_scenario(text)
+        text = scenario_text(scenario.name, steps_of(scenario))
+        assert steps_of(parse_scenario(text)) == steps_of(scenario)
+
+    def test_corpus_replays_as_scenario_text(self):
+        """Each seed's actions, written as a scenario with an ``expect
+        revert CODE`` before every trigger that reverted, replay against
+        the canonical pipeline with the direct run's trace and gas."""
+        codes = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            text, info = random_pipeline_text(rng)
+            direct = instantiate(parse_pipeline(text))
+            steps = []
+            for kind, args in random_actions(rng, info):
+                results = apply_step(direct, kind, args)
+                reason = results[0].reason if kind in (
+                    "deposit", "instruct", "claim") else None
+                steps.append((kind, args, reason and reason.split(":")[0]))
+                codes.add(steps[-1][2])
+            replay = instantiate(parse_pipeline(
+                serialize_pipeline(parse_pipeline(text))))
+            result = run_scenario(replay, parse_scenario(
+                scenario_text(f"seed-{seed}", steps)))
+            assert result.ok, (seed, result.failures)
+            assert replay.trace_text() == direct.trace_text(), seed
+            assert replay.gas_text() == direct.gas_text(), seed
+        assert {"NothingToClaim", "InsufficientHeld", "FatalStreamError"} <= codes
+
+    def test_docs_show_every_row(self):
+        """The grammar block of "Scenario files" in docs/formats.md, comments
+        dropped, lists each row as its words, upper-cased arguments and
+        ``[k=v ...]`` where metadata follows."""
+        text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text(
+            encoding="utf-8")
+        block = text.split("\n## Scenario files\n", 1)[1].split("```\n")[1]
+        lines = [" ".join(line.split("#", 1)[0].split())
+                 for line in block.splitlines()]
+        rows = [" ".join([kind.replace("_", " "),
+                          *(word.upper() for word in row.words),
+                          *["[k=v ...]"] * row.meta])
+                for kind, row in STEPS.items()]
+        assert [line for line in lines if line and line.split()[0]
+                not in ("scenario", "expect")] == rows
