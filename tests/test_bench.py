@@ -7,12 +7,19 @@ from fractions import Fraction
 import pytest
 
 import paypipe.bench as bench
-from paypipe.engine import CostTable
+from paypipe.engine import CostTable, Engine
 from paypipe.errors import ObservableMismatch
-from paypipe.pipeline import parse_pipeline
+from paypipe.nodes import OriginatorNode
+from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.bench import (
+    EMPLOYER,
+    START,
+    MonolithicPayroll,
+    _drive,
+    build_monolith,
     build_pipeline_text,
     format_report,
+    observables,
     run_comparison,
 )
 
@@ -88,12 +95,84 @@ class TestRunComparison:
             run_comparison(periods=0)
         with pytest.raises(ValueError):
             run_comparison(weights=[1, 1])  # wrong length for 3 recipients
+        with pytest.raises(ValueError, match="^weights must be >= 1$"):
+            run_comparison(weights=[1, 0, 1])
 
     def test_ratio_is_exact_arithmetic(self):
         report = run_comparison()
         assert isinstance(report.ratio, Fraction)
         assert report.ratio == Fraction(report.gas_pipeline,
                                         report.gas_monolithic)
+
+
+class TestMonolithEdges:
+    """The monolith's refusals and zero paths, and ``_drive``'s
+    reports of a reverted deposit and a reverted crank."""
+
+    def test_zero_deposit_reverts_and_observables_skip_it(self):
+        engine = build_monolith(1, 1)
+        with pytest.raises(RuntimeError, match="^benchmark deposit reverted: "
+                           "ZeroAmount: deposits must be positive$"):
+            _drive(engine, 0, 1)
+        _drive(engine, 100, 1)
+        assert observables(engine) == {"payouts": [("emp-1", 100, START)],
+                                       "releases": [(0, START, 100)],
+                                       "reports": 1}
+
+    def test_stream_into_the_monolith_reverts(self):
+        engine = Engine()
+        engine.add_node(OriginatorNode("origin", outputs=[("main", "payroll")]))
+        engine.add_node(MonolithicPayroll("payroll", ["emp-1"], 1))
+        engine.set_entry("origin")
+        engine.setup_balances({EMPLOYER: 5})
+        engine.ledger.approve(EMPLOYER, engine.nodes["origin"].address, 5)
+        result = engine.submit_deposit(EMPLOYER, 5)
+        assert result.reason == \
+            "EngineError: monolithic payroll takes no streams"
+
+    def test_crank_with_nothing_held_releases_zero(self):
+        engine = build_monolith(2, 2)
+        (result,) = engine.advance_time(START)
+        assert result.committed
+        assert observables(engine) == {"payouts": [],
+                                       "releases": [(0, START, 0)],
+                                       "reports": 0}
+
+    def test_zero_shares_are_skipped(self):
+        engine = build_monolith(3, 1)
+        _drive(engine, 1, 1)
+        assert observables(engine) == {"payouts": [("emp-1", 1, START)],
+                                       "releases": [(0, START, 1)],
+                                       "reports": 1}
+
+    def test_drive_reports_a_reverted_crank(self):
+        # the gate's predicate is false at every time, and fatal
+        engine = instantiate(parse_pipeline(f"""pipeline gated
+balance {EMPLOYER} 100
+node origin
+  kind originator
+  out main -> lock
+node lock
+  kind router
+  template timelock
+  out main -> gate
+  config start 0
+  config period 10
+  config releases 1
+  config fixed 100
+node gate
+  kind router
+  template conditional
+  out main -> pay
+  config when now < 0
+  config on_false fatal
+node pay
+  kind endpoint
+  recipient bob
+"""))
+        with pytest.raises(RuntimeError, match="^benchmark crank reverted: "
+                           "FatalStreamError: "):
+            _drive(engine, 100, 1)
 
 
 class TestFixtureShape:

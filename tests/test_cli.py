@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from paypipe import cli, pipeline
+from paypipe import bench, cli, pipeline
 from paypipe.cli import main
 from paypipe.ledger import MAX_AMOUNT
 from paypipe.templates import TEMPLATES
+
+from test_golden import GOLDEN
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PAYROLL = str(FIXTURES / "payroll.pipe")
@@ -279,6 +281,12 @@ class TestRun:
         assert main(["run", PAYROLL, PAYROLL_SCN, flag, "-"]) == 2
         assert capsys.readouterr().err == f"cannot write {what} -: Broken pipe\n"
 
+    def test_trace_to_stdout_comes_before_the_summary(self, capsys):
+        assert main(["run", PAYROLL, PAYROLL_SCN, "--trace", "-"]) == 0
+        assert capsys.readouterr().out == \
+            (GOLDEN / "payroll.trace").read_text() + \
+            (GOLDEN / "payroll.out").read_text()
+
     def test_closed_pipe_exits_two_without_a_traceback(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "paypipe", "run", PAYROLL, PAYROLL_SCN,
@@ -456,6 +464,19 @@ class TestBench:
     def test_bad_shape_exits_two(self, capsys):
         assert main(["bench", "--recipients", "0"]) == 2
         assert capsys.readouterr().err
+
+    def test_divergence_exits_one(self, monkeypatch, capsys):
+        true_build = bench.build_monolith
+
+        def skewed(recipients, periods, weights=None, cost_table=None):
+            return true_build(recipients, periods, [2, 1, 1], cost_table)
+
+        monkeypatch.setattr(bench, "build_monolith", skewed)
+        assert main(["bench"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "divergence: pipeline and monolith diverged: {'payouts': ")
 
 
 class TestEntrypoint:
