@@ -7,8 +7,9 @@
 
 Exit codes: 0 success; 1 validation errors, failed scenario assertions,
 or benchmark divergence; 2 unreadable or unparsable input, or output that
-cannot be written (a missing directory, a closed pipe); 3 a transaction
-reverted unexpectedly or an expected revert committed.
+cannot be written (a missing directory, a closed pipe; ``--trace`` and
+``--gas-report`` stream, so a failed write can leave a partial file); 3 a
+transaction reverted unexpectedly or an expected revert committed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .bench import format_report, run_comparison
 from .engine import CostTable
@@ -50,15 +51,16 @@ def parse_cost_table(text: str) -> CostTable:
     return CostTable(**mapping)
 
 
-def _write_out(path: str, text: str, what: str) -> None:
-    """Write ``text`` to the file ``path`` or exit 2 with a message on
-    stderr; ``-`` is stdout, whose broken pipe ``main`` reports."""
+def _write_out(path: str, export: Callable, what: str) -> None:
+    """Stream ``export``, such as ``Engine.write_trace``, to the file ``path``
+    or exit 2 with a message on stderr; ``-`` is stdout, whose broken pipe
+    ``main`` reports."""
     if path == "-":
-        sys.stdout.write(text)
+        export(sys.stdout.write)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            export(fh.write)
     except OSError as err:
         print(f"cannot write {what} {path}: {err.strerror}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -138,9 +140,9 @@ def cmd_run(args) -> int:
         return 1
     result = run_scenario(engine, scenario)
     if args.trace:
-        _write_out(args.trace, engine.trace_text(), "trace")
+        _write_out(args.trace, engine.write_trace, "trace")
     if args.gas_report:
-        _write_out(args.gas_report, engine.gas_text(), "gas report")
+        _write_out(args.gas_report, engine.write_gas, "gas report")
     if not result.ok:
         for failure in result.failures:
             print(failure)

@@ -55,24 +55,27 @@ advance popped from the heap: the advance recomputes each of those once,
 when its cranks are done. An advance with nothing due asks no node and
 returns at once.
 
-``format_event`` defines a line of the ``--trace`` export; ``trace_text``
-prints the same lines from templates. Within one export, each event shape (the
-kind and the payload keys in insertion order) whose kind and keys are plain
-``str`` needing no escape gets one ``%``-template, with the keys sorted, and an
-``itemgetter`` for the values. Tx, seq, the emitter and the values print with
-``%s``, that is with ``str()``, unescaped; tx and seq are ints, for which the
-f-string of ``format_event`` prints the same. Events of any other shape are
-printed by ``format_event`` when they are met. Nothing is checked field by
-field. Instead, for each chunk of 512 lines, the export counts spaces, ``=``,
-``%`` and newlines over the chunk's text, less what ``format_event`` printed:
-a template line has exactly 3+n spaces and 4+n ``=`` and neither of the
-others, for n keys, unless a field needed escaping. It also checks that every
-kind and key of a template line is an exact ``str`` (an equal ``str`` subclass
-would find a template built for the plain string). A chunk with no template
-line is not checked. A chunk that fails is checked line by line, each line as
-a chunk of its own; each failing line is printed by ``format_event``, and so
-are all later events of its shape.
-The templates live only for one call.
+``format_event`` defines a line of the ``--trace`` export. ``write_trace``
+hands a writer the same lines from templates, 512 to a chunk; ``trace_text``
+joins the chunks once, as ``gas_text`` joins ``write_gas``'s. A writer that
+raises stops the export, which can leave a file with only its first chunks.
+Within one export, each event shape whose kind and keys are plain ``str``
+needing no escape gets a ``%``-template, keys sorted, and an ``itemgetter`` of
+the values. An event finds it by its kind and key count: n distinct keys the
+getter finds in an n-key payload are its keys, and a ``KeyError`` falls back
+to a lookup by kind and keys in insertion order. A chunk is one ``%`` over
+its lines' formats; events of other shapes enter as ``format_event``'s line
+with ``%`` doubled. Tx, seq, the emitter and the values print with ``%s``,
+that is ``str()``, unescaped; for tx and seq, ints, ``format_event`` prints
+the same. Nothing is checked field by field: the export counts spaces, ``=``,
+``%`` and newlines over the chunk's text, less what ``format_event`` printed.
+A template line has 3+n spaces, 4+n ``=``, a newline and no ``%``, for n
+keys, unless a field needed escaping, and its kind and keys must be exact
+``str`` (an equal ``str`` subclass finds the plain string's template). A
+chunk with no template line is not checked. A chunk that fails is checked
+line by line, each template line as a chunk of its own; each failing line is
+printed by ``format_event``, and so are all later events of its shape. The
+templates live only for one call.
 """
 
 from __future__ import annotations
@@ -245,7 +248,7 @@ def format_event(ev: EventRecord) -> str:
     return " ".join(parts)
 
 
-# Lines per chunk of the trace export: see ``Engine.trace_text``.
+# Lines per chunk of the exports: see ``Engine.write_trace``.
 _CHUNK = 512
 _KIND = itemgetter(3)
 _PAYLOAD = itemgetter(4)
@@ -253,46 +256,73 @@ _PAYLOAD = itemgetter(4)
 
 def _line_template(kind, payload) -> tuple:
     """The ``%``-template of the lines of events with this kind and payload
-    keys, and a function from a payload to the values the template prints;
-    ``(None, None)`` when the kind or a key is not a ``str`` that prints as
-    is."""
-    names = (kind, *payload)
-    if not all(name.__class__ is str and _esc(name) == name for name in names):
-        return None, None
-    keys = sorted(payload)
-    template = "tx=%s seq=%s emitter=%s kind=" + kind + \
-        "".join(f" {key}=%s" for key in keys)
-    if len(keys) > 1:
-        return template, itemgetter(*keys)
-    if keys:
-        get = itemgetter(keys[0])
-        return template, lambda payload: (get(payload),)
-    return template, lambda payload: ()
+    keys (None unless all are ``str`` that print as is) and a getter of their
+    values, sorted for a template, raising ``KeyError`` if one is missing."""
+    plain = all(name.__class__ is str and _esc(name) == name
+                for name in (kind, *payload))
+    keys = sorted(payload) if plain else [*payload]
+    values = itemgetter(*keys) if len(keys) > 1 else \
+        lambda payload: tuple(payload[key] for key in keys)
+    return ("tx=%s seq=%s emitter=%s kind=" + kind + "".join(
+        f" {key}=%s" for key in keys) if plain else None), values
 
 
-def _templates_as_is(text: str, chunk: list, lines: list, odd: list) -> bool:
-    """Whether every template line of a chunk is ``format_event``'s, from
-    counts over the chunk's ``text``: a template line has 3+n spaces and 4+n
-    ``=`` for n keys, and no ``%`` or newline, unless a field printed a
-    character to escape. The counts leave out the ``odd`` lines, which
-    ``format_event`` printed. A kind or key that is an equal ``str``
-    subclass found a plain string's template, so every kind and key of a
-    template line must be an exact ``str``."""
-    spaces = equals = percents = 0
+def _templates_as_is(text: str, chunk: list, odd: dict) -> bool:
+    """Whether every template line of a chunk is ``format_event``'s, by the
+    counts over its ``text`` and the types of its kinds and keys that the
+    module docstring gives; ``odd`` holds, by position, the lines that
+    ``format_event`` printed, which the counts leave out."""
+    printed = "".join(odd.values())
+    spaces, equals, percents = map(printed.count, " =%")
     if odd:
-        skip = set(odd)
-        chunk = [ev for i, ev in enumerate(chunk) if i not in skip]
-        printed = "".join([lines[i] for i in odd])
-        spaces, equals = printed.count(" "), printed.count("=")
-        percents = printed.count("%")
+        chunk = [ev for i, ev in enumerate(chunk) if i not in odd]
     types = [*map(type, chain(map(_KIND, chunk), chain.from_iterable(
         map(_PAYLOAD, chunk))))]  # of every kind and key
     keys = len(types) - len(chunk)
     return (text.count(" ") - spaces == 3 * len(chunk) + keys
             and text.count("=") - equals == 4 * len(chunk) + keys
             and text.count("%") == percents
-            and text.count("\n") == len(lines) - 1
+            and text.count("\n") == len(chunk) + len(odd)
             and types.count(str) == len(types))
+
+
+def _chunk_text(chunk: list, templates: dict, shapes: dict) -> str:
+    """The ``--trace`` lines of ``chunk``; ``templates`` and ``shapes`` key
+    the export's templates by kind and keys and by kind and key count."""
+    formats, args, odd = [], [], {}  # odd: format_event's lines by position
+    for ev in chunk:
+        tx_id, seq, emitter, kind, payload = ev
+        try:
+            template, values = shapes[kind, len(payload)]
+            row = values(payload)  # KeyError: another key set of this size
+        except KeyError:
+            key = (kind, *payload)
+            template, values = shapes[kind, len(payload)] = templates[key] = \
+                templates.get(key) or _line_template(kind, payload)
+            row = values(payload)
+        except TypeError:  # an unhashable kind
+            template = None
+        if template is None:
+            odd[len(formats)] = line = format_event(ev)
+            formats.append(line)
+        else:
+            formats.append(template)
+            args += (tx_id, seq, emitter)
+            args += row
+    formats.append("")  # the last line's newline
+    if len(odd) == len(chunk):  # no template line: no % and no check
+        return "\n".join(formats)
+    for i, line in odd.items():  # format_event's % prints as is
+        formats[i] = line.replace("%", "%%")
+    text = "\n".join(formats) % tuple(args)
+    if _templates_as_is(text, chunk, odd):
+        return text
+    if len(chunk) > 1:  # check the template lines one by one
+        return "".join([odd[i] + "\n" if i in odd else
+                        _chunk_text([ev], templates, shapes)
+                        for i, ev in enumerate(chunk)])
+    templates[(kind, *payload)] = shapes[kind, len(payload)] = None, values
+    return format_event(ev) + "\n"
 
 
 class Engine:
@@ -610,50 +640,31 @@ class Engine:
 
     # -- reports ------------------------------------------------------------
 
-    def trace_text(self) -> str:
-        """``format_event`` of every committed event, one line each, each
-        ending in a newline; see the module docstring for how."""
-        events, templates, chunks = self.events, {}, []
+    def write_trace(self, write: Callable[[str], object]) -> None:
+        """Hand ``write`` the ``--trace`` export a chunk at a time."""
+        events, templates, shapes = self.events, {}, {}
         for start in range(0, len(events), _CHUNK):
-            chunk = events[start:start + _CHUNK]
-            lines, odd = [], []  # odd: positions format_event printed
-            append = lines.append
-            for ev in chunk:
-                tx_id, seq, emitter, kind, payload = ev
-                try:
-                    template, values = templates[(kind, *payload)]
-                except KeyError:
-                    template, values = templates[(kind, *payload)] = \
-                        _line_template(kind, payload)
-                except TypeError:  # an unhashable kind
-                    template = None
-                if template is None:
-                    odd.append(len(lines))
-                    append(format_event(ev))
-                else:
-                    append(template % (tx_id, seq, emitter, *values(payload)))
-            text = "\n".join(lines)
-            if len(odd) < len(lines) and \
-                    not _templates_as_is(text, chunk, lines, odd):
-                skip = set(odd)
-                for i, line in enumerate(lines):
-                    if i not in skip and not _templates_as_is(
-                            line, [chunk[i]], [line], []):
-                        templates[(chunk[i][3], *chunk[i][4])] = None, None
-                        lines[i] = format_event(chunk[i])
-                text = "\n".join(lines)
-            chunks.append(text)
-        chunks.append("")
-        return "\n".join(chunks)
+            write(_chunk_text(events[start:start + _CHUNK], templates, shapes))
+
+    def trace_text(self) -> str:
+        """What ``write_trace`` writes, joined once."""
+        chunks = []
+        self.write_trace(chunks.append)
+        return "".join(chunks)
+
+    def write_gas(self, write: Callable[[str], object]) -> None:
+        """Hand ``write`` the ``--gas-report`` export a chunk at a time."""
+        txs = self.transactions
+        for start in range(0, len(txs), _CHUNK):
+            write("".join([f"tx={r.id} trigger={r.trigger} status={r.status} "
+                           f"gas={r.gas}\n" for r in txs[start:start + _CHUNK]]))
+        write(f"total txs={len(txs)} gas={sum(r.gas for r in txs)}\n")
 
     def gas_text(self) -> str:
-        lines = [
-            f"tx={r.id} trigger={r.trigger} status={r.status} gas={r.gas}"
-            for r in self.transactions
-        ]
-        total = sum(r.gas for r in self.transactions)
-        lines.append(f"total txs={len(self.transactions)} gas={total}")
-        return "\n".join(lines) + "\n"
+        """What ``write_gas`` writes, joined once."""
+        chunks = []
+        self.write_gas(chunks.append)
+        return "".join(chunks)
 
     def state_fingerprint(self) -> dict:
         """Plain-data view of all mutable state, for deep comparisons."""

@@ -211,25 +211,27 @@ def apply_step(engine: Engine, kind: str, args: dict) -> list[TxResult]:
 
 def _assert_problem(engine: Engine, kind: str, a: dict) -> Optional[str]:
     """Why the assertion ``kind`` with arguments ``a`` does not hold, or
-    None when it does."""
+    None when it does; a word past 20 characters echoes as ``shown_word``."""
     node = engine.nodes.get(a.get("node"))
     if node is None and "node" in a:
-        return f"unknown node {a['node']!r}"
+        return f"unknown node {shown_word(a['node'])}"
+    w = {k: v if k in _INTS or len(v) <= 20 else shown_word(v)
+         for k, v in a.items()}
     if kind == "assert_balance":
         actual = engine.ledger.balances.get(a["account"], 0)
-        said = f"balance of {a['account']} is {actual}"
+        said = f"balance of {w['account']} is {actual}"
     elif kind == "assert_held":
         actual = engine.ledger.balances.get(node_address(a["node"]), 0)
-        said = f"{a['node']} holds {actual}"
+        said = f"{w['node']} holds {actual}"
     elif kind == "assert_claimable":
         claimable = node.state.get("claimable")
         if claimable is None:
-            return f"{a['node']} tracks nothing claimable"
+            return f"{w['node']} tracks nothing claimable"
         actual = claimable.get(a["account"], 0)
-        said = f"claimable for {a['account']} at {a['node']} is {actual}"
+        said = f"claimable for {w['account']} at {w['node']} is {actual}"
     else:
         actual = sum(1 for ev in engine.events if ev.kind == a["kind"])
-        said = f"{actual} {a['kind']} events"
+        said = f"{actual} {w['kind']} events"
     expected = a[STEPS[kind].words[-1]]
     return None if actual == expected else f"{said}, expected {expected}"
 
@@ -263,7 +265,7 @@ def run_scenario(engine: Engine, scenario: Scenario) -> ScenarioResult:
         if kind.startswith("assert"):
             fail(step, _assert_problem(engine, kind, a), assert_failures)
         elif kind == "approve" and a["node"] not in engine.nodes:
-            fail(step, f"unknown node {a['node']!r}", tx_failures)
+            fail(step, f"unknown node {shown_word(a['node'])}", tx_failures)
         else:
             results = apply_step(engine, kind, a)
             transactions += results

@@ -46,6 +46,26 @@ class BrokenStdout(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
+class BrokenAfterOneWrite(io.StringIO):
+    """A stdout whose reader goes away after the first write."""
+
+    def write(self, text):
+        if self.tell():
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+
+def big_run(tmp_path):
+    """A pipeline and a scenario whose trace spans two chunks of lines."""
+    deposit = bench.PAY_PER_PERIOD * 30 * 3
+    pipe = write(tmp_path, "big.pipe", pipeline.serialize_pipeline(
+        bench.build_pipeline_fixture(30, 3)))
+    scn = write(tmp_path, "big.scn",
+                f"scenario big\n\napprove {bench.EMPLOYER} origin {deposit}\n"
+                f"deposit {bench.EMPLOYER} {deposit}\n" + "advance 10\n" * 3)
+    return pipe, scn
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -281,6 +301,82 @@ class TestRun:
         assert main(["run", PAYROLL, PAYROLL_SCN, flag, "-"]) == 2
         assert capsys.readouterr().err == f"cannot write {what} -: Broken pipe\n"
 
+    def test_unwritable_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["run", PAYROLL, PAYROLL_SCN, "--trace",
+                     str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"cannot write trace {tmp_path}: Is a directory\n"
+
+    def test_failed_write_leaves_the_chunks_before_it(self, tmp_path,
+                                                       monkeypatch, capsys):
+        """The trace streams to its file a chunk at a time: a write that
+        fails on the second chunk exits 2 and leaves the first."""
+        pipe, scn = big_run(tmp_path)
+        whole, part = tmp_path / "whole.trace", tmp_path / "part.trace"
+        assert main(["run", pipe, scn, "--trace", str(whole)]) == 0
+
+        def full_after_one_write(path, mode="r", encoding=None):
+            fh = open(path, mode, encoding=encoding)
+            if mode != "w":
+                return fh
+            written = []
+
+            def write(text):
+                if written:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                written.append(text)
+                return type(fh).write(fh, text)
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", full_after_one_write, raising=False)
+        capsys.readouterr()
+        assert main(["run", pipe, scn, "--trace", str(part)]) == 2
+        assert capsys.readouterr() == \
+            ("", f"cannot write trace {part}: No space left on device\n")
+        text = whole.read_text()
+        assert part.read_text() == \
+            "".join(text.splitlines(True)[:512]) != text
+
+    def test_stdout_broken_after_the_first_chunk(self, tmp_path, monkeypatch,
+                                                 capsys):
+        pipe, scn = big_run(tmp_path)
+        whole = tmp_path / "whole.trace"
+        assert main(["run", pipe, scn, "--trace", str(whole)]) == 0
+        stdout = BrokenAfterOneWrite()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        capsys.readouterr()
+        assert main(["run", pipe, scn, "--trace", "-"]) == 2
+        assert capsys.readouterr().err == "cannot write trace -: Broken pipe\n"
+        lines = whole.read_text().splitlines(True)
+        assert len(lines) > 512
+        assert stdout.getvalue() == "".join(lines[:512])
+
+    def test_summary_on_broken_stdout_names_the_output(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        assert main(["run", PAYROLL, PAYROLL_SCN]) == 2
+        assert capsys.readouterr().err == "cannot write output -: Broken pipe\n"
+
+    def test_broken_pipe_points_stdout_at_the_null_device(self, monkeypatch,
+                                                          capsys):
+        """In-process, on a pipe whose reader is closed: after the broken
+        pipe, stdout's descriptor is the null device, so a later flush of
+        what is left buffered cannot fail again."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            assert main(["run", PAYROLL, PAYROLL_SCN, "--trace", "-"]) == 2
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+            stdout.write("dropped\n")
+            stdout.flush()
+        finally:
+            stdout.close()
+        assert capsys.readouterr().err == "cannot write trace -: Broken pipe\n"
+
     def test_trace_to_stdout_comes_before_the_summary(self, capsys):
         assert main(["run", PAYROLL, PAYROLL_SCN, "--trace", "-"]) == 0
         assert capsys.readouterr().out == \
@@ -445,6 +541,33 @@ class TestLongWords:
         out, err = capsys.readouterr()
         assert out + err == expected + "\n"
         assert len(expected.encode()) < 120
+
+
+    def test_scenario_failure_lines_stay_short(self, tmp_path, monkeypatch,
+                                               capsys):
+        other = "v" * 5000
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.pipe").write_text(
+            GOOD_PIPE.replace("node origin", f"node {WORD}"))
+        (tmp_path / "long.scn").write_text(
+            f"scenario x\n\napprove acme {WORD} 50\napprove acme {other} 5\n"
+            f"approve {WORD} {WORD} 5\nassert balance {WORD} 5\n"
+            f"assert held {WORD} 1\nassert held {other} 0\n"
+            f"assert claimable {WORD} bob 1\nassert claimable pay {WORD} 1\n"
+            f"assert events {WORD} 1\n")
+        assert main(["run", "long.pipe", "long.scn"]) == 3
+        shown = f"'{'v' * 20}'... (5000 characters)"
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"line 4: unknown node {shown}",
+            f"line 6: balance of {SHOWN} is 0, expected 5",
+            f"line 7: {SHOWN} holds 0, expected 1",
+            f"line 8: unknown node {shown}",
+            f"line 9: {SHOWN} tracks nothing claimable",
+            f"line 10: claimable for {SHOWN} at pay is 0, expected 1",
+            f"line 11: 0 {SHOWN} events, expected 1",
+            "failed: scenario x, 7 problem(s)"]
+        assert max(map(len, out.encode().splitlines())) < 120
 
 
 class TestBench:
