@@ -89,7 +89,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (DepthExceeded, EdgeMissing, EngineError,
-                     FatalStreamError, UnknownNode)
+                     FatalStreamError, UnknownNode, shown_word)
 from .ledger import TokenLedger, _ignore, _require_int
 from .nodes import (Node, PolicyAction, StreamError, StreamMessage,
                     redirect_targets)
@@ -462,7 +462,7 @@ class Engine:
     def _node(self, node_id: str) -> Node:
         node = self.nodes.get(node_id)
         if node is None:
-            raise UnknownNode(f"no node {node_id!r}")
+            raise UnknownNode(f"no node {shown_word(node_id)}")
         return self._touch(node)
 
     def submit_deposit(self, from_account: str, amount: int,
@@ -568,7 +568,8 @@ class Engine:
         """
         recipient = self.nodes.get(to_id)
         if recipient is None:
-            raise EdgeMissing(f"{sender.id} dispatched to unknown node {to_id!r}")
+            raise EdgeMissing(
+                f"{sender.id} dispatched to unknown node {shown_word(to_id)}")
         if (sender.id, to_id) not in self.edges:
             raise EdgeMissing(f"no edge {sender.id} -> {to_id}")
         depth = self._depth

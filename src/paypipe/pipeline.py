@@ -26,6 +26,8 @@ ID`` blocks whose field lines describe the node:
       kind endpoint
       recipient alice
 
+``headed`` reads the header of this format and of scenarios alike, and
+each ``config`` line goes to its template's single config-line parser.
 Parsing rejects malformed lines with a position; validation collects every
 structural problem (duplicate ids, unknown targets, originator count, arity,
 cycles, a path longer than ``MAX_HOPS``, bad template config, unreachable
@@ -56,8 +58,11 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # A line of text as ``token_lines`` yields it: (lineno, raw text, words).
 _Line = tuple[int, str, list[str]]
 
-_KINDS = ("originator", "router", "endpoint")
-_MODES = ("direct", "claimable")
+# node fields of one word: the message for a wrong line, the words allowed
+_FIELDS = {"kind": ("kind must be originator, router, or endpoint",
+                    ("originator", "router", "endpoint")),
+           "mode": ("mode must be direct or claimable", ("direct", "claimable")),
+           "recipient": ("recipient takes one account", None)}
 _ACTIONS = {a.value: a for a in PolicyAction}
 _SEVERITIES = {s.label: s for s in ErrorSeverity}
 
@@ -130,72 +135,42 @@ def _check_name(what: str, line: _Line, i: int) -> str:
     return token
 
 
+def headed(text: str, word: str) -> tuple[_Line, Iterator[_Line]]:
+    """The ``WORD NAME`` header line of ``text`` and a reader of the lines
+    after it; raises the header errors of every format but a duplicate."""
+    lines = token_lines(text)
+    line = next(lines, None)
+    if line is None:
+        raise SpecSyntaxError(f"missing {word} header", 1, 1)
+    if line[2][0] != word:
+        raise syntax_error(f"expected a {word} header first", line, 0)
+    if len(line[2]) != 2:
+        raise syntax_error(f"{word} takes a name", line, 0)
+    return line, lines
+
+
 def parse_pipeline(text: str) -> PipelineSpec:
     """Parse pipeline text; raises SpecSyntaxError with line and column."""
-    spec: Optional[PipelineSpec] = None
+    header, lines = headed(text, "pipeline")
+    spec = PipelineSpec(name=_check_name("pipeline name", header, 1))
     node: Optional[NodeSpec] = None
     out_tags: set[str] = set()  # output tags of the current node block
 
-    for line in token_lines(text):
+    for line in lines:
         tokens = line[2]
         head = tokens[0]
 
-        if head == "pipeline":
-            if spec is not None:
-                raise syntax_error("duplicate pipeline header", line, 0)
-            if len(tokens) != 2:
-                raise syntax_error("pipeline takes a name", line, 0)
-            spec = PipelineSpec(name=_check_name("pipeline name", line, 1))
-            continue
-
-        if spec is None:
-            raise syntax_error("expected a pipeline header first", line, 0)
-
-        if head == "balance":
-            node = None
-            if len(tokens) != 3:
-                raise syntax_error("balance takes an account and an amount",
-                                   line, 0)
-            account, amount = tokens[1], int_word(tokens[2])
-            if amount is None:
-                raise syntax_error(
-                    "balance amount must be an integer, "
-                    f"got {shown_word(tokens[2])}", line, 2)
-            if account in spec.balances:
-                raise syntax_error(
-                    f"duplicate balance for {shown_word(account)}", line, 1)
-            spec.balances[account] = amount
-            continue
-
-        if head == "node":
-            if len(tokens) != 2:
-                raise syntax_error("node takes an id", line, 0)
-            node = NodeSpec(id=_check_name("node id", line, 1), line=line[0])
-            out_tags = set()
-            spec.nodes.append(node)
-            continue
-
-        # everything else is a field line of the current node block
-        if node is None:
-            raise syntax_error(f"{shown_word(head)} outside a node block", line, 0)
-
-        if head == "kind":
-            if len(tokens) != 2 or tokens[1] not in _KINDS:
-                raise syntax_error(
-                    "kind must be originator, router, or endpoint", line, 0)
-            if node.kind is not None:
-                raise syntax_error("duplicate kind", line, 0)
-            node.kind = tokens[1]
-        elif head == "template":
-            if len(tokens) != 2:
-                raise syntax_error("template takes a name", line, 0)
-            tname = tokens[1]
-            if tname not in TEMPLATES:
-                raise syntax_error(f"unknown template {shown_word(tname)}", line, 1)
-            if node.template is not None:
-                raise syntax_error("duplicate template", line, 0)
-            node.template = tname
-            node.config = TEMPLATES[tname].empty_config()
+        if node is None and head not in ("node", "balance", "pipeline"):
+            raise syntax_error(f"{shown_word(head)} outside a node block",
+                               line, 0)
+        # most lines are field lines, so those come first
+        if head in _FIELDS:
+            message, allowed = _FIELDS[head]
+            if len(tokens) != 2 or allowed and tokens[1] not in allowed:
+                raise syntax_error(message, line, 0)
+            if getattr(node, head) is not None:
+                raise syntax_error(f"duplicate {head}", line, 0)
+            setattr(node, head, tokens[1])
         elif head == "out":
             if len(tokens) != 4 or tokens[2] != "->":
                 raise syntax_error("out syntax: out TAG -> TARGET", line, 0)
@@ -219,6 +194,38 @@ def parse_pipeline(text: str) -> PipelineSpec:
                                                            tokens[1:])
             except ValueError as err:
                 raise syntax_error(str(err), line, 1) from None
+        elif head == "template":
+            if len(tokens) != 2:
+                raise syntax_error("template takes a name", line, 0)
+            tname = tokens[1]
+            if tname not in TEMPLATES:
+                raise syntax_error(f"unknown template {shown_word(tname)}", line, 1)
+            if node.template is not None:
+                raise syntax_error("duplicate template", line, 0)
+            node.template = tname
+            node.config = TEMPLATES[tname].empty_config()
+        elif head == "node":
+            if len(tokens) != 2:
+                raise syntax_error("node takes an id", line, 0)
+            node = NodeSpec(id=_check_name("node id", line, 1), line=line[0])
+            out_tags = set()
+            spec.nodes.append(node)
+        elif head == "balance":
+            node = None
+            if len(tokens) != 3:
+                raise syntax_error("balance takes an account and an amount",
+                                   line, 0)
+            account, amount = tokens[1], int_word(tokens[2])
+            if amount is None:
+                raise syntax_error(
+                    "balance amount must be an integer, "
+                    f"got {shown_word(tokens[2])}", line, 2)
+            if account in spec.balances:
+                raise syntax_error(
+                    f"duplicate balance for {shown_word(account)}", line, 1)
+            spec.balances[account] = amount
+        elif head == "pipeline":
+            raise syntax_error("duplicate pipeline header", line, 0)
         elif head == "on":
             if len(tokens) < 3:
                 raise syntax_error(
@@ -244,23 +251,9 @@ def parse_pipeline(text: str) -> PipelineSpec:
             if severity in node.policy:
                 raise syntax_error(f"duplicate policy for {sev_tok}", line, 1)
             node.policy[severity] = (action, target)
-        elif head == "mode":
-            if len(tokens) != 2 or tokens[1] not in _MODES:
-                raise syntax_error("mode must be direct or claimable", line, 0)
-            if node.mode is not None:
-                raise syntax_error("duplicate mode", line, 0)
-            node.mode = tokens[1]
-        elif head == "recipient":
-            if len(tokens) != 2:
-                raise syntax_error("recipient takes one account", line, 0)
-            if node.recipient is not None:
-                raise syntax_error("duplicate recipient", line, 0)
-            node.recipient = tokens[1]
         else:
             raise syntax_error(f"unknown directive {shown_word(head)}", line, 0)
 
-    if spec is None:
-        raise SpecSyntaxError("missing pipeline header", 1, 1)
     for node in spec.nodes:
         if node.kind == "endpoint" and node.mode is None:
             node.mode = "direct"  # parse-level default, keeps round-trips exact

@@ -1,7 +1,8 @@
 """Scenario files: scripted triggers and assertions against one pipeline.
 
-A scenario is line oriented like the pipeline format. It names itself, then
-lists actions in order, each written as its ``STEPS`` row says:
+A scenario is line oriented like the pipeline format, and its header goes
+through the same reader, ``pipeline.headed``. It names itself, then lists
+actions in order, each written as its ``STEPS`` row says:
 
     scenario payday-happy-path
 
@@ -33,7 +34,7 @@ from .engine import Engine, TxResult
 from .errors import SpecSyntaxError, int_word, shown_word
 from .ledger import MAX_AMOUNT
 from .nodes import node_address
-from .pipeline import syntax_error, token_lines
+from .pipeline import headed, syntax_error
 
 
 class StepKind(NamedTuple):
@@ -151,23 +152,16 @@ def _parse_step(line) -> Step:
 
 
 def parse_scenario(text: str) -> Scenario:
-    scenario: Optional[Scenario] = None
+    header, lines = headed(text, "scenario")
+    scenario = Scenario(name=header[2][1])
     pending: Optional[tuple[str, int]] = None  # (code|"any", line of expect)
 
-    for line in token_lines(text):
+    for line in lines:
         lineno, _, tokens = line
         head = tokens[0]
 
         if head == "scenario":
-            if scenario is not None:
-                raise syntax_error("duplicate scenario header", line, 0)
-            if len(tokens) != 2:
-                raise syntax_error("scenario takes a name", line, 0)
-            scenario = Scenario(name=tokens[1])
-            continue
-        if scenario is None:
-            raise syntax_error("expected a scenario header first", line, 0)
-
+            raise syntax_error("duplicate scenario header", line, 0)
         if pending is not None and head not in _SUBMITS:
             raise syntax_error(
                 "expect revert must precede deposit, instruct, or claim",
@@ -184,8 +178,6 @@ def parse_scenario(text: str) -> Scenario:
             scenario.steps[-1].expect = pending[0]
             pending = None
 
-    if scenario is None:
-        raise SpecSyntaxError("missing scenario header", 1, 1)
     if pending is not None:
         raise SpecSyntaxError("expect revert with no following action",
                               pending[1], 1)

@@ -95,69 +95,47 @@ class ConfigKey(NamedTuple):
 
 def _line_parser(row: ConfigKey):
     """The function that stores a config line of ``row.key`` in a config,
-    given the line's tokens."""
+    given the line's tokens; every row's function is this one, read by the
+    row's word kinds."""
     key, kinds, arity, into, _, item = row
     size = len(kinds) + 1
     many = kinds in ((TEXT,), (LABELS,))
+    choices = kinds[0] if kinds and type(kinds[0]) is tuple else ()
+    # per integer word: its position, its name in a message, and whether
+    # it is a CAP, whose word ``rest`` reads as None
+    ints = [(i, key if kind == INT else f"{key} {kind}", kind == CAP)
+            for i, kind in enumerate(kinds, 1)
+            if kind in (INT, NUMERATOR, DENOMINATOR, CAP)]
     entry = kinds[:1] == (TAG,)
-    last = kinds[-1] if kinds else None
-    number, cap = last in (INT, NUMERATOR, DENOMINATOR, CAP), last == CAP
-    choices = last if type(last) is tuple else ()
-    what = key if last == INT else f"{key} {last}"
 
-    if entry:
-        def parse(config, tokens):
-            if len(tokens) != size:
-                raise ValueError(arity)
+    def parse(config, tokens):
+        if len(tokens) != size and not (many and len(tokens) > 1):
+            raise ValueError(arity)
+        if ints:
+            tokens = tokens[:]
+            for i, what, cap in ints:
+                word = tokens[i]
+                tokens[i] = int_word(word)
+                if tokens[i] is None and not (cap and word == "rest"):
+                    raise ValueError(f"{what} must be an integer, "
+                                     f"got {shown_word(word)}")
+        elif choices and tokens[1] not in choices:
+            raise ValueError(arity)
+        if entry:
             value = tokens[2] if size == 3 else None
-            if cap and value == "rest":
-                value = None
-            elif number:
-                value = int_word(tokens[2])
-                if value is None:
-                    raise ValueError(
-                        f"{what} must be an integer, "
-                        f"got {shown_word(tokens[2])}")
             config[into].append((key, tokens[1], value))
-    elif size == 2 and into is None and not many:
-        def parse(config, tokens):
-            if len(tokens) != 2:
-                raise ValueError(arity)
-            value = tokens[1]
-            if number:
-                value = int_word(tokens[1])
-                if value is None:
-                    raise ValueError(
-                        f"{what} must be an integer, "
-                        f"got {shown_word(tokens[1])}")
-            elif choices and value not in choices:
-                raise ValueError(arity)
-            if key in config:
-                raise ValueError(f"duplicate config key {key!r}")
-            config[key] = value
-    else:
-        def parse(config, tokens):
-            if len(tokens) != size and not (many and len(tokens) > 1):
-                raise ValueError(arity)
-            if into is not None:
-                items = config[into]
-                for word in tokens[1:]:
-                    if word in items:
-                        raise ValueError(f"duplicate {item} {shown_word(word)}")
-                    items.append(word)
-                return
-            if many:
-                value = " ".join(tokens[1:])
-            else:
-                value = tuple(map(int_word, tokens[1:]))
-                if None in value:
-                    i = value.index(None)
-                    raise ValueError(f"{key} {kinds[i]} must be an integer, "
-                                     f"got {shown_word(tokens[i + 1])}")
-                value = value or True
-            if key in config:
-                raise ValueError(f"duplicate config key {key!r}")
-            config[key] = value
+        elif into is not None:
+            items = config[into]
+            for word in tokens[1:]:
+                if word in items:
+                    raise ValueError(f"duplicate {item} {shown_word(word)}")
+                items.append(word)
+        elif key in config:
+            raise ValueError(f"duplicate config key {key!r}")
+        else:
+            config[key] = (" ".join(tokens[1:]) if many
+                           else tokens[1] if size == 2
+                           else tuple(tokens[1:]) or True)
 
     return parse
 
@@ -165,7 +143,9 @@ def _line_parser(row: ConfigKey):
 def _read_table(cls) -> None:
     """Set ``cls``'s config grammar from its table. ``empty_config`` and
     ``parse_config_line`` are built here, not looked up per call, because
-    a large pipeline calls them once per node and once per config line."""
+    a large pipeline calls them once per node and once per config line;
+    ``parse_config_line`` hands each key's line to that row's function
+    from ``_line_parser``, the one config-line parser."""
     table = cls.config_table
     # a template keeps at most one list
     (name,) = {row.into for row in table if row.into} or {None}

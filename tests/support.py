@@ -13,8 +13,10 @@ import hashlib
 import random
 import re
 
+from paypipe.errors import SpecSyntaxError
 from paypipe.pipeline import (NodeSpec, PipelineSpec, instantiate,
-                              parse_pipeline, serialize_pipeline)
+                              parse_pipeline, serialize_pipeline,
+                              validate_pipeline)
 from paypipe.scenario import STEPS, apply_step, load_scenario, run_scenario
 
 # -- naive ledger oracle -------------------------------------------------------
@@ -337,6 +339,24 @@ def mangled_text(rng: random.Random, corpus) -> str:
     return "".join(base)
 
 
+def validate_golden_text(corpus) -> str:
+    """``case N`` (the Nth mangled text of ``corpus`` tried, seed 35) and
+    the ``str`` of each of its problems, for the first 400 texts that
+    parse: the text of ``tests/golden/validate.out``."""
+    rng = random.Random(35)
+    out, cases, tried = [], 0, 0
+    while cases < 400:
+        tried += 1
+        try:
+            spec = parse_pipeline(mangled_text(rng, corpus))
+        except SpecSyntaxError:
+            continue
+        cases += 1
+        out.append(f"case {tried}")
+        out.extend(str(problem) for problem in validate_pipeline(spec))
+    return "\n".join(out) + "\n"
+
+
 # -- random runnable pipelines (behaviour-level fuzzing) --------------------------
 
 USERS = ("ua", "ub", "uc")
@@ -597,10 +617,10 @@ def scenario_text(name, steps):
     return "\n".join(lines) + "\n"
 
 
-def export_digest(fixtures, names, seeds=range(100)):
+def export_digest(fixtures, names, corpus, seeds=range(100)):
     """sha256 over the canonical pipeline text, trace and gas report of each
     named fixture pair in the directory ``fixtures``, then the trace and gas
-    report of each corpus seed."""
+    report of each corpus seed, then ``validate_golden_text(corpus)``."""
     digest = hashlib.sha256()
     for name in names:
         spec = parse_pipeline((fixtures / f"{name}.pipe").read_text())
@@ -617,4 +637,5 @@ def export_digest(fixtures, names, seeds=range(100)):
             apply_step(engine, *action)
         digest.update(engine.trace_text().encode())
         digest.update(engine.gas_text().encode())
+    digest.update(validate_golden_text(corpus).encode())
     return digest.hexdigest()

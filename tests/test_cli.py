@@ -569,6 +569,20 @@ class TestLongWords:
             "failed: scenario x, 7 problem(s)"]
         assert max(map(len, out.encode().splitlines())) < 120
 
+    def test_trigger_on_a_long_unknown_node_stays_short(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "long.pipe").write_text(GOOD_PIPE)
+        (tmp_path / "long.scn").write_text(
+            f"scenario x\n\nclaim {WORD} bob\ninstruct {WORD} o main 5\n")
+        assert main(["run", "long.pipe", "long.scn"]) == 3
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            f"line 3: unexpected revert: UnknownNode: no node {SHOWN}",
+            f"line 4: unexpected revert: UnknownNode: no node {SHOWN}",
+            "failed: scenario x, 2 problem(s)"]
+        assert max(map(len, out.encode().splitlines())) < 120
+
 
 class TestBench:
     def test_default_bench_exits_zero(self, capsys):

@@ -27,6 +27,7 @@ from paypipe.scenario import apply_step, load_scenario, run_scenario
 from support import (export_digest, random_actions, random_pipeline_text,
                      reference_trace_text)
 from test_golden import PAIRS
+from test_pipeline import MANGLE_CORPUS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -111,21 +112,23 @@ def test_random_pipelines():
 
 def test_exports_do_not_depend_on_the_hash_seed():
     """Two child processes, under ``PYTHONHASHSEED`` 0 and 1, print the
-    digest of the fixtures' canonical text, trace and gas and of the
-    exports of corpus seeds 0-99; both match this process's digest."""
+    digest of the fixtures' canonical text, trace and gas, of the exports
+    of corpus seeds 0-99 and of the problem lists of 400 mangled texts;
+    both match this process's digest."""
     here = Path(__file__).parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(here.parent / "src"), str(here)])}
     code = ("from support import export_digest; "
             "from test_golden import FIXTURES, PAIRS; "
-            "print(export_digest(FIXTURES, PAIRS))")
+            "from test_pipeline import MANGLE_CORPUS; "
+            "print(export_digest(FIXTURES, PAIRS, MANGLE_CORPUS))")
     children = [subprocess.Popen([sys.executable, "-c", code],
                                  env={**env, "PYTHONHASHSEED": seed},
                                  stdout=subprocess.PIPE, text=True)
                 for seed in ("0", "1")]
     digests = [child.communicate()[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
-    assert digests == [export_digest(FIXTURES, PAIRS) + "\n"] * 2
+    assert digests == [export_digest(FIXTURES, PAIRS, MANGLE_CORPUS) + "\n"] * 2
 
 
 def test_bench_fifty_by_three():

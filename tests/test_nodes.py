@@ -4,8 +4,9 @@ import pytest
 
 from paypipe.engine import Engine
 from paypipe.errors import EngineError, NotClaimable, NothingToClaim
-from paypipe.nodes import EndpointNode, OriginatorNode
+from paypipe.nodes import EndpointNode, Node, OriginatorNode
 from paypipe.pipeline import instantiate, parse_pipeline
+from paypipe.templates import DistributingTemplate
 
 CLAIMABLE = """pipeline vaulted
 
@@ -106,6 +107,47 @@ class TestTriggerFallbacks:
         result = engine.submit_deposit("acme", 0)
         assert not result.committed
         assert result.reason.startswith("ZeroAmount:")
+
+
+class TestUnvalidatedGraphs:
+    """Guards that validation keeps a parsed pipeline from reaching, met on
+    hand-built engines that skip it."""
+
+    def engine(self, *nodes):
+        engine = Engine()
+        for node in nodes:
+            engine.add_node(node)
+        engine.set_entry(nodes[0].id)
+        engine.setup_balances({"acme": 100})
+        engine.ledger.approve("acme", nodes[0].address, 100)
+        return engine
+
+    def test_a_share_tagged_with_no_output_reverts(self):
+        split = DistributingTemplate(
+            "split", {"shares": [("weight", "ghost", 1)]},
+            outputs=[("main", "pay")])
+        engine = self.engine(OriginatorNode("o", outputs=[("main", "split")]),
+                             split, EndpointNode("pay", recipient="bob"))
+        result = engine.submit_deposit("acme", 100)
+        assert result.reason == ("EngineError: node split has no output "
+                                 "tagged 'ghost'")
+        assert engine.ledger.balances == {"acme": 100}
+
+    def test_an_originator_refuses_a_stream(self):
+        engine = self.engine(OriginatorNode("o", outputs=[("main", "o2")]),
+                             OriginatorNode("o2", outputs=[("main", "o")]))
+        result = engine.submit_deposit("acme", 100)
+        assert result.reason == "EngineError: originators do not receive streams"
+        assert engine.ledger.balances == {"acme": 100}
+
+    def test_a_node_without_receive_is_a_fault_not_a_revert(self):
+        engine = self.engine(OriginatorNode("o", outputs=[("main", "bare")]),
+                             Node("bare"))
+        before = engine.state_fingerprint()
+        with pytest.raises(NotImplementedError):
+            engine.submit_deposit("acme", 100)
+        assert engine.state_fingerprint() == before
+        assert engine.transactions == []
 
 
 class TestAddressing:

@@ -21,6 +21,7 @@ from support import (
     random_pipeline_text,
     random_successors,
     reference_cycle_and_depth,
+    validate_golden_text,
 )
 from test_cli import router_pipeline
 from test_golden import GOLDEN
@@ -279,6 +280,8 @@ node pay
 node stray
   kind endpoint
 """
+# the texts ``tests/golden/validate.out`` mangles
+MANGLE_CORPUS = [MINIMAL, KITCHEN_SINK, EVERY_CHECK, TWO_ORIGINATORS]
 
 
 class TestParse:
@@ -853,24 +856,7 @@ class TestParserTotality:
     def test_problem_lists_match_golden(self):
         """The ordered problem list of each of 400 mangled texts that parse
         is byte-identical to ``tests/golden/validate.out``. Regenerate it
-        from ``validate_golden_text()`` only when a change means to alter
-        validation, and say so."""
-        assert validate_golden_text() == (GOLDEN / "validate.out").read_text()
-
-
-def validate_golden_text() -> str:
-    """``case N`` (the Nth mangled text tried, seed 35) and the ``str`` of
-    each of its problems, for the first 400 texts that parse."""
-    rng = random.Random(35)
-    corpus = [MINIMAL, KITCHEN_SINK, EVERY_CHECK, TWO_ORIGINATORS]
-    out, cases, tried = [], 0, 0
-    while cases < 400:
-        tried += 1
-        try:
-            spec = parse_pipeline(mangled_text(rng, corpus))
-        except SpecSyntaxError:
-            continue
-        cases += 1
-        out.append(f"case {tried}")
-        out.extend(str(problem) for problem in validate_pipeline(spec))
-    return "\n".join(out) + "\n"
+        from ``support.validate_golden_text(MANGLE_CORPUS)`` only when a
+        change means to alter validation, and say so."""
+        assert (validate_golden_text(MANGLE_CORPUS)
+                == (GOLDEN / "validate.out").read_text())

@@ -11,7 +11,8 @@ from paypipe.ledger import MAX_AMOUNT
 from paypipe.pipeline import instantiate, parse_pipeline, serialize_pipeline
 from paypipe.scenario import STEPS, apply_step, parse_scenario, run_scenario
 
-from support import random_actions, random_pipeline_text, scenario_text
+from support import (mangled_text, random_actions, random_pipeline_text,
+                     scenario_text)
 from test_golden import FIXTURES, PAIRS
 
 PIPE = """pipeline vested
@@ -129,6 +130,22 @@ deposit acme 5
         scenario = parse_scenario(
             "# prologue\nscenario x\n\n# funding\napprove acme origin 5\n")
         assert len(scenario.steps) == 1
+
+    def test_mangled_fixtures_parse_or_fail_at_a_position(self):
+        """Each of 400 mangled fixture scenarios parses or raises a
+        ``SpecSyntaxError`` at line and column 1 or later; any other
+        exception fails the test."""
+        corpus = [path.read_text() for path in sorted(FIXTURES.glob("*.scn"))]
+        rng = random.Random(40)
+        parsed = 0
+        for _ in range(400):
+            try:
+                parse_scenario(mangled_text(rng, corpus))
+            except SpecSyntaxError as err:
+                assert err.line >= 1 and err.column >= 1, err
+            else:
+                parsed += 1
+        assert 0 < parsed < 400  # the corpus reaches both outcomes
 
 
 class TestRun:

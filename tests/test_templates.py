@@ -225,6 +225,19 @@ class TestTimelock:
         assert engine.nodes["lock"].held == 40
         assert bal(engine, "bob") == 300
 
+    def test_minted_funds_with_no_stream_revert_the_release(self):
+        # a balance line may name a node's address, so the lock holds funds
+        # that no stream brought
+        text = (TIMELOCK.replace("config releases 3", "config releases 1")
+                        .replace("balance acme 10000",
+                                 "balance acme 10000\nbalance node:lock 100"))
+        engine = build(text)
+        before = engine.state_fingerprint()
+        (crank,) = engine.advance_time(0)
+        assert crank.reason == ("EngineError: lock holds funds with no "
+                                "recorded stream")
+        assert engine.state_fingerprint() == before
+
     def test_cumulative_release_never_exceeds_due(self):
         engine = build(TIMELOCK)
         deposit(engine, 300)
