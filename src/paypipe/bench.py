@@ -27,7 +27,7 @@ from .errors import EngineError, ObservableMismatch, ZeroAmount
 from .ledger import NULL_ADDRESS
 from .nodes import (Node, schedule_due, schedule_next_due, schedule_release,
                     schedule_state)
-from .pipeline import PipelineSpec, instantiate, parse_pipeline
+from .pipeline import instantiate, parse_pipeline
 from .templates import apportion
 
 EMPLOYER = "acme"
@@ -103,13 +103,6 @@ def build_pipeline_text(recipients: int, periods: int, weights=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_pipeline_fixture(recipients: int, periods: int,
-                           weights=None) -> PipelineSpec:
-    """Parsed payroll topology: 1 originator, 1 timelock, 1 splitter, then
-    one reporting router and one endpoint per recipient."""
-    return parse_pipeline(build_pipeline_text(recipients, periods, weights))
-
-
 class MonolithicPayroll(Node):
     """The whole payroll in one node: schedule, reporting, split, payout."""
 
@@ -163,8 +156,8 @@ def build_monolith(recipients: int, periods: int, weights=None,
     engine = Engine(cost_table=cost_table)
     engine.add_node(MonolithicPayroll("payroll", recipient_accounts(recipients),
                                       periods, weights))
-    engine.set_entry("payroll")
-    engine.setup_balances({EMPLOYER: PAY_PER_PERIOD * recipients * periods})
+    engine.entry = "payroll"
+    engine.ledger.mint(EMPLOYER, PAY_PER_PERIOD * recipients * periods)
     return engine
 
 
@@ -253,7 +246,7 @@ def run_comparison(recipients: int = 3, periods: int = 3,
                    cost_table: Optional[CostTable] = None,
                    weights=None) -> BenchReport:
     """Run both fixtures, check they pay out identically, compare gas."""
-    spec = build_pipeline_fixture(recipients, periods, weights)
+    spec = parse_pipeline(build_pipeline_text(recipients, periods, weights))
     deposit = PAY_PER_PERIOD * recipients * periods
     pipe = instantiate(spec, cost_table=cost_table)
     mono = build_monolith(recipients, periods, weights, cost_table)

@@ -102,7 +102,10 @@ _NESTED = "a trigger cannot run inside an open transaction"
 
 # The most hops a stream may nest, as validation and ``dispatch`` enforce.
 # A hop nests two frames, ``dispatch`` and ``receive``, so a trigger at the
-# limit stays inside the recursion limit of 1,000 from 200 frames deep.
+# limit stays inside the recursion limit of 1,000 from 200 frames deep. A
+# conditional's predicate adds at most three frames per level (``evaluate``,
+# its generator and ``any``) for ``predicates.MAX_NESTING`` levels: 200 +
+# 2 * 128 + 3 * 32 = 552 frames, so over 400 remain.
 MAX_HOPS = 128
 
 
@@ -136,9 +139,6 @@ class GasMeter:
 
     def __init__(self, table: CostTable):
         self._costs = asdict(table)
-        self.consumed = 0
-
-    def start(self):
         self.consumed = 0
 
     def charge(self, kind: str):
@@ -372,13 +372,6 @@ class Engine:
             self._reschedule(node.id)
         return node
 
-    def set_entry(self, node_id: str) -> None:
-        self.entry = node_id
-
-    def setup_balances(self, balances: dict[str, int]) -> None:
-        for account, amount in balances.items():
-            self.ledger.mint(account, amount)
-
     # -- gas and events --------------------------------------------------------
 
     def emit(self, kind: str, emitter: str, payload: dict) -> None:
@@ -425,7 +418,7 @@ class Engine:
         meter, ledger = self.meter, self.ledger
         ledger.begin()  # raises, changing nothing, if a log is open
         tx = self._tx = TxResult(len(self.transactions) + 1, trigger, info, [])
-        meter.start()
+        meter.consumed = 0
         self.charge = ledger.on_charge = meter.charge  # the instance's
         touched = self._touched = {}
         try:
@@ -666,16 +659,3 @@ class Engine:
         chunks = []
         self.write_gas(chunks.append)
         return "".join(chunks)
-
-    def state_fingerprint(self) -> dict:
-        """Plain-data view of all mutable state, for deep comparisons."""
-        return {
-            "balances": dict(self.ledger.balances),
-            "allowances": {
-                f"{owner}->{spender}": amt
-                for (owner, spender), amt in sorted(self.ledger.allowances.items())
-            },
-            "total_supply": self.ledger.total_supply,
-            "clock": self.now,
-            "nodes": {nid: copy.deepcopy(n.state) for nid, n in self.nodes.items()},
-        }

@@ -31,11 +31,6 @@ from .errors import (
 )
 
 
-def earliest_due(releases: list[tuple[int, int]]) -> Optional[int]:
-    """Smallest due time in a ``due_releases`` list, None when it is empty."""
-    return min(due for due, _ in releases) if releases else None
-
-
 def schedule_state(**fields) -> dict:
     """A fresh schedule's state, plus ``fields``: see ``schedule_release``."""
     return {"next": 0, "holes": [], **fields}
@@ -89,10 +84,6 @@ class ErrorSeverity(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_label(cls, label: str) -> "ErrorSeverity":
-        return cls[label.upper()]
 
 
 class PolicyAction(Enum):
@@ -251,7 +242,8 @@ class Node:
         asked once the clock reaches the answer. This default derives it
         from ``due_releases``.
         """
-        return earliest_due(self.due_releases(math.inf))
+        return min((due for due, _ in self.due_releases(math.inf)),
+                   default=None)
 
     def crank(self, k: int, due: int) -> None:
         raise EngineError(f"node {self.id} has no schedule to crank")

@@ -496,7 +496,7 @@ def instantiate(spec: PipelineSpec,
         if ns.kind == "originator":
             node = OriginatorNode(ns.id, outputs=ns.outputs,
                                   error_policy=ns.policy)
-            engine.set_entry(ns.id)
+            engine.entry = ns.id
         elif ns.kind == "endpoint":
             node = EndpointNode(ns.id, recipient=ns.recipient,
                                 mode=ns.mode or "direct",
@@ -505,5 +505,6 @@ def instantiate(spec: PipelineSpec,
             node = TEMPLATES[ns.template](ns.id, ns.config, outputs=ns.outputs,
                                           error_policy=ns.policy)
         engine.add_node(node)
-    engine.setup_balances(spec.balances)
+    for account, amount in spec.balances.items():
+        engine.ledger.mint(account, amount)
     return engine

@@ -21,6 +21,11 @@ from typing import Union
 from .errors import SpecSyntaxError, int_word, shown_word
 
 
+# The most ``not``s and ``(``s a comparison may sit inside: see ``MAX_HOPS``
+# in ``engine`` for the frames this bound keeps within the recursion limit.
+MAX_NESTING = 32
+
+
 class PredicateEvalError(Exception):
     """Missing metadata key or an ordering comparison across types."""
 
@@ -98,6 +103,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # the ``not``s and ``(``s open around the next token
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -136,18 +142,22 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise SpecSyntaxError("unexpected end of predicate")
+        if tok[1] != "not" and tok[0] != "lpar":
+            return self.comparison()
+        self.take()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SpecSyntaxError(f"predicate nests deeper than {MAX_NESTING}")
         if tok[1] == "not":
-            self.take()
-            return Not(self.unary())
-        if tok[0] == "lpar":
-            self.take()
+            node = Not(self.unary())
+        else:
             node = self.chain(Or)
             closing = self.peek()
             if closing is None or closing[0] != "rpar":
                 raise SpecSyntaxError("expected ')'")
             self.take()
-            return node
-        return self.comparison()
+        self.depth -= 1
+        return node
 
     def comparison(self):
         left = self.operand()

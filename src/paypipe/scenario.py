@@ -184,11 +184,6 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
-
-
 def apply_step(engine: Engine, kind: str, args: dict) -> list[TxResult]:
     """Run an approval or a trigger step, ``args`` in its ``STEPS`` order;
     returns the transactions it made. An unknown node raises ``KeyError``."""

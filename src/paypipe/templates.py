@@ -519,9 +519,8 @@ class ConditionalTemplate(Template):
     def __init__(self, node_id, config, **wiring):
         super().__init__(node_id, config, **wiring)
         self.predicate = parse_predicate(config["when"])
-        self.on_false = ErrorSeverity.from_label(
-            config.get("on_false", "recoverable")
-        )
+        self.on_false = ErrorSeverity[
+            config.get("on_false", "recoverable").upper()]
 
     @classmethod
     def _check(cls, config, outputs):

@@ -9,15 +9,17 @@ implementations they check.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import re
 
+from paypipe.bench import build_pipeline_text
 from paypipe.errors import SpecSyntaxError
 from paypipe.pipeline import (NodeSpec, PipelineSpec, instantiate,
                               parse_pipeline, serialize_pipeline,
                               validate_pipeline)
-from paypipe.scenario import STEPS, apply_step, load_scenario, run_scenario
+from paypipe.scenario import STEPS, apply_step, parse_scenario, run_scenario
 
 # -- naive ledger oracle -------------------------------------------------------
 
@@ -323,17 +325,17 @@ def random_graph_spec(rng: random.Random, max_nodes: int = 12):
 MANGLE_JUNK = " \t\n->pipelinenodeconfigout#=%\"0123456789abcxyz"
 
 
-def mangled_text(rng: random.Random, corpus) -> str:
+def mangled_text(rng: random.Random, corpus, junk=MANGLE_JUNK) -> str:
     """One text of ``corpus`` with 1-12 characters replaced by, or with
-    inserted, ``MANGLE_JUNK`` characters, or deleted."""
+    inserted, ``junk`` characters, or deleted."""
     base = list(rng.choice(corpus))
     for _ in range(rng.randint(1, 12)):
         pos = rng.randrange(len(base))
         op = rng.random()
         if op < 0.4:
-            base[pos] = rng.choice(MANGLE_JUNK)
+            base[pos] = rng.choice(junk)
         elif op < 0.7:
-            base.insert(pos, rng.choice(MANGLE_JUNK))
+            base.insert(pos, rng.choice(junk))
         else:
             del base[pos]
     return "".join(base)
@@ -587,6 +589,21 @@ def random_actions(rng: random.Random, info: dict, teed: bool = False):
     return actions
 
 
+def state_fingerprint(engine) -> dict:
+    """Plain-data view of an engine's mutable state, for deep comparisons."""
+    return {
+        "balances": dict(engine.ledger.balances),
+        "allowances": {
+            f"{owner}->{spender}": amt
+            for (owner, spender), amt in sorted(engine.ledger.allowances.items())
+        },
+        "total_supply": engine.ledger.total_supply,
+        "clock": engine.now,
+        "nodes": {nid: copy.deepcopy(n.state)
+                  for nid, n in engine.nodes.items()},
+    }
+
+
 def revert_traces(engine):
     """The events each reverted transaction would have emitted, by id."""
     return {r.id: r.events for r in engine.transactions if not r.committed}
@@ -598,6 +615,17 @@ def next_tx_id(engine):
 
 
 # -- scenario writer and export digest --------------------------------------------
+
+
+def load_scenario(path):
+    """The scenario in the file at ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_scenario(fh.read())
+
+
+def payroll_spec(recipients, periods):
+    """The bench's parsed payroll pipeline for ``recipients`` x ``periods``."""
+    return parse_pipeline(build_pipeline_text(recipients, periods))
 
 
 def scenario_text(name, steps):

@@ -10,7 +10,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from paypipe.bench import (
-    build_pipeline_fixture,
     format_report,
     observables,
     run_comparison,
@@ -24,7 +23,7 @@ from paypipe.pipeline import (
     serialize_pipeline,
     validate_pipeline,
 )
-from paypipe.scenario import apply_step, load_scenario, run_scenario
+from paypipe.scenario import apply_step, run_scenario
 from paypipe.templates import (
     DistributingTemplate,
     ThresholdTemplate,
@@ -34,11 +33,14 @@ from paypipe.templates import (
 
 from support import (
     kahn_cyclic,
+    load_scenario,
+    payroll_spec,
     random_actions,
     random_graph_spec,
     random_pipeline_text,
     schedule_fields,
     schedule_of_flags,
+    state_fingerprint,
     waterfall_units,
 )
 from test_pipeline import KITCHEN_SINK, MINIMAL
@@ -62,8 +64,8 @@ def wire(template, config, tags, router_id="router"):
     engine.add_node(template(router_id, config, outputs=outputs))
     for tag, endpoint_id in outputs:
         engine.add_node(EndpointNode(endpoint_id, recipient=f"acct_{tag}"))
-    engine.set_entry("origin")
-    engine.setup_balances({"acme": POOL})
+    engine.entry = "origin"
+    engine.ledger.mint("acme", POOL)
     engine.ledger.approve("acme", "node:origin", POOL)
     return engine
 
@@ -154,21 +156,21 @@ def test_criterion_3_rollback():
 
 """, "")))
     engine.ledger.approve("acme", "node:origin", 1000)
-    before = engine.state_fingerprint()
+    before = state_fingerprint(engine)
     result = engine.submit_deposit("acme", 60)
     assert not result.committed
     assert result.reason.startswith("FatalStreamError:")
-    after = engine.state_fingerprint()
+    after = state_fingerprint(engine)
     assert after == before
 
     # crank-triggered fatal: ledger, node states, and schedules all restore
     engine = instantiate(parse_pipeline(ROLLBACK_PIPE))
     engine.ledger.approve("acme", "node:origin", 1000)
     assert engine.submit_deposit("acme", 60).committed
-    before = engine.state_fingerprint()
+    before = state_fingerprint(engine)
     (crank,) = engine.advance_time(10)
     assert not crank.committed
-    after = engine.state_fingerprint()
+    after = state_fingerprint(engine)
     assert after["clock"] == 10  # time still advances past a failed crank
     before.pop("clock"), after.pop("clock")
     assert after == before
@@ -181,7 +183,7 @@ def test_criterion_4_payroll_gas_comparison():
     started = time.monotonic()
     report = run_comparison()  # defaults: N=3, K=3, pool 300 per period
 
-    engine = instantiate(build_pipeline_fixture(3, 3))
+    engine = instantiate(payroll_spec(3, 3))
     engine.ledger.approve("acme", "node:origin", 900)
     assert engine.submit_deposit("acme", 900).committed
     for _ in range(3):

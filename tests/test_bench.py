@@ -123,8 +123,8 @@ class TestMonolithEdges:
         engine = Engine()
         engine.add_node(OriginatorNode("origin", outputs=[("main", "payroll")]))
         engine.add_node(MonolithicPayroll("payroll", ["emp-1"], 1))
-        engine.set_entry("origin")
-        engine.setup_balances({EMPLOYER: 5})
+        engine.entry = "origin"
+        engine.ledger.mint(EMPLOYER, 5)
         engine.ledger.approve(EMPLOYER, engine.nodes["origin"].address, 5)
         result = engine.submit_deposit(EMPLOYER, 5)
         assert result.reason == \

@@ -15,6 +15,7 @@ from paypipe.cli import main
 from paypipe.ledger import MAX_AMOUNT
 from paypipe.templates import TEMPLATES
 
+from support import payroll_spec
 from test_golden import GOLDEN
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -59,7 +60,7 @@ def big_run(tmp_path):
     """A pipeline and a scenario whose trace spans two chunks of lines."""
     deposit = bench.PAY_PER_PERIOD * 30 * 3
     pipe = write(tmp_path, "big.pipe", pipeline.serialize_pipeline(
-        bench.build_pipeline_fixture(30, 3)))
+        payroll_spec(30, 3)))
     scn = write(tmp_path, "big.scn",
                 f"scenario big\n\napprove {bench.EMPLOYER} origin {deposit}\n"
                 f"deposit {bench.EMPLOYER} {deposit}\n" + "advance 10\n" * 3)

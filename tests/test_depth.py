@@ -9,15 +9,19 @@ import sys
 import pytest
 
 from paypipe import engine as engine_module
+from paypipe.cli import main
 from paypipe.engine import Engine
 from paypipe.errors import DepthExceeded
 from paypipe.nodes import (EndpointNode, ErrorSeverity, OriginatorNode,
                            PolicyAction)
 from paypipe.pipeline import (MAX_HOPS, ValidationError, instantiate,
                               parse_pipeline, validate_pipeline)
+from paypipe.predicates import MAX_NESTING
 from paypipe.templates import ConditionalTemplate, ReportingTemplate
 
+from support import state_fingerprint
 from test_cli import CHILD_ENV
+from test_predicates import SHAPES, TOO_DEEP, nested_predicates
 
 ROUTERS = {
     "reporting": "template reporting\n  out main -> {to}\n  config sink audit",
@@ -151,6 +155,52 @@ def test_cli_exits_one_on_the_longer_chain_without_a_traceback(
         in proc.stdout + proc.stderr
 
 
+def conditional_when(text, when):
+    """``text`` with the predicate of each ``ROUTERS`` conditional set to
+    ``when``."""
+    return text.replace("config when amount > 0", f"config when {when}")
+
+
+@pytest.mark.parametrize("when", nested_predicates(MAX_NESTING), ids=SHAPES)
+def test_a_predicate_at_the_limit_runs_at_hop_128_from_200_frames_deep(when):
+    """Every router of a chain at the hop limit tests a predicate at the
+    nesting limit: ``MAX_HOPS``'s frame arithmetic with its predicate."""
+    spec = parse_pipeline(conditional_when(chain(MAX_HOPS, "conditional"),
+                                           when))
+    assert validate_pipeline(spec) == []
+    engine = instantiate(spec)
+    engine.ledger.approve("acme", "node:origin", 40)
+    result = deep(200, lambda: engine.submit_deposit("acme", 40))
+    assert result.committed, result.reason
+    assert len([ev for ev in result.events if ev.kind == "Sent"]) == MAX_HOPS
+
+
+# a conditional at the end of a chain of 120 reporting routers
+LATE_CONDITIONAL = chain(122).replace(ROUTERS["reporting"].format(to="pay"),
+                                      ROUTERS["conditional"].format(to="pay"))
+DEEP_INPUTS = [
+    pytest.param("validate", chain(2, "conditional"),
+                 "(" * 250 + "amount > 0" + ")" * 250, "r1", id="parens"),
+    pytest.param("validate", chain(2, "conditional"),
+                 "not " * 2000 + "amount > 0", "r1", id="nots"),
+    pytest.param("run", LATE_CONDITIONAL, "not " * 800 + "amount > 0",
+                 "r121", id="late-nots"),
+]
+
+
+@pytest.mark.parametrize("command,text,when,node", DEEP_INPUTS)
+def test_cli_refuses_a_deep_predicate_without_a_traceback(
+        tmp_path, capsys, command, text, when, node):
+    pipe, scn = tmp_path / "deep.pipe", tmp_path / "deep.scn"
+    pipe.write_text(conditional_when(text, when))
+    scn.write_text("scenario deep\n\napprove acme origin 40\n"
+                   "deposit acme 40\n")
+    args = [str(pipe)] if command == "validate" else [str(pipe), str(scn)]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr() == (
+        f"BadConfig {node}: bad predicate: {TOO_DEEP}\n", "")
+
+
 def test_a_conditional_hop_nests_as_many_frames_as_a_reporting_hop():
     """Frame depth at each router's ``Sent``, on a chain that alternates
     the two templates: every hop adds the same number of frames."""
@@ -193,8 +243,8 @@ def unvalidated_chain(hops, first=ReportingTemplate):
         engine.add_node(router(ids[i], {"sink": "audit", "keys": []},
                                outputs=[("main", ids[i + 1])]))
     engine.add_node(EndpointNode("pay", recipient="bob"))
-    engine.set_entry("origin")
-    engine.setup_balances({"acme": 1000})
+    engine.entry = "origin"
+    engine.ledger.mint("acme", 1000)
     engine.ledger.approve("acme", "node:origin", 1000)
     return engine
 
@@ -216,13 +266,13 @@ def test_a_longer_unvalidated_chain_reverts_depth_exceeded(hops):
     """From 200 frames deep, 400 hops would pass the recursion limit: the
     bound reverts the deposit with its code before that."""
     engine = unvalidated_chain(hops)
-    before = engine.state_fingerprint()
+    before = state_fingerprint(engine)
     result = deep(200, lambda: engine.submit_deposit("acme", 40))
     last, refused = f"r{MAX_HOPS}", "pay" if hops == MAX_HOPS + 1 \
         else f"r{MAX_HOPS + 1}"
     assert result.reason == \
         f"DepthExceeded: {last} -> {refused} nests over {MAX_HOPS} hops"
-    assert engine.state_fingerprint() == before
+    assert state_fingerprint(engine) == before
     # the refused hop charged nothing: its last event is the hop before it
     assert result.events[-1].kind == "Report"
     assert result.events[-1].emitter == f"node:{last}"
@@ -264,9 +314,9 @@ def test_a_redirect_past_the_limit_reverts_as_a_failed_policy_action():
     engine.edges.add((f"r{MAX_HOPS - 1}", "gate"))
     engine.add_node(gate)
     engine.add_node(EndpointNode("keep", recipient="admin"))
-    before = engine.state_fingerprint()
+    before = state_fingerprint(engine)
     result = engine.submit_deposit("acme", 40)
     assert result.reason == (
         "FatalStreamError: gate: redirect failed handling 'predicate false': "
         f"gate -> keep nests over {MAX_HOPS} hops")
-    assert engine.state_fingerprint() == before and engine._depth == 0
+    assert state_fingerprint(engine) == before and engine._depth == 0

@@ -16,10 +16,11 @@ from paypipe.engine import (
 )
 from paypipe.nodes import EndpointNode, Node, OriginatorNode, StreamMessage
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import apply_step, load_scenario, run_scenario
+from paypipe.scenario import apply_step, run_scenario
 
-from support import (next_tx_id, random_actions, random_pipeline_text,
-                     revert_traces, schedule_fields, schedule_of_flags)
+from support import (load_scenario, next_tx_id, random_actions,
+                     random_pipeline_text, revert_traces, schedule_fields,
+                     schedule_of_flags, state_fingerprint)
 from test_golden import FIXTURES, GOLDEN, PAIRS
 
 TB = CostTable()  # default costs, used in hand-derived gas sums
@@ -109,11 +110,11 @@ class TestRevert:
 
     def test_unapproved_deposit_rolls_back(self):
         engine = build(CHAIN)
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         result = engine.submit_deposit("acme", 100)
         assert not result.committed
         assert result.reason.startswith("InsufficientAllowance:")
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
 
     def test_reverted_events_kept_out_of_canonical_log(self):
         engine = build(CHAIN)
@@ -152,15 +153,15 @@ class TestRevert:
         engine.add_node(Stray("o", outputs=[("main", "x")]))
         engine.add_node(EndpointNode("x", recipient="bob"))
         engine.add_node(EndpointNode("y", recipient="carol"))
-        engine.set_entry("o")
-        engine.setup_balances({"alice": 100})
+        engine.entry = "o"
+        engine.ledger.mint("alice", 100)
         engine.ledger.approve("alice", "node:o", 100)
         assert engine.edges == {("o", "x")}
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         result = engine.submit_deposit("alice", 100)
         assert not result.committed
         assert result.reason == "EdgeMissing: no edge o -> y"
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
 
 
 FATAL_GATE = """pipeline gate
@@ -189,13 +190,13 @@ class TestRollback:
         engine = build(FATAL_GATE)
         approve_entry(engine, "acme", 1000)
         assert engine.submit_deposit("acme", 60).committed
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         events_before = list(engine.events)
 
         result = engine.submit_deposit("acme", 49)
         assert not result.committed
         assert result.reason.startswith("FatalStreamError:")
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.events == events_before
         # the failed attempt still shows its partial work in the revert trace
         kinds = [ev.kind for ev in revert_traces(engine)[result.id]]
@@ -327,7 +328,7 @@ class TestTriggerArguments:
     def test_non_int_is_rejected_before_a_transaction(self, value, type_name):
         engine = build(CHAIN)
         approve_entry(engine, "acme", 100)
-        before, events = engine.state_fingerprint(), list(engine.events)
+        before, events = state_fingerprint(engine), list(engine.events)
         with pytest.raises(TypeError) as info:
             engine.submit_deposit("acme", value)
         assert str(info.value) == f"amount must be an int, got {type_name}"
@@ -337,7 +338,7 @@ class TestTriggerArguments:
         with pytest.raises(TypeError) as info:
             engine.advance_time(value)
         assert str(info.value) == f"delta must be an int, got {type_name}"
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.events == events and engine.transactions == []
 
     def test_int_subclass_is_accepted(self):
@@ -495,8 +496,8 @@ def nesting_engine(nested=None, catch=False):
     engine.add_node(OriginatorNode("o", outputs=[("main", "p")]))
     node = engine.add_node(Nesting("p", recipient="bob", mode="claimable"))
     node.nested = nested
-    engine.set_entry("o")
-    engine.setup_balances({"alice": 100})
+    engine.entry = "o"
+    engine.ledger.mint("alice", 100)
     engine.ledger.approve("alice", "node:o", 100)
     return engine, caught
 
@@ -506,12 +507,12 @@ class TestNestedTriggers:
     def test_propagated_refusal_undoes_the_outer_transaction(self, name):
         engine, _ = nesting_engine()
         assert engine.submit_deposit("alice", 10).committed
-        before, events = engine.state_fingerprint(), list(engine.events)
+        before, events = state_fingerprint(engine), list(engine.events)
         transactions = list(engine.transactions)
         engine.nodes["p"].nested = NESTED[name]
         with pytest.raises(RuntimeError, match="inside an open transaction"):
             engine.submit_deposit("alice", 20)
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.events == events and engine.transactions == transactions
         assert revert_traces(engine) == {} and engine.now == 0
         engine.nodes["p"].nested = None
@@ -529,7 +530,7 @@ class TestNestedTriggers:
             assert result.events == expected.events
         assert len(caught) == 2
         assert all("inside an open transaction" in str(err) for err in caught)
-        assert engine.state_fingerprint() == twin.state_fingerprint()
+        assert state_fingerprint(engine) == state_fingerprint(twin)
         assert engine.trace_text() == twin.trace_text()
         assert engine.gas_text() == twin.gas_text()
         assert next_tx_id(engine) == next_tx_id(twin) == 3
@@ -539,10 +540,10 @@ class TestNestedTriggers:
     def test_ledger_log_opened_outside_refuses_a_trigger_unchanged(self):
         engine, _ = nesting_engine()
         engine.ledger.begin()
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         with pytest.raises(RuntimeError, match="undo log is already open"):
             engine.submit_deposit("alice", 10)
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine._tx is None and next_tx_id(engine) == 1
         engine.charge("config_read")
         assert engine.meter.consumed == 0
@@ -593,8 +594,8 @@ class TestEmit:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "m")]))
         engine.add_node(Mutating("m"))
-        engine.set_entry("o")
-        engine.setup_balances({"alice": 100})
+        engine.entry = "o"
+        engine.ledger.mint("alice", 100)
         engine.ledger.approve("alice", "node:o", 100)
         setup = {"note": "set-up"}
         engine.emit("Note", "admin", setup)
@@ -616,7 +617,7 @@ class TestDeterminism:
                 apply_step(engine, *action)
         assert engines[0].trace_text() == engines[1].trace_text()
         assert engines[0].gas_text() == engines[1].gas_text()
-        assert engines[0].state_fingerprint() == engines[1].state_fingerprint()
+        assert state_fingerprint(engines[0]) == state_fingerprint(engines[1])
 
 
 class TestEventRecord:
@@ -724,8 +725,8 @@ class TestSetUpErrors:
     def test_dispatch_to_a_node_that_does_not_exist(self):
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "ghost")]))
-        engine.set_entry("o")
-        engine.setup_balances({"alice": 100})
+        engine.entry = "o"
+        engine.ledger.mint("alice", 100)
         engine.ledger.approve("alice", "node:o", 100)
         result = engine.submit_deposit("alice", 100)
         assert result.reason == "EdgeMissing: o dispatched to unknown node 'ghost'"
@@ -743,8 +744,8 @@ class TestConservationCheck:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "leak")]))
         engine.add_node(LeakyNode("leak"))
-        engine.set_entry("o")
-        engine.setup_balances({"alice": 100})
+        engine.entry = "o"
+        engine.ledger.mint("alice", 100)
         engine.ledger.approve("alice", "node:o", 100)
         with pytest.raises(ConservationBreach):
             engine.submit_deposit("alice", 100)

@@ -18,13 +18,13 @@ from pathlib import Path
 import pytest
 
 from paypipe import engine as engine_module
-from paypipe.bench import (PAY_PER_PERIOD, _drive, build_monolith,
-                           build_pipeline_fixture)
+from paypipe.bench import PAY_PER_PERIOD, _drive, build_monolith
 from paypipe.engine import Engine, EventRecord
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import apply_step, load_scenario, run_scenario
+from paypipe.scenario import apply_step, run_scenario
 
-from support import (export_digest, random_actions, random_pipeline_text,
+from support import (export_digest, load_scenario, payroll_spec,
+                     random_actions, random_pipeline_text,
                      reference_trace_text)
 from test_golden import PAIRS
 from test_pipeline import MANGLE_CORPUS
@@ -133,7 +133,7 @@ def test_exports_do_not_depend_on_the_hash_seed():
 
 def test_bench_fifty_by_three():
     deposit = PAY_PER_PERIOD * 50 * 3
-    pipe, mono = instantiate(build_pipeline_fixture(50, 3)), build_monolith(50, 3)
+    pipe, mono = instantiate(payroll_spec(50, 3)), build_monolith(50, 3)
     for engine in (pipe, mono):
         _drive(engine, deposit, 3)
         assert engine.trace_text() == reference_trace_text(engine.events)
@@ -342,7 +342,7 @@ def test_write_trace_holds_about_a_chunk():
     chunk of lines at a time: on the bench's 200x10 pipeline its traced
     peak stays under a fifth of the trace's length, where a text built
     whole would hold at least all of it."""
-    engine = instantiate(build_pipeline_fixture(200, 10))
+    engine = instantiate(payroll_spec(200, 10))
     _drive(engine, PAY_PER_PERIOD * 200 * 10, 10)
     sizes = []
     tracing = tracemalloc.is_tracing()
@@ -363,7 +363,7 @@ def test_write_trace_holds_about_a_chunk():
 
 
 def test_export_repeats_and_leaves_no_state():
-    engine = instantiate(build_pipeline_fixture(50, 3))
+    engine = instantiate(payroll_spec(50, 3))
     _drive(engine, PAY_PER_PERIOD * 50 * 3, 3)
     engine.events.append(ev({"reason": "needs escaping"}))
     before = dict(vars(engine))

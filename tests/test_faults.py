@@ -21,7 +21,8 @@ from paypipe.errors import EngineError
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.scenario import apply_step, parse_scenario
 
-from support import random_actions, random_pipeline_text, teed
+from support import (random_actions, random_pipeline_text, state_fingerprint,
+                     teed)
 
 # Seeds 0-3 of the corpus, and four of 0-119 whose advances (17, 88, 118) or
 # oracle instructions (38) make the most charges: 1,011 charges in all.
@@ -123,7 +124,7 @@ def view(engine, failed):
     """What the injected engine and its twin must share: every field but the
     gas and events of the transaction that failed, which differ by where it
     failed."""
-    return (engine.state_fingerprint(), list(engine.events),
+    return (state_fingerprint(engine), list(engine.events),
             [(r.id, r.trigger, r.status, r.info,
               None if r.id == failed else (r.gas, r.events, r.reason))
              for r in engine.transactions])
@@ -155,7 +156,7 @@ def inject(seed, i, k, error):
     engine = build(text)
     for action in actions[:i]:
         apply_step(engine, *action)
-    before = engine.state_fingerprint(), list(engine.events), \
+    before = state_fingerprint(engine), list(engine.events), \
         list(engine.transactions)
     _, at = raising_at(engine, k, error)
     run(engine, actions[i], error)
@@ -165,7 +166,7 @@ def inject(seed, i, k, error):
     failed, after, end = twin_views(seed, i, recorded - len(before[2]), error)
     assert view(engine, failed) == after
     if actions[i][0] != "advance":
-        assert engine.state_fingerprint() == before[0]
+        assert state_fingerprint(engine) == before[0]
         assert engine.events == before[1]
         assert engine.transactions[:len(before[2])] == before[2]
         assert len(engine.transactions) == len(before[2]) + (failed is not None)

@@ -14,9 +14,9 @@ import re
 import pytest
 
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import apply_step, load_scenario, run_scenario
+from paypipe.scenario import apply_step, run_scenario
 
-from support import random_actions, random_pipeline_text
+from support import load_scenario, random_actions, random_pipeline_text
 from test_golden import FIXTURES, PAIRS
 
 SEEDS = range(150)  # the random corpus of test_export.py

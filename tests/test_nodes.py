@@ -8,6 +8,8 @@ from paypipe.nodes import EndpointNode, Node, OriginatorNode
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.templates import DistributingTemplate
 
+from support import state_fingerprint
+
 CLAIMABLE = """pipeline vaulted
 
 balance acme 1000
@@ -103,7 +105,7 @@ class TestTriggerFallbacks:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "x")]))
         engine.add_node(EndpointNode("x", recipient="bob"))
-        engine.set_entry("o")
+        engine.entry = "o"
         result = engine.submit_deposit("acme", 0)
         assert not result.committed
         assert result.reason.startswith("ZeroAmount:")
@@ -117,8 +119,8 @@ class TestUnvalidatedGraphs:
         engine = Engine()
         for node in nodes:
             engine.add_node(node)
-        engine.set_entry(nodes[0].id)
-        engine.setup_balances({"acme": 100})
+        engine.entry = nodes[0].id
+        engine.ledger.mint("acme", 100)
         engine.ledger.approve("acme", nodes[0].address, 100)
         return engine
 
@@ -143,10 +145,10 @@ class TestUnvalidatedGraphs:
     def test_a_node_without_receive_is_a_fault_not_a_revert(self):
         engine = self.engine(OriginatorNode("o", outputs=[("main", "bare")]),
                              Node("bare"))
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         with pytest.raises(NotImplementedError):
             engine.submit_deposit("acme", 100)
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.transactions == []
 
 

@@ -1,6 +1,7 @@
 """Predicate parsing, evaluation, and canonical-text round trips."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from paypipe import predicates
 from paypipe.cli import main
 from paypipe.errors import SpecSyntaxError
 from paypipe.predicates import (
+    MAX_NESTING,
     And,
     Cmp,
     Field,
@@ -21,7 +23,11 @@ from paypipe.predicates import (
     predicate_text,
 )
 
+from support import mangled_text
 from test_golden import FIXTURES
+from test_pipeline import MANGLE_CORPUS
+
+TOO_DEEP = f"predicate nests deeper than {MAX_NESTING}"
 
 
 def ev(text, amount=0, now=0, metadata=None):
@@ -64,6 +70,44 @@ class TestParsing:
     def test_rejects_malformed(self, bad):
         with pytest.raises(SpecSyntaxError):
             parse_predicate(bad)
+
+    def test_a_trailing_connective_is_an_unexpected_end(self):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_predicate("amount > 1 and")
+        assert exc.value.message == "unexpected end of predicate"
+
+
+SHAPES = ("nots", "parens", "mixed", "alternating")
+
+
+def nested_predicates(levels):
+    """Predicates true for a positive amount whose comparison sits inside
+    ``levels`` ``not``s and ``(``s: all ``not``s, all parentheses, both in
+    turn, and parentheses whose connectives alternate, which ``evaluate``
+    descends with the most frames."""
+    mixed = alternating = "amount > 0"
+    for i in range(levels):
+        mixed = f"not {mixed}" if i % 2 else f"({mixed})"
+        alternating = f"({alternating}) {('or', 'and')[i % 2]} amount > 0"
+    return ["not " * levels + f"amount {('>', '<=')[levels % 2]} 0",
+            "(" * levels + "amount > 0" + ")" * levels, mixed, alternating]
+
+
+class TestNesting:
+    @pytest.mark.parametrize("text", nested_predicates(MAX_NESTING), ids=SHAPES)
+    def test_the_limit_parses_and_round_trips(self, text):
+        node = parse_predicate(text)
+        assert ev(text, amount=1) and not ev(text, amount=0)
+        assert parse_predicate(predicate_text(node)) == node
+
+    @pytest.mark.parametrize("text", [
+        *nested_predicates(MAX_NESTING + 1), "not " * 10**5 + "amount > 0",
+        "(" * 10**5 + "amount > 0" + ")" * 10**5,
+    ], ids=[*SHAPES, "nots-100000", "parens-100000"])
+    def test_past_the_limit_is_refused(self, text):
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse_predicate(text)
+        assert exc.value.message == TOO_DEEP
 
 
 class TestEvaluation:
@@ -154,3 +198,40 @@ def test_run_parses_each_predicate_text_once(monkeypatch):
     assert main(["run", str(FIXTURES / "flows.pipe"),
                  str(FIXTURES / "flows.scn")]) == 0
     assert sorted(texts) == ["amount <= 100", "amount >= 10"]
+
+
+PREDICATE_JUNK = " ()<>=!\"notandr.metadamouw0129_~"
+
+
+def totality_corpus():
+    """About 2,000 predicate texts: character edits of every predicate in
+    the fixtures and the pipeline parser's corpus, then runs of ``(`` and
+    ``not`` that nest from nothing to thousands of levels deep."""
+    sources = [path.read_text() for path in sorted(FIXTURES.glob("*.pipe"))]
+    found = re.findall(r"config when (.*)", "\n".join(sources + MANGLE_CORPUS))
+    bases = sorted(set(found)) + nested_predicates(MAX_NESTING)
+    rng = random.Random(0)
+    texts = [mangled_text(rng, bases, PREDICATE_JUNK) for _ in range(1800)]
+    for _ in range(200):
+        depth = rng.choice((rng.randint(0, 2 * MAX_NESTING),
+                            rng.randint(0, 3000)))
+        opened = "".join(rng.choice(("(", "not ")) for _ in range(depth))
+        closed = ")" * (opened.count("(") + rng.randint(-1, 1))
+        texts.append(opened + rng.choice(bases) + closed)
+    return texts
+
+
+def test_every_mangled_predicate_parses_or_is_a_syntax_error():
+    """The parser is total: each text parses, to an AST whose canonical
+    text parses back to it, or raises ``SpecSyntaxError``; any other
+    exception, ``RecursionError`` among them, fails."""
+    parsed = refused = 0
+    for text in totality_corpus():
+        try:
+            node = parse_predicate(text)
+        except SpecSyntaxError:
+            refused += 1
+            continue
+        parsed += 1
+        assert parse_predicate(predicate_text(node)) == node, text
+    assert parsed and refused

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from paypipe import engine as engine_module
-from paypipe.bench import _drive, build_monolith, build_pipeline_fixture
+from paypipe.bench import _drive, build_monolith
 from paypipe.engine import SETUP_TX, Engine, _copy_state, _copy_value, _NotPlain
 from paypipe.errors import EngineError, InsufficientBalance
 from paypipe.ledger import TokenLedger
@@ -26,11 +26,12 @@ from paypipe.nodes import (
     StreamMessage,
 )
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import apply_step, load_scenario, run_scenario
+from paypipe.scenario import apply_step, run_scenario
 from paypipe.templates import TimelockTemplate
 
-from support import (USERS, random_actions, random_pipeline_text,
-                     revert_traces, schedule_fields, schedule_of_flags, teed)
+from support import (USERS, load_scenario, payroll_spec, random_actions,
+                     random_pipeline_text, revert_traces, schedule_fields,
+                     schedule_of_flags, state_fingerprint, teed)
 from test_golden import PAIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -50,10 +51,10 @@ def check_reverts_restore(engine):
     run_tx, reverted = engine._run_tx, []
 
     def checked(trigger, info, body):
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         result = run_tx(trigger, info, body)
         if not result.committed:
-            assert engine.state_fingerprint() == before, result.reason
+            assert state_fingerprint(engine) == before, result.reason
             reverted.append(result.id)
         return result
     engine._run_tx = checked
@@ -136,12 +137,12 @@ class TestFaultsCloseTheTransaction:
         engine = build((FIXTURES / "error_refund.pipe").read_text())
         entry = engine.nodes[engine.entry].address
         engine.ledger.approve("acme", entry, 1000)
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         with pytest.raises(TypeError):
             engine.submit_deposit("acme", amount)
         with pytest.raises(TypeError):
             engine.submit_oracle_instruct("check", "oracle", "main", amount)
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.transactions == []
         engine.ledger.approve("acme", entry, 500)
         assert engine.events[-1].tx_id == SETUP_TX
@@ -167,13 +168,13 @@ class TestFaultsCloseTheTransaction:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "bug")]))
         engine.add_node(BuggyNode("bug", recipient="bob"))
-        engine.set_entry("o")
-        engine.setup_balances({"alice": 100})
+        engine.entry = "o"
+        engine.ledger.mint("alice", 100)
         engine.ledger.approve("alice", "node:o", 100)
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         with pytest.raises(ZeroDivisionError):
             engine.submit_deposit("alice", 60)
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.transactions == [] and revert_traces(engine) == {}
         # the transaction is closed: a setup write is a setup event again
         engine.ledger.approve("alice", "node:o", 7)
@@ -196,17 +197,17 @@ class TestFaultsCloseTheTransaction:
         engine = Engine()
         engine.add_node(OriginatorNode("o", outputs=[("main", "b")]))
         engine.add_node(Warns("b", recipient="bob"))
-        engine.set_entry("o")
-        engine.setup_balances({"alice": 100})
+        engine.entry = "o"
+        engine.ledger.mint("alice", 100)
         engine.ledger.approve("alice", "node:o", 100)
         return engine
 
     def test_bug_inside_a_policy_action_is_a_fault_not_a_revert(self):
         engine = self.warning_with(lambda: 1 // 0)
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         with pytest.raises(ZeroDivisionError):
             engine.submit_deposit("alice", 60)
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
         assert engine.transactions == [] and revert_traces(engine) == {}
         engine.nodes["b"].receive = lambda msg: None
         assert engine.submit_deposit("alice", 7).id == 1
@@ -216,12 +217,29 @@ class TestFaultsCloseTheTransaction:
             raise InsufficientBalance("short")
 
         engine = self.warning_with(overdraw)
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         result = engine.submit_deposit("alice", 60)
         assert not result.committed
         assert result.reason == ("FatalStreamError: b: proceed failed "
                                  "handling 'w': short")
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
+
+    def test_a_fatal_error_inside_a_proceed_reverts_unwrapped(self):
+        """``a``'s warning proceeds into ``b``, whose fatal error reverts
+        under its own message, not as ``a``'s failed action."""
+        gate = ("node {0}\n  kind router\n  template conditional\n"
+                "  out main -> {1}\n  config when amount > 100\n"
+                "  config on_false {2}\n")
+        engine = build("pipeline relay\n\nbalance acme 100\n\n"
+                       "node origin\n  kind originator\n  out main -> a\n\n"
+                       + gate.format("a", "b", "warning") + "\n"
+                       + gate.format("b", "pay", "fatal") + "\n"
+                       "node pay\n  kind endpoint\n  recipient bob\n")
+        engine.ledger.approve("acme", "node:origin", 10)
+        before = state_fingerprint(engine)
+        result = engine.submit_deposit("acme", 10)
+        assert result.reason == "FatalStreamError: b: predicate false"
+        assert state_fingerprint(engine) == before
 
 
 def mutable_ids(value, found):
@@ -278,7 +296,7 @@ class TestStructuralCopy:
             check_structural_copy(node.state)
 
     def test_bench_states_copy_like_deepcopy(self):
-        pipe = check_every_touch(instantiate(build_pipeline_fixture(3, 3)))
+        pipe = check_every_touch(instantiate(payroll_spec(3, 3)))
         mono = check_every_touch(build_monolith(3, 3))
         for engine in (pipe, mono):
             _drive(engine, 900, 3)
@@ -411,7 +429,7 @@ class TestRandomPipelines:
             for action in actions:
                 apply_step(indexed, *action)
                 apply_step(scanned, *action)
-                assert indexed.state_fingerprint() == scanned.state_fingerprint()
+                assert state_fingerprint(indexed) == state_fingerprint(scanned)
             assert indexed.trace_text() == scanned.trace_text()
             assert indexed.gas_text() == scanned.gas_text()
 
@@ -550,7 +568,7 @@ class TestDueIndex:
 
         engine = Engine()
         engine.add_node(Alarm("alarm"))
-        engine.set_entry("alarm")
+        engine.entry = "alarm"
         assert engine.advance_time(3) == []
         assert engine.submit_deposit("x", 1).committed
         assert engine.advance_time(4) == []

@@ -28,7 +28,7 @@ from paypipe.ledger import NULL_ADDRESS
 from paypipe.pipeline import instantiate, parse_pipeline
 
 from support import (DEPOSITOR, META_KEY, USERS, NaiveLedger, random_pipeline_text,
-                     revert_traces, teed)
+                     revert_traces, state_fingerprint, teed)
 
 FUNDING = 1_000_000  # the depositor's balance in every random pipeline
 BAD_AMOUNTS = (1.5, True, "7", None)
@@ -41,10 +41,10 @@ def check_reverts_restore(engine):
     run_tx = engine._run_tx
 
     def checked(trigger, info, body):
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         result = run_tx(trigger, info, body)
         if not result.committed:
-            assert engine.state_fingerprint() == before, result.reason
+            assert state_fingerprint(engine) == before, result.reason
         return result
     engine._run_tx = checked
 
@@ -94,12 +94,12 @@ class EngineMachine(RuleBasedStateMachine):
         """``action`` must raise ``error`` on both engines before anything
         changes."""
         for engine in (self.engine, self.twin):
-            before = engine.state_fingerprint()
+            before = state_fingerprint(engine)
             counts = (len(engine.transactions), len(engine.events),
                       len(revert_traces(engine)))
             with pytest.raises(error):
                 action(engine)
-            assert engine.state_fingerprint() == before
+            assert state_fingerprint(engine) == before
             assert (len(engine.transactions), len(engine.events),
                     len(revert_traces(engine))) == counts
 
@@ -222,7 +222,7 @@ class EngineMachine(RuleBasedStateMachine):
     def twin_agrees(self):
         assert self.engine.events == self.twin.events
         assert revert_traces(self.engine) == revert_traces(self.twin)
-        assert self.engine.state_fingerprint() == self.twin.state_fingerprint()
+        assert state_fingerprint(self.engine) == state_fingerprint(self.twin)
 
 
 EngineMachine.TestCase.settings = settings(

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from paypipe.pipeline import instantiate, parse_pipeline
 from paypipe.templates import apportion
 
+from support import state_fingerprint
+
 
 def build(text):
     return instantiate(parse_pipeline(text))
@@ -232,11 +234,11 @@ class TestTimelock:
                         .replace("balance acme 10000",
                                  "balance acme 10000\nbalance node:lock 100"))
         engine = build(text)
-        before = engine.state_fingerprint()
+        before = state_fingerprint(engine)
         (crank,) = engine.advance_time(0)
         assert crank.reason == ("EngineError: lock holds funds with no "
                                 "recorded stream")
-        assert engine.state_fingerprint() == before
+        assert state_fingerprint(engine) == before
 
     def test_cumulative_release_never_exceeds_due(self):
         engine = build(TIMELOCK)

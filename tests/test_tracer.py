@@ -8,8 +8,9 @@ import importlib.util
 import pytest
 
 from paypipe.pipeline import instantiate, parse_pipeline
-from paypipe.scenario import load_scenario, run_scenario
+from paypipe.scenario import run_scenario
 
+from support import load_scenario
 from test_golden import FIXTURES, HERE
 
 _spec = importlib.util.spec_from_file_location(
