@@ -53,13 +53,13 @@ def parse_cost_table(text: str) -> CostTable:
 
 def _write_out(path: str, export: Callable, what: str) -> None:
     """Stream ``export``, such as ``Engine.write_trace``, to the file ``path``
-    or exit 2 with a message on stderr; ``-`` is stdout, whose broken pipe
-    ``main`` reports."""
+    byte for byte (no newline translation), or exit 2 with a message on
+    stderr; ``-`` is stdout, whose broken pipe ``main`` reports."""
     if path == "-":
         export(sys.stdout.write)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             export(fh.write)
     except OSError as err:
         print(f"cannot write {what} {path}: {err.strerror}", file=sys.stderr)

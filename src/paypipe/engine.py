@@ -56,9 +56,11 @@ when its cranks are done. An advance with nothing due asks no node and
 returns at once.
 
 ``format_event`` defines a line of the ``--trace`` export. ``write_trace``
-hands a writer the same lines from templates, 512 to a chunk; ``trace_text``
-joins the chunks once, as ``gas_text`` joins ``write_gas``'s. A writer that
-raises stops the export, which can leave a file with only its first chunks.
+streams the same lines from templates to a writer, 512 to a chunk, so it
+holds about one chunk; ``trace_text`` appends the chunks to one string that
+CPython grows in place, so its peak is about one trace, and ``gas_text``
+joins ``write_gas``'s chunks once. A writer that raises stops the export,
+which can leave a file with only its first chunks.
 Within one export, each event shape whose kind and keys are plain ``str``
 needing no escape gets a ``%``-template, keys sorted, and an ``itemgetter`` of
 the values. An event finds it by its kind and key count: n distinct keys the
@@ -634,17 +636,28 @@ class Engine:
 
     # -- reports ------------------------------------------------------------
 
-    def write_trace(self, write: Callable[[str], object]) -> None:
-        """Hand ``write`` the ``--trace`` export a chunk at a time."""
+    def _trace_chunks(self):
+        """The ``--trace`` export's chunks, one per ``_CHUNK`` events."""
         events, templates, shapes = self.events, {}, {}
         for start in range(0, len(events), _CHUNK):
-            write(_chunk_text(events[start:start + _CHUNK], templates, shapes))
+            yield _chunk_text(events[start:start + _CHUNK], templates, shapes)
+
+    def write_trace(self, write: Callable[[str], object]) -> None:
+        """Hand ``write`` the ``--trace`` export a chunk at a time."""
+        for chunk in self._trace_chunks():
+            write(chunk)
 
     def trace_text(self) -> str:
-        """What ``write_trace`` writes, joined once."""
-        chunks = []
-        self.write_trace(chunks.append)
-        return "".join(chunks)
+        """What ``write_trace`` writes, as one string built in place."""
+        # CPython grows ``text`` in place only while a plain local holds its
+        # one reference and it was never hashed or interned (3.12+ does so
+        # only for a STORE_FAST target, not a closure cell or an attribute);
+        # otherwise each chunk copies the whole trace. So the peak is one
+        # trace and one chunk, where a join held every chunk besides.
+        text = ""
+        for chunk in self._trace_chunks():
+            text += chunk
+        return text
 
     def write_gas(self, write: Callable[[str], object]) -> None:
         """Hand ``write`` the ``--gas-report`` export a chunk at a time."""

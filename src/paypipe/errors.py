@@ -107,13 +107,13 @@ def int_word(word: str) -> Optional[int]:
     return None
 
 
-def shown_word(word: str) -> str:
+def shown_word(word: str, keep: int = 20) -> str:
     """``word`` quoted for an error message: whole up to 20 characters, else
-    its first 20 characters and its length, so one long word cannot make
-    the message unreadable."""
+    its first ``keep`` characters and its length, so one long word cannot
+    make the message unreadable."""
     if len(word) <= 20:
         return repr(word)
-    return f"{word[:20]!r}... ({len(word)} characters)"
+    return f"{word[:keep]!r}... ({len(word)} characters)"
 
 
 class SpecValidationError(Exception):

@@ -198,11 +198,14 @@ def apply_step(engine: Engine, kind: str, args: dict) -> list[TxResult]:
 
 def _assert_problem(engine: Engine, kind: str, a: dict) -> Optional[str]:
     """Why the assertion ``kind`` with arguments ``a`` does not hold, or
-    None when it does; a word past 20 characters echoes as ``shown_word``."""
+    None when it does; a word past 20 characters echoes as ``shown_word``,
+    which keeps 20 characters of it, or 10 of each when two are that long,
+    so the line stays under 120 bytes."""
     node = engine.nodes.get(a.get("node"))
     if node is None and "node" in a:
         return f"unknown node {shown_word(a['node'])}"
-    w = {k: v if k in _INTS or len(v) <= 20 else shown_word(v)
+    long = [k for k, v in a.items() if k not in _INTS and len(v) > 20]
+    w = {k: shown_word(v, 20 // len(long)) if k in long else v
          for k, v in a.items()}
     if kind == "assert_balance":
         actual = engine.ledger.balances.get(a["account"], 0)

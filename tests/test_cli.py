@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output discipline, file emission."""
 
+import _pyio
 import errno
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from paypipe import bench, cli, pipeline
 from paypipe.cli import main
+from paypipe.engine import Engine, EventRecord
 from paypipe.ledger import MAX_AMOUNT
 from paypipe.templates import TEMPLATES
 
@@ -316,8 +318,8 @@ class TestRun:
         whole, part = tmp_path / "whole.trace", tmp_path / "part.trace"
         assert main(["run", pipe, scn, "--trace", str(whole)]) == 0
 
-        def full_after_one_write(path, mode="r", encoding=None):
-            fh = open(path, mode, encoding=encoding)
+        def full_after_one_write(path, mode="r", **options):
+            fh = open(path, mode, **options)
             if mode != "w":
                 return fh
             written = []
@@ -405,6 +407,23 @@ class TestRun:
             paths.append((trace.read_bytes(), gas.read_bytes()))
         capsys.readouterr()
         assert paths[0] == paths[1]
+
+    def test_export_files_keep_their_bytes(self, tmp_path, monkeypatch):
+        """``\n`` alone ends an export line, also where the platform's line
+        end is ``\r\n`` (``_pyio``'s text files read ``os.linesep``), and a
+        ``\r`` or ``\x85`` in a value is written as is."""
+        engine = Engine()
+        engine.events = [
+            EventRecord(1, 0, "node:a", "Sent", {"memo": "a\rb\x85c"}),
+            EventRecord(1, 1, "node:a", "Sent", {"to": "b"})]
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+        trace, gas = tmp_path / "out.trace", tmp_path / "out.gas"
+        cli._write_out(str(trace), engine.write_trace, "trace")
+        cli._write_out(str(gas), engine.write_gas, "gas report")
+        assert trace.read_bytes() == engine.trace_text().encode()
+        assert len(trace.read_bytes().split(b"\n")) == len(engine.events) + 1
+        assert gas.read_bytes() == engine.gas_text().encode()
 
     def test_cost_table_override_changes_gas(self, tmp_path, capsys):
         table = write(tmp_path, "table.txt", "tx_base 1\nevent_emit 0\n")
@@ -546,16 +565,21 @@ class TestLongWords:
 
     def test_scenario_failure_lines_stay_short(self, tmp_path, monkeypatch,
                                                capsys):
-        other = "v" * 5000
+        other, pay = "v" * 5000, "p" * 5000
         monkeypatch.chdir(tmp_path)
         (tmp_path / "long.pipe").write_text(
-            GOOD_PIPE.replace("node origin", f"node {WORD}"))
+            GOOD_PIPE.replace("node origin", f"node {WORD}").replace(
+                "-> pay", "-> r")
+            + "\nnode r\n  kind router\n  template distributing\n"
+            f"  out a -> pay\n  out b -> {pay}\n  config weight a 1\n"
+            f"  config weight b 1\n\nnode {pay}\n  kind endpoint\n"
+            "  recipient bob\n")
         (tmp_path / "long.scn").write_text(
             f"scenario x\n\napprove acme {WORD} 50\napprove acme {other} 5\n"
             f"approve {WORD} {WORD} 5\nassert balance {WORD} 5\n"
             f"assert held {WORD} 1\nassert held {other} 0\n"
             f"assert claimable {WORD} bob 1\nassert claimable pay {WORD} 1\n"
-            f"assert events {WORD} 1\n")
+            f"assert events {WORD} 1\nassert claimable {pay} {WORD} 1\n")
         assert main(["run", "long.pipe", "long.scn"]) == 3
         shown = f"'{'v' * 20}'... (5000 characters)"
         out = capsys.readouterr().out
@@ -567,7 +591,9 @@ class TestLongWords:
             f"line 9: {SHOWN} tracks nothing claimable",
             f"line 10: claimable for {SHOWN} at pay is 0, expected 1",
             f"line 11: 0 {SHOWN} events, expected 1",
-            "failed: scenario x, 7 problem(s)"]
+            f"line 12: claimable for '{'w' * 10}'... (5000 characters) at "
+            f"'{'p' * 10}'... (5000 characters) is 0, expected 1",
+            "failed: scenario x, 8 problem(s)"]
         assert max(map(len, out.encode().splitlines())) < 120
 
     def test_trigger_on_a_long_unknown_node_stays_short(self, tmp_path,

@@ -34,19 +34,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def export(events):
     """The engine's trace of hand-set ``events`` by ``trace_text``, which
-    must join what its one run of ``write_trace`` handed the writer into a
-    list: a chunk of lines per write."""
+    must join what its one run of ``_trace_chunks`` yielded: a chunk of
+    lines per ``_CHUNK`` events."""
     engine = Engine()
     engine.events = list(events)
     chunks = []
 
-    def write_trace(write):
-        def tee(chunk):
+    def trace_chunks():
+        for chunk in Engine._trace_chunks(engine):
             chunks.append(chunk)
-            write(chunk)
-        Engine.write_trace(engine, tee)
+            yield chunk
 
-    engine.write_trace = write_trace
+    engine._trace_chunks = trace_chunks
     text = engine.trace_text()
     assert "".join(chunks) == text
     size = engine_module._CHUNK
@@ -337,6 +336,21 @@ def test_lines_format_event_prints_leave_their_chunk_unchecked(monkeypatch):
     assert calls == []
 
 
+def traced_peak(call):
+    """``call()``'s result and its ``tracemalloc`` peak above the traced
+    size at the call."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def test_write_trace_holds_about_a_chunk():
     """``write_trace`` into a writer that drops each chunk holds about one
     chunk of lines at a time: on the bench's 200x10 pipeline its traced
@@ -345,18 +359,21 @@ def test_write_trace_holds_about_a_chunk():
     engine = instantiate(payroll_spec(200, 10))
     _drive(engine, PAY_PER_PERIOD * 200 * 10, 10)
     sizes = []
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        engine.write_trace(lambda chunk: sizes.append(len(chunk)))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    _, peak = traced_peak(
+        lambda: engine.write_trace(lambda chunk: sizes.append(len(chunk))))
     assert len(sizes) > 20  # a chunk is about 50 kB
     assert peak < sum(sizes) / 5, (peak, sum(sizes))
+
+
+def test_trace_text_holds_about_one_trace():
+    """``trace_text`` grows one string in place: on the bench's 200x10
+    pipeline its traced peak stays under 1.25 times the trace's length,
+    where joining the chunks holds them all beside the result, twice it."""
+    engine = instantiate(payroll_spec(200, 10))
+    _drive(engine, PAY_PER_PERIOD * 200 * 10, 10)
+    text, peak = traced_peak(engine.trace_text)
+    assert text.count("\n") == len(engine.events)
+    assert peak < 1.25 * len(text), (peak, len(text))
 
 
 # -- no state survives an export ------------------------------------------------

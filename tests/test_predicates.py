@@ -146,6 +146,16 @@ class TestEvaluation:
         assert ev("amount > 0", amount=1)
         assert ev("amount != 2", amount=1)
 
+    def test_a_hand_built_ast_of_unknown_nodes_raises(self):
+        """The parser never builds these nodes; a hand-built AST that holds
+        one gets a ``TypeError`` naming it, not a wrong answer."""
+        with pytest.raises(TypeError, match="not an operand"):
+            evaluate(Cmp("=", object(), Lit(1)), 1, 0, {})
+        with pytest.raises(TypeError, match="not a predicate node"):
+            evaluate(object(), 1, 0, {})
+        with pytest.raises(TypeError, match="not a predicate node"):
+            predicate_text(object())
+
 
 def random_ast(rng, depth=0):
     if depth < 3 and rng.random() < 0.5:

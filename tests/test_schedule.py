@@ -194,6 +194,20 @@ class Beacon(Template):
                          {"release": k, "at": due, "amount": 0})
 
 
+class Postponed(Beacon):
+    """A beacon whose deposit moves its release from ``config["at"]`` to 5."""
+
+    def initial_state(self):
+        return {"fired": False, "at": self.config["at"]}
+
+    def due_releases(self, now):
+        at = self.state["at"]
+        return [] if self.state["fired"] or at > now else [(at, 0)]
+
+    def deposit(self, from_account, amount, metadata):
+        self.state["at"] = 5
+
+
 class Counted:
     """Mixin that counts the ``next_due`` calls a node receives."""
 
@@ -287,6 +301,21 @@ class TestDueIndex:
             "node": "beacon", "release": 0, "at": 5}
         assert engine._due_at == {}
         assert engine.advance_time(10) == []
+
+    def test_stale_heap_key_is_skipped(self):
+        """A commit that moves a node's release later leaves its old heap
+        key behind; the advance that reaches the old key skips it."""
+        engine = Engine()
+        engine.add_node(Postponed("p", {"at": 3}))
+        engine.entry = "p"
+        assert engine.submit_deposit("acme", 1).committed
+        assert sorted(engine._due_heap) == [(3, "p"), (5, "p")]
+        assert engine._due_at == {"p": 5}
+        assert engine.advance_time(4) == []
+        assert engine._due_heap == [(5, "p")]
+        (fired,) = engine.advance_time(1)
+        assert fired.committed and fired.info == {
+            "node": "p", "release": 0, "at": 5}
 
     def test_node_subclass_with_a_schedule_is_indexed_and_cranked(self):
         engine = Engine()
